@@ -264,18 +264,29 @@ func BenchmarkCompileTinyYOLOv4(b *testing.B) {
 }
 
 // BenchmarkSolverSearch measures a full compilation with the scored
-// search solver at its default budget: every one of the ~48 candidate
-// duplication vectors is scored by a Stage I-IV coarse run, so this is
-// the cost of trading compile time for schedule quality. Coarse Stage I
-// granularity (26 sets) keeps the per-candidate evaluation at the scale
-// the ablation and the serving path use.
+// search solver at its default budget: ~48 candidate duplication
+// vectors, each priced by the Stage IV makespan pass. At 26 sets a
+// duplicated layer's set target depends on its d_i, so candidates that
+// change it rebuild Stage I/II; BenchmarkSolverSearchFine is the
+// Engine-default granularity, where one graph serves every candidate.
 func BenchmarkSolverSearch(b *testing.B) {
+	benchSolverSearch(b, 26)
+}
+
+// BenchmarkSolverSearchFine is BenchmarkSolverSearch at
+// FineGranularity, the Engine default (and the search compile the
+// clsabench "search" workload times).
+func BenchmarkSolverSearchFine(b *testing.B) {
+	benchSolverSearch(b, sets.FineGranularity)
+}
+
+func benchSolverSearch(b *testing.B, targetSets int) {
 	m, err := clsacim.LoadModel("tinyyolov4", clsacim.ModelOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := clsacim.Config{
-		TargetSets: 26, ExtraPEs: 32, WeightDuplication: true,
+		TargetSets: targetSets, ExtraPEs: 32, WeightDuplication: true,
 		Solver: "search", SolverSeed: 1, SolverMode: "xinf",
 	}
 	b.ReportAllocs()

@@ -154,8 +154,8 @@ type Config struct {
 	// Solver picks the duplication solver: "dp" (exact for the paper's
 	// Optimization Problem 1, default), "greedy", "minmax" (bottleneck
 	// objective, extension), "uniform" (even spread baseline), "none",
-	// "search" (schedule-aware annealing scored by the coarse
-	// simulator), or any name added through RegisterSolver.
+	// "search" (schedule-aware annealing scored by the Stage IV
+	// makespan), or any name added through RegisterSolver.
 	Solver string `json:"solver,omitempty"`
 	// SolverBudget bounds the candidate evaluations of a scored solver
 	// such as "search" (0 = the solver's default;
@@ -520,53 +520,97 @@ func scoringMode(cfg Config, layers int) (ScheduleMode, error) {
 	}
 }
 
-// solveScored runs a schedule-aware duplication solver: the candidate
-// evaluation callback replays the real pipeline — mapping.Apply, Stage I
-// set determination, Stage II dependency build, and a coarse simulation
-// under the scoring mode — and returns the achieved makespan in cycles.
-// One sim.State is reused across all evaluations, so a warm evaluation
-// allocates only the candidate's Stage I-II artifacts.
+// solveScored runs a schedule-aware duplication solver, pricing each
+// candidate vector with a candidateScorer.
 func solveScored(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config) (mapping.Solution, error) {
 	fn, ok := mapping.LookupScored(cfg.Solver)
 	if !ok {
 		return mapping.Solution{}, fmt.Errorf("%w %q", ErrUnknownSolver, cfg.Solver)
 	}
-	mode, err := scoringMode(cfg, len(plan.Layers))
+	sc, err := newCandidateScorer(cfg, g, plan, f, arch)
 	if err != nil {
 		return mapping.Solution{}, err
 	}
-	st := sim.NewState()
-	score := func(d []int) (int64, error) {
-		sol, err := mapping.NewSolution(plan, d)
-		if err != nil {
-			return 0, err
-		}
-		mapped, err := mapping.Apply(g, plan, sol, f)
-		if err != nil {
-			return 0, err
-		}
-		setsPlan, err := sets.Determine(g, mapped, sets.Options{TargetSets: cfg.TargetSets})
-		if err != nil {
-			return 0, err
-		}
-		dg, err := deps.Build(g, setsPlan)
-		if err != nil {
-			return 0, err
-		}
-		var edge schedule.EdgeCostFn
-		if mode.Window() > 1 {
-			// Mirrors schedOptions: edge costs engage only under
-			// cross-layer overlap, so the search optimizes exactly what
-			// the final schedule will be charged.
-			edge = edgeCostFn(arch, mapped)
-		}
-		res, err := st.RunCoarse(arch, dg, mapped, mode.policy(), sim.Options{Edge: edge})
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
+	return fn(plan, f, sc.score, mapping.ScoredOptions{Seed: cfg.SolverSeed, Budget: cfg.SolverBudget})
+}
+
+// candidateScorer is the scored solvers' cost model: the makespan a
+// duplication vector achieves under the scoring mode, computed by the
+// Stage IV list scheduler's makespan pass over the real Stage I/II
+// graph. A vector changes that graph only through its per-layer Stage I
+// set targets (sets.LayerTarget), so the scorer keeps the graph of the
+// last target signature and rebuilds Stage I/II only when the signature
+// changes — never, after the first candidate, at FineGranularity. The
+// pass takes the candidate's own d (the reused graph's Group.Dup
+// belongs to whichever vector built it) and reuses one Scratch, so a
+// candidate that keeps the signature costs its mapping.Apply plus one
+// allocation-free scheduling pass.
+type candidateScorer struct {
+	g          *nn.Graph
+	plan       *mapping.Plan
+	f          int
+	arch       cim.Config
+	targetSets int
+	policy     schedule.Policy
+	// edges mirrors schedOptions: edge costs engage only under
+	// cross-layer overlap, so the search optimizes exactly what the
+	// final schedule will be charged.
+	edges bool
+
+	targets []int       // per-layer sets.LayerTarget signature of dg
+	dg      *deps.Graph // nil until the first candidate, or after a failed build
+	builds  int         // Stage I/II builds so far
+	scratch schedule.Scratch
+}
+
+func newCandidateScorer(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config) (*candidateScorer, error) {
+	mode, err := scoringMode(cfg, len(plan.Layers))
+	if err != nil {
+		return nil, err
 	}
-	return fn(plan, f, score, mapping.ScoredOptions{Seed: cfg.SolverSeed, Budget: cfg.SolverBudget})
+	return &candidateScorer{
+		g: g, plan: plan, f: f, arch: arch,
+		targetSets: cfg.TargetSets,
+		policy:     mode.policy(),
+		edges:      mode.Window() > 1,
+		targets:    make([]int, len(plan.Layers)),
+	}, nil
+}
+
+// score returns the makespan in cycles that duplication vector d
+// achieves; it is the mapping.ScoreFunc handed to the solver.
+func (s *candidateScorer) score(d []int) (int64, error) {
+	sol, err := mapping.NewSolution(s.plan, d)
+	if err != nil {
+		return 0, err
+	}
+	mapped, err := mapping.Apply(s.g, s.plan, sol, s.f)
+	if err != nil {
+		return 0, err
+	}
+	stale := s.dg == nil
+	for i, di := range d {
+		if t := sets.LayerTarget(s.targetSets, di); t != s.targets[i] {
+			s.targets[i] = t
+			stale = true
+		}
+	}
+	if stale {
+		s.dg = nil
+		setsPlan, err := sets.Determine(s.g, mapped, sets.Options{TargetSets: s.targetSets})
+		if err != nil {
+			return 0, err
+		}
+		if s.dg, err = deps.Build(s.g, setsPlan); err != nil {
+			return 0, err
+		}
+		s.builds++
+	}
+	var edge schedule.EdgeCostFn
+	if s.edges {
+		edge = edgeCostFn(s.arch, mapped)
+	}
+	return s.scratch.Makespan(s.dg, d, s.policy, edge)
 }
 
 // PEmin returns the minimum PE count storing every weight once.

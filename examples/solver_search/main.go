@@ -4,10 +4,10 @@
 // cross-layer scheduling the makespan is set by critical-path and
 // replica-contention structure that objective cannot see. The "search"
 // solver closes the gap: a seeded simulated-annealing walk over
-// duplication vectors in which every candidate is scored by running
-// Stages I-IV and the coarse simulator under the request's scheduling
-// mode. The dp solution seeds the walk, so search is never worse than
-// dp on the metric that is actually reported.
+// duplication vectors in which every candidate is scored by the
+// makespan Stages I-IV achieve under the request's scheduling mode. The
+// dp solution seeds the walk, so search is never worse than dp on the
+// metric that is actually reported.
 //
 // Run with: go run ./examples/solver_search
 package main

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"slices"
 	"testing"
 
 	"clsacim/internal/check"
@@ -21,7 +22,10 @@ import (
 // list scheduler and the event-driven simulator — under a fuzzed policy
 // and mapping. Every timeline must pass the independent invariant
 // checker, and the two engines must agree item-for-item. Any divergence
-// is a bug in one of the three subsystems.
+// is a bug in one of the three subsystems. The list scheduler's
+// makespan pass (the scored solver's cost model) must match both, with
+// and without an edge cost, including on the graph of another
+// duplication vector with the same Stage I set targets.
 //
 // The seed corpus in testdata/fuzz/FuzzScheduleVsSim covers both policy
 // extremes, bounded windows, duplication on/off, and each Stage I
@@ -96,6 +100,66 @@ func FuzzScheduleVsSim(f *testing.F) {
 		}
 		if !tl.Equal(res.Timeline) {
 			t.Fatalf("scheduler and simulator disagree (makespan %d vs %d)", tl.Makespan, res.Makespan)
+		}
+
+		// The makespan pass, on this graph and on the graph a different
+		// vector with the same set targets would build.
+		alt := slices.Clone(m.Dup)
+		used := m.PEsUsed
+		for i, li := range plan.Layers {
+			for _, v := range []int{alt[i] - 1, alt[i] + 1} {
+				if v >= 1 && v <= mapping.MaxDup(li) && used+(v-alt[i])*li.Cost <= arch.NumPEs &&
+					sets.LayerTarget(granularity, v) == sets.LayerTarget(granularity, alt[i]) {
+					used += (v - alt[i]) * li.Cost
+					alt[i] = v
+					break
+				}
+			}
+		}
+		altSol, err := mapping.NewSolution(plan, alt)
+		if err != nil {
+			t.Fatalf("alternative dup %v: %v", alt, err)
+		}
+		altM, err := mapping.Apply(g, plan, altSol, arch.NumPEs)
+		if err != nil {
+			t.Fatalf("apply alternative dup: %v", err)
+		}
+		altSP, err := sets.Determine(g, altM, sets.Options{TargetSets: granularity})
+		if err != nil {
+			t.Fatalf("stage I, alternative dup: %v", err)
+		}
+		altDG, err := deps.Build(g, altSP)
+		if err != nil {
+			t.Fatalf("stage II, alternative dup: %v", err)
+		}
+		if !altDG.CSR.Equal(dg.CSR) {
+			t.Fatalf("dup %v and %v share set targets but build different graphs", alt, m.Dup)
+		}
+		edge := func(pred deps.SetRef, toLayer int) int64 { return int64(pred.Vol%5) + int64(toLayer%3) }
+		var sc schedule.Scratch
+		st := sim.NewState()
+		for _, e := range []schedule.EdgeCostFn{nil, edge} {
+			for _, c := range []struct {
+				m  *mapping.Mapping
+				dg *deps.Graph
+			}{{m, dg}, {altM, altDG}} {
+				want, err := schedule.Schedule(c.dg, p, schedule.Options{EdgeCost: e})
+				if err != nil {
+					t.Fatalf("schedule: %v", err)
+				}
+				coarse, err := st.RunCoarse(arch, c.dg, c.m, p, sim.Options{Edge: e})
+				if err != nil {
+					t.Fatalf("coarse sim: %v", err)
+				}
+				got, err := sc.Makespan(dg, c.m.Dup, p, e)
+				if err != nil {
+					t.Fatalf("makespan pass: %v", err)
+				}
+				if got != want.Makespan || got != coarse.Makespan {
+					t.Fatalf("dup %v edge=%t: makespan pass %d, Schedule %d, RunCoarse %d",
+						c.m.Dup, e != nil, got, want.Makespan, coarse.Makespan)
+				}
+			}
 		}
 	})
 }

@@ -9,9 +9,9 @@ import (
 // seeded simulated annealing over per-layer duplication vectors, scored
 // by the makespan the scheduler actually achieves instead of the
 // idealized sum(t_i/d_i) proxy of Optimization Problem 1. The score
-// comes from a caller-supplied ScoreFunc that runs the real Stage I-IV
-// pipeline (set determination, dependency build, coarse simulation) on
-// each candidate — the compile pipeline provides it, closing over the
+// comes from a caller-supplied ScoreFunc that prices each candidate on
+// the real Stage I-IV pipeline (set determination, dependency build,
+// list scheduling) — the compile pipeline provides it, closing over the
 // graph, the Stage I granularity, and the scheduling mode under
 // optimization.
 
@@ -43,11 +43,12 @@ type ScoredOptions struct {
 type ScoredFunc func(plan *Plan, F int, score ScoreFunc, opt ScoredOptions) (Solution, error)
 
 // DefaultSearchBudget is the evaluation budget used when
-// ScoredOptions.Budget is unset. Each evaluation re-runs Stage I-II and
-// a coarse simulation (single-digit to tens of milliseconds per model),
-// so the default keeps a cold "search" compile around a second — small
-// enough for interactive serving, large enough to improve on the dp
-// seed on most models.
+// ScoredOptions.Budget is unset. The compile pipeline prices an
+// evaluation with one Stage IV makespan pass, rebuilding Stage I-II
+// only when the candidate's set targets change, so the default keeps a
+// cold fine-granularity TinyYOLOv4 "search" compile under a tenth of a
+// second — small enough for interactive serving, large enough to
+// improve on the dp seed on most models.
 const DefaultSearchBudget = 48
 
 // searchRNG is a splitmix64 generator: tiny, fast, and fully

@@ -28,6 +28,7 @@ package schedule
 
 import (
 	"fmt"
+	"sync"
 
 	"clsacim/internal/deps"
 )
@@ -58,39 +59,109 @@ type Options struct {
 // serializes layers entirely at window 1 and imposes nothing at
 // Unbounded.
 func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
+	if err := checkInputs(dg, p); err != nil {
+		return nil, err
+	}
+	t := NewTimeline(dg, p)
+	s := scratchPool.Get().(*Scratch)
+	t.Makespan = s.run(dg, nil, p, opt.EdgeCost, t)
+	scratchPool.Put(s)
+	if opt.Debug {
+		if err := t.Validate(dg, opt); err != nil {
+			return nil, fmt.Errorf("schedule: debug validation: %w", err)
+		}
+	}
+	return t, nil
+}
+
+// Scratch is the reusable working memory of the Stage IV list
+// scheduler: the finish time of every flat set, the per-replica ready
+// times of the layer being placed, and the admission window's prefix
+// maxima. It grows to the largest workload it has scheduled and is
+// reset, not reallocated, across runs. A Scratch is not safe for
+// concurrent use; the zero value is ready to use.
+type Scratch struct {
+	end       []int64
+	ready     []int64
+	prefixEnd []int64
+}
+
+// scratchPool recycles Schedule's working memory, so a steady stream
+// of schedules allocates only the Timelines it returns.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Makespan is the makespan-only pass of Schedule: the same list
+// scheduling loop, with layer li running on dup[li] replica PE groups
+// instead of the plan's Group.Dup, and no Timeline materialized. The
+// dependency graph depends on duplication only through each layer's
+// Stage I set target (sets.LayerTarget), so one graph prices every
+// duplication vector with the same per-layer targets — the scored
+// duplication solver's cost model. Once s has scheduled a workload of
+// this size, Makespan does not allocate.
+func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn) (int64, error) {
+	if err := checkInputs(dg, p); err != nil {
+		return 0, err
+	}
+	if len(dup) != len(dg.Plan.Layers) {
+		return 0, fmt.Errorf("schedule: duplication vector has %d entries, plan %d", len(dup), len(dg.Plan.Layers))
+	}
+	for li, d := range dup {
+		if d < 1 {
+			return 0, fmt.Errorf("schedule: layer %d duplication %d < 1", li, d)
+		}
+	}
+	return s.run(dg, dup, p, edge, nil), nil
+}
+
+func checkInputs(dg *deps.Graph, p Policy) error {
 	if p == nil {
-		return nil, fmt.Errorf("schedule: nil policy")
+		return fmt.Errorf("schedule: nil policy")
 	}
 	if dg == nil || dg.CSR == nil {
-		return nil, fmt.Errorf("schedule: dependency graph has no CSR (build it with deps.Build)")
+		return fmt.Errorf("schedule: dependency graph has no CSR (build it with deps.Build)")
 	}
+	return nil
+}
+
+// run is the Stage IV recursion shared by Schedule and Makespan. Layer
+// li has dup[li] replicas (the plan's Group.Dup when dup is nil). When
+// t is non-nil every set's Item and the activity counters are recorded
+// into it; the makespan is returned either way.
+func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *Timeline) int64 {
 	csr := dg.CSR
-	t := NewTimeline(dg, p)
 	k := p.Window()
 	nl := len(dg.Plan.Layers)
+	s.end = grow(s.end, csr.NumSets())
+	end := s.end
 	// prefixEnd[i] is the max end over layers [0, i): the admission
 	// gate of layer li is prefixEnd[li-k+1].
-	prefixEnd := make([]int64, nl+1)
+	s.prefixEnd = grow(s.prefixEnd, nl+1)
+	prefixEnd := s.prefixEnd
+	prefixEnd[0] = 0
 	// At window 1 with idealized edges every predecessor (always in an
 	// earlier layer) finishes no later than the gate, so the dependency
 	// scan is provably redundant.
-	skipDeps := k == 1 && opt.EdgeCost == nil
-	var ready []int64
+	skipDeps := k == 1 && edge == nil
+	var makespan int64
 	for li, ls := range dg.Plan.Layers {
 		d := ls.Group.Dup
+		if dup != nil {
+			d = dup[li]
+		}
 		var gate int64
 		if k < nl && li >= k {
 			gate = prefixEnd[li-k+1]
 		}
-		if cap(ready) < d {
-			ready = make([]int64, d)
-		}
-		ready = ready[:d]
+		s.ready = grow(s.ready, d)
+		ready := s.ready
 		for i := range ready {
 			ready[i] = gate
 		}
 		base := int(csr.LayerOff[li])
-		active := t.ReplicaActive[li]
+		var active []int64
+		if t != nil {
+			active = t.ReplicaActive[li]
+		}
 		var layerEnd, layerActive int64
 		for si := 0; si < len(ls.Sets); si++ {
 			id := base + si
@@ -98,40 +169,52 @@ func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
 			start := ready[r]
 			for e := csr.PredOff[id]; !skipDeps && e < csr.PredOff[id+1]; e++ {
 				pid := csr.Pred[e]
-				pt := t.Items[pid].End
-				if opt.EdgeCost != nil {
+				pt := end[pid]
+				if edge != nil {
 					pl, ps := csr.Set(pid)
-					pt += opt.EdgeCost(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
+					pt += edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
 				}
 				if pt > start {
 					start = pt
 				}
 			}
 			c := csr.Cycles[id]
-			end := start + c
-			t.Items[id] = Item{Layer: li, Set: si, Replica: r, Start: start, End: end}
-			layerActive += c
-			active[r] += c
-			ready[r] = end
-			if end > layerEnd {
-				layerEnd = end
+			fin := start + c
+			if !skipDeps {
+				end[id] = fin
+			}
+			ready[r] = fin
+			if t != nil {
+				t.Items[id] = Item{Layer: li, Set: si, Replica: r, Start: start, End: fin}
+				active[r] += c
+				layerActive += c
+			}
+			if fin > layerEnd {
+				layerEnd = fin
 			}
 		}
-		t.LayerActive[li] = layerActive
+		if t != nil {
+			t.LayerActive[li] = layerActive
+		}
 		prefixEnd[li+1] = prefixEnd[li]
 		if layerEnd > prefixEnd[li+1] {
 			prefixEnd[li+1] = layerEnd
 		}
-		if layerEnd > t.Makespan {
-			t.Makespan = layerEnd
+		if layerEnd > makespan {
+			makespan = layerEnd
 		}
 	}
-	if opt.Debug {
-		if err := t.Validate(dg, opt); err != nil {
-			return nil, fmt.Errorf("schedule: debug validation: %w", err)
-		}
+	return makespan
+}
+
+// grow returns b resized to n, reallocating only when it is too small.
+// The contents are not cleared: run writes every entry before reading
+// it.
+func grow(b []int64, n int) []int64 {
+	if cap(b) < n {
+		return make([]int64, n)
 	}
-	return t, nil
+	return b[:n]
 }
 
 // LayerByLayerVirtual schedules a weight-virtualized mapping (paper

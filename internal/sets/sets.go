@@ -124,12 +124,28 @@ type Options struct {
 	TargetSets int
 }
 
+// LayerTarget returns the set count Stage I aims for on a layer with
+// duplication factor dup under the requested granularity target (0
+// selects DefaultTargetSets). A duplicated layer's target is rounded up
+// to a multiple of dup so the round-robin distribution over its replica
+// PE groups stays even; FineGranularity is never rounded. Determine's
+// output depends on a layer's duplication only through this value, so
+// two duplication vectors with equal per-layer LayerTarget values
+// partition — and therefore depend — identically.
+func LayerTarget(target, dup int) int {
+	if target <= 0 {
+		target = DefaultTargetSets
+	}
+	if dup > 1 && target < FineGranularity {
+		target = (target + dup - 1) / dup * dup
+	}
+	return target
+}
+
 // Determine partitions every mapped layer's OFM into sets. The grid is
 // cut along OH first (keeping raster-friendly row bands) and along OW
-// only when the requested granularity exceeds the row count. For
-// duplicated layers the target is rounded up to a multiple of the
-// duplication factor so the round-robin distribution over the d_i
-// replica PE groups stays even.
+// only when the requested granularity exceeds the row count. Each
+// layer's set count target comes from LayerTarget.
 func Determine(g *nn.Graph, m *mapping.Mapping, opt Options) (*Plan, error) {
 	target := opt.TargetSets
 	if target <= 0 {
@@ -146,10 +162,7 @@ func Determine(g *nn.Graph, m *mapping.Mapping, opt Options) (*Plan, error) {
 		alignH, alignW := downstreamAlign(grp.Node, cons)
 		alignH = clampAlign(alignH, out.H)
 		alignW = clampAlign(alignW, out.W)
-		n := target
-		if grp.Dup > 1 && n < FineGranularity {
-			n = (n + grp.Dup - 1) / grp.Dup * grp.Dup
-		}
+		n := LayerTarget(target, grp.Dup)
 		unitsH := (out.H + alignH - 1) / alignH
 		unitsW := (out.W + alignW - 1) / alignW
 		gh := min(n, unitsH)

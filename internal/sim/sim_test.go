@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"clsacim/internal/cim"
@@ -9,6 +10,7 @@ import (
 	"clsacim/internal/im2col"
 	"clsacim/internal/mapping"
 	"clsacim/internal/models"
+	"clsacim/internal/nn"
 	"clsacim/internal/schedule"
 	"clsacim/internal/sets"
 )
@@ -17,6 +19,10 @@ type compiled struct {
 	m    *mapping.Mapping
 	dg   *deps.Graph
 	arch cim.Config
+
+	g          *nn.Graph
+	plan       *mapping.Plan
+	targetSets int
 }
 
 func compile(t *testing.T, id models.ID, inputSize, extra, targetSets int) compiled {
@@ -51,7 +57,92 @@ func compile(t *testing.T, id models.ID, inputSize, extra, targetSets int) compi
 	}
 	arch := cim.Default()
 	arch.NumPEs = plan.MinPEs + extra
-	return compiled{m: m, dg: dg, arch: arch}
+	return compiled{m: m, dg: dg, arch: arch, g: g, plan: plan, targetSets: targetSets}
+}
+
+// withDup recompiles c's workload from scratch under duplication
+// vector d.
+func (c compiled) withDup(t *testing.T, d []int) compiled {
+	t.Helper()
+	sol, err := mapping.NewSolution(c.plan, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapping.Apply(c.g, c.plan, sol, c.arch.NumPEs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := sets.Determine(c.g, m, sets.Options{TargetSets: c.targetSets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := deps.Build(c.g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.m, c.dg = m, dg
+	return c
+}
+
+// altDup returns a feasible duplication vector other than c's with the
+// same per-layer sets.LayerTarget signature, or nil if a one-step
+// change finds none.
+func altDup(c compiled) []int {
+	d := slices.Clone(c.m.Dup)
+	used := c.m.PEsUsed
+	for i, li := range c.plan.Layers {
+		target := sets.LayerTarget(c.targetSets, d[i])
+		for _, v := range []int{d[i] - 1, d[i] + 1} {
+			if v >= 1 && v <= mapping.MaxDup(li) && used+(v-d[i])*li.Cost <= c.arch.NumPEs &&
+				sets.LayerTarget(c.targetSets, v) == target {
+				used += (v - d[i]) * li.Cost
+				d[i] = v
+				break
+			}
+		}
+	}
+	if slices.Equal(d, c.m.Dup) {
+		return nil
+	}
+	return d
+}
+
+// checkMakespanPass asserts that the list scheduler's makespan pass
+// agrees with schedule.Schedule and State.RunCoarse on c under p and
+// edge — once with c's own duplication, and once on c's graph with a
+// different vector of the same set-target signature against a fresh
+// compile of that vector, the way the scored solver reuses graphs.
+func checkMakespanPass(t *testing.T, label string, c compiled, p schedule.Policy, edge schedule.EdgeCostFn) {
+	t.Helper()
+	var s schedule.Scratch
+	st := NewState()
+	check := func(ref compiled, d []int, what string) {
+		t.Helper()
+		want, err := schedule.Schedule(ref.dg, p, schedule.Options{EdgeCost: edge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coarse, err := st.RunCoarse(ref.arch, ref.dg, ref.m, p, Options{Edge: edge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Makespan(c.dg, d, p, edge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.Makespan || got != coarse.Makespan {
+			t.Errorf("%s %v %s: makespan pass %d, Schedule %d, RunCoarse %d",
+				label, p, what, got, want.Makespan, coarse.Makespan)
+		}
+	}
+	check(c, c.m.Dup, "own dup")
+	if d := altDup(c); d != nil {
+		alt := c.withDup(t, d)
+		if !alt.dg.CSR.Equal(c.dg.CSR) {
+			t.Fatalf("%s: dup %v and %v share set targets but build different graphs", label, d, c.m.Dup)
+		}
+		check(alt, d, "other dup")
+	}
 }
 
 // TestSimMatchesAnalytic is the central cross-validation: the
@@ -92,6 +183,7 @@ func TestSimMatchesAnalytic(t *testing.T) {
 				t.Errorf("%s x=%d %v: sim makespan %d != analytic %d",
 					c.id, c.extra, p, got.Makespan, want.Makespan)
 			}
+			checkMakespanPass(t, string(c.id), cp, p, nil)
 			if !got.Timeline.Equal(want) {
 				for i := range want.Items {
 					if got.Items[i] != want.Items[i] {
@@ -106,22 +198,25 @@ func TestSimMatchesAnalytic(t *testing.T) {
 }
 
 // TestSimWithEdgeCost cross-validates under a nonzero NoC/GPEU edge
-// cost.
+// cost, per policy.
 func TestSimWithEdgeCost(t *testing.T) {
 	cp := compile(t, models.TinyYOLOv4, 128, 16, 26)
 	edge := func(pred deps.SetRef, toLayer int) int64 {
 		return int64(pred.Vol%7) + int64(toLayer%3)
 	}
-	want, err := schedule.Schedule(cp.dg, schedule.CrossLayer, schedule.Options{EdgeCost: edge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(cp.arch, cp.dg, cp.m, schedule.CrossLayer, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan {
-		t.Errorf("edge-cost sim makespan %d != analytic %d", got.Makespan, want.Makespan)
+	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
+		want, err := schedule.Schedule(cp.dg, p, schedule.Options{EdgeCost: edge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(cp.arch, cp.dg, cp.m, p, edge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Makespan != want.Makespan {
+			t.Errorf("%v: edge-cost sim makespan %d != analytic %d", p, got.Makespan, want.Makespan)
+		}
+		checkMakespanPass(t, "tinyyolov4 edge", cp, p, edge)
 	}
 }
 

@@ -123,8 +123,8 @@ func WithSolver(name string) Option {
 }
 
 // WithSolverBudget sets the default evaluation budget of scored solvers
-// ("search"): how many candidate duplication vectors may be scored by
-// the coarse simulator per compile (0 = solver default). Budgets count
+// ("search"): how many candidate duplication vectors may be scored per
+// compile (0 = solver default). Budgets count
 // evaluations rather than wall clock so results stay reproducible.
 func WithSolverBudget(n int) Option {
 	return func(e *Engine) error {

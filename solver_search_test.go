@@ -3,9 +3,15 @@ package clsacim
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"clsacim/internal/deps"
+	"clsacim/internal/mapping"
+	"clsacim/internal/sets"
+	"clsacim/internal/sim"
 )
 
 // searchEngine builds a fresh engine with coarse Stage I granularity so
@@ -183,5 +189,108 @@ func TestSearchKnobsJSONRoundTrip(t *testing.T) {
 	b, _ = json.Marshal(Request{Model: "m"})
 	if s := string(b); s != `{"model":"m","mode":"lbl"}` {
 		t.Errorf("zero request marshals to %s", s)
+	}
+}
+
+// rebuildScore is the reference cost model the candidateScorer must
+// reproduce: every candidate lowered afresh through mapping.Apply,
+// Stage I and Stage II, then timed by the coarse simulator.
+func rebuildScore(c *Compiled, d []int) (int64, error) {
+	sol, err := mapping.NewSolution(c.plan, d)
+	if err != nil {
+		return 0, err
+	}
+	mapped, err := mapping.Apply(c.graph, c.plan, sol, c.arch.NumPEs)
+	if err != nil {
+		return 0, err
+	}
+	sp, err := sets.Determine(c.graph, mapped, sets.Options{TargetSets: c.cfg.TargetSets})
+	if err != nil {
+		return 0, err
+	}
+	dg, err := deps.Build(c.graph, sp)
+	if err != nil {
+		return 0, err
+	}
+	mode, err := scoringMode(c.cfg, len(c.plan.Layers))
+	if err != nil {
+		return 0, err
+	}
+	var edge func(deps.SetRef, int) int64
+	if mode.Window() > 1 {
+		edge = edgeCostFn(c.arch, mapped)
+	}
+	res, err := sim.NewState().RunCoarse(c.arch, dg, mapped, mode.policy(), sim.Options{Edge: edge})
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
+}
+
+// The search scorer reuses one Stage I/II graph per set-target
+// signature and prices candidates with the Stage IV makespan pass. On
+// every candidate it must agree with a fresh rebuild timed by the
+// simulator, across scoring modes, granularities, and edge costs (the
+// NoC cost depends on the candidate's PE placement, which the reused
+// graph does not carry); the search must land on the solution Compile
+// reported; and at FineGranularity Stage I/II must run exactly once per
+// solve.
+func TestSearchScorerReusesStageIIGraph(t *testing.T) {
+	models := map[string]int{"tinyyolov4": 128, "tinyyolov3": 96, "tinybranchnet": 32}
+	for name, size := range models {
+		m, err := LoadModel(name, ModelOptions{InputSize: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"lbl", "x4", "xinf"} {
+			for _, target := range []int{sets.FineGranularity, 26, 7} {
+				for _, noc := range []float64{0, 3} {
+					cfg := Config{
+						ExtraPEs: 16, WeightDuplication: true, TargetSets: target,
+						Solver: "search", SolverSeed: 3, SolverBudget: 16, SolverMode: mode,
+						NoCCyclesPerHop: noc, GPEUCyclesPerKElem: noc,
+					}
+					label := fmt.Sprintf("%s/%s/sets=%d/noc=%v", name, mode, target, noc)
+					c, err := Compile(m, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sc, err := newCandidateScorer(c.cfg, c.graph, c.plan, c.arch.NumPEs, c.arch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					evals := 0
+					checked := func(d []int) (int64, error) {
+						evals++
+						got, err := sc.score(d)
+						if err != nil {
+							return 0, err
+						}
+						want, err := rebuildScore(c, d)
+						if err != nil {
+							return 0, err
+						}
+						if got != want {
+							t.Errorf("%s: d=%v scored %d, fresh rebuild %d", label, d, got, want)
+						}
+						return got, nil
+					}
+					sol, err := mapping.SolveSearch(c.plan, c.arch.NumPEs, checked,
+						mapping.ScoredOptions{Seed: cfg.SolverSeed, Budget: cfg.SolverBudget})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(sol.D, c.dup.D) {
+						t.Errorf("%s: replayed search chose %v, Compile %v", label, sol.D, c.dup.D)
+					}
+					if target == sets.FineGranularity && sc.builds != 1 {
+						t.Errorf("%s: %d Stage I/II builds over %d candidates, want 1", label, sc.builds, evals)
+					}
+					if sc.builds < 1 || sc.builds > evals {
+						t.Errorf("%s: %d Stage I/II builds over %d candidates", label, sc.builds, evals)
+					}
+				}
+			}
+		}
 	}
 }
