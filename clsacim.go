@@ -289,11 +289,11 @@ type Compiled struct {
 // internal/check invariant set, so WithValidation sweeps validate each
 // cached timeline once instead of per request.
 //
-// dispatch is the lazily built Stage III dispatch plan; every built-in
-// policy shares the raster Replica rule, so one plan serves every
-// scheduling mode — re-simulating a cached compilation under another
-// mode reuses it and only re-runs the event loop. simPool recycles
-// sim.State scratch across those re-simulations.
+// dispatch is the lazily built Stage III dispatch plan and simPool the
+// sim.State scratch, both used only by Simulate: every built-in policy
+// shares the raster Replica rule, so one plan serves every scheduling
+// mode, and re-simulating a cached compilation under another mode only
+// re-runs the event loop.
 type schedState struct {
 	mu        sync.Mutex
 	timelines map[string]*schedule.Timeline
@@ -648,11 +648,6 @@ type Report struct {
 	// ReloadCycles is the total crossbar-programming time included in
 	// the makespan (weight virtualization only).
 	ReloadCycles int64
-	// Degraded marks a report produced by the coarse fast path
-	// (ScheduleCoarse): the scalar metrics above are exact, but the
-	// report holds no timeline, so LayerSpans, Gantt rendering, critical
-	// paths, schedule export, and the energy estimate are unavailable.
-	Degraded bool
 
 	sched *schedule.Timeline
 	comp  *Compiled
@@ -805,12 +800,8 @@ type LayerSpan struct {
 }
 
 // LayerSpans returns per-replica activity of the schedule in plan order,
-// for Gantt rendering and analysis. A degraded report has no schedule
-// and returns nil.
+// for Gantt rendering and analysis.
 func (r *Report) LayerSpans() []LayerSpan {
-	if r.sched == nil {
-		return nil
-	}
 	var out []LayerSpan
 	for li, g := range r.comp.mapped.Groups {
 		items := r.sched.ItemsOf(li)
@@ -845,9 +836,6 @@ func (r *Report) LayerSpans() []LayerSpan {
 // analogue of paper Fig. 6a/6b) to w. width is the number of time
 // buckets (0 for the default).
 func (r *Report) RenderGantt(w io.Writer, width int) error {
-	if r.sched == nil {
-		return errDegradedReport(r)
-	}
 	rows := gantt.FromSchedule(r.comp.depGraph, r.sched)
 	title := fmt.Sprintf("%s, F=%d (%s, %s)", r.Model, r.F, mappingLabel(r.comp.cfg), r.Mode)
 	return gantt.Render(w, title, rows, r.MakespanCycles, gantt.Options{Width: width, ShowPEs: true})
@@ -876,9 +864,6 @@ type CriticalStep struct {
 // set). It answers "which layers limit inference latency" — the
 // duplication candidates for the next extra PEs.
 func (r *Report) CriticalPath() ([]CriticalStep, error) {
-	if r.sched == nil {
-		return nil, errDegradedReport(r)
-	}
 	path, err := r.sched.CriticalPath(r.comp.depGraph, r.comp.schedOptions(r.Mode))
 	if err != nil {
 		return nil, err
@@ -900,9 +885,6 @@ func (r *Report) CriticalPath() ([]CriticalStep, error) {
 // CriticalLayers aggregates the critical path per layer, sorted along
 // the path: how many makespan cycles each layer chain contributes.
 func (r *Report) CriticalLayers() ([]CriticalStep, error) {
-	if r.sched == nil {
-		return nil, errDegradedReport(r)
-	}
 	path, err := r.sched.CriticalPath(r.comp.depGraph, r.comp.schedOptions(r.Mode))
 	if err != nil {
 		return nil, err
@@ -918,47 +900,7 @@ func (r *Report) CriticalLayers() ([]CriticalStep, error) {
 // replica assignment, per-set timing and OFM boxes) as indented JSON for
 // external tooling.
 func (r *Report) WriteScheduleJSON(w io.Writer) error {
-	if r.sched == nil {
-		return errDegradedReport(r)
-	}
 	return r.sched.WriteJSON(w, r.comp.depGraph)
-}
-
-// errDegradedReport is the uniform failure of timeline-derived queries
-// on a coarse (degraded) report.
-func errDegradedReport(r *Report) error {
-	return fmt.Errorf("clsacim: %q %s report is degraded (no timeline)", r.Model, r.Mode)
-}
-
-// ScheduleCoarse is the degraded-mode counterpart of Schedule: it runs
-// the zero-alloc coarse simulation (SimulateCoarse) and wraps the
-// scalar metrics in a Report marked Degraded. Makespan, latency, and
-// utilization are exact — the coarse path runs the same event loop —
-// but the report holds no timeline, so LayerSpans, Gantt rendering,
-// critical paths, schedule export, and the energy estimate are
-// unavailable. Virtualized compilations (F < PEmin) are refused: the
-// coarse loop does not model crossbar reprogramming.
-func (c *Compiled) ScheduleCoarse(mode ScheduleMode) (*Report, error) {
-	if c.virtual != nil {
-		return nil, fmt.Errorf("clsacim: %q runs on %d < PEmin=%d PEs; coarse scheduling does not model crossbar reprogramming",
-			c.ModelName, c.arch.NumPEs, c.peMin)
-	}
-	sum, err := c.SimulateCoarse(mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Model:          c.ModelName,
-		Mode:           mode,
-		F:              c.arch.NumPEs,
-		PEmin:          c.peMin,
-		MakespanCycles: sum.MakespanCycles,
-		LatencyNanos:   sum.LatencyNanos,
-		Utilization:    sum.Utilization,
-		Duplication:    append([]int(nil), c.dup.D...),
-		Degraded:       true,
-		comp:           c,
-	}, nil
 }
 
 // SimReport is the outcome of the event-driven simulation.
@@ -1006,43 +948,6 @@ func (c *Compiled) Simulate(mode ScheduleMode) (*SimReport, error) {
 	}, nil
 }
 
-// SimSummary is the outcome of a coarse simulation: the scalar metrics
-// of a run that skipped per-set timeline materialization.
-type SimSummary struct {
-	Model          string
-	Mode           ScheduleMode
-	MakespanCycles int64
-	LatencyNanos   float64
-	Utilization    float64
-	PeakLiveElems  int64
-}
-
-// SimulateCoarse is the fast-path simulation for callers that only need
-// makespan, utilization, and buffer pressure: the event loop runs
-// without materializing per-set timeline items, and on a warm
-// compilation it allocates nothing — the cheap cost model for
-// mapping-space search loops that call it thousands of times.
-func (c *Compiled) SimulateCoarse(mode ScheduleMode) (SimSummary, error) {
-	nm := c.normalizeMode(mode)
-	st := c.sched.simPool.Get().(*sim.State)
-	res, err := st.RunCoarse(c.arch, c.depGraph, c.mapped, nm.policy(), sim.Options{
-		Edge:     c.schedOptions(nm).EdgeCost,
-		Dispatch: c.dispatch(),
-	})
-	c.sched.simPool.Put(st)
-	if err != nil {
-		return SimSummary{}, err
-	}
-	return SimSummary{
-		Model:          c.ModelName,
-		Mode:           mode,
-		MakespanCycles: res.Makespan,
-		LatencyNanos:   metrics.LatencyNanos(res.Makespan, c.arch.TMVMNanos),
-		Utilization:    res.Utilization,
-		PeakLiveElems:  res.PeakLiveElems,
-	}, nil
-}
-
 // Evaluation compares one configuration against the paper's reference:
 // layer-by-layer scheduling without weight duplication on F = PEmin PEs.
 type Evaluation struct {
@@ -1054,10 +959,6 @@ type Evaluation struct {
 	UtilizationGain float64
 	// Eq3Speedup is the paper's Eq. 3 estimate from the utilizations.
 	Eq3Speedup float64
-	// Degraded marks an evaluation served by the coarse fast path after
-	// its deadline expired (Request.AllowDegraded / WithDegradation):
-	// the scalar metrics are exact, but both Reports carry no timeline.
-	Degraded bool
 }
 
 // Evaluate compiles and schedules model under cfg and mode, and measures

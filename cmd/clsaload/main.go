@@ -10,7 +10,7 @@
 //
 // The traffic mix covers every endpoint: single evaluations across
 // models and scheduling modes, batches, streamed multi-inference
-// requests, deadline-pressured evaluations with allow_degraded, and
+// requests, deadline-pressured evaluations (1ms timeout), and
 // stats/models reads. Failures are classified: temporary errors that
 // outlived the retry budget (shed, injected faults, open breaker) are
 // tolerated and counted; a hard failure — a non-retryable API error
@@ -54,7 +54,6 @@ func main() {
 type counters struct {
 	calls     atomic.Int64
 	successes atomic.Int64
-	degraded  atomic.Int64
 	soft      atomic.Int64 // temporary errors that outlived the retries
 	hard      atomic.Int64
 }
@@ -105,11 +104,11 @@ func run(addr string, duration time.Duration, concurrency int, wait time.Duratio
 	}
 	wg.Wait()
 
-	log.Printf("clsaload: %d calls: %d ok (%d degraded), %d temporary failures, %d hard failures",
-		cnt.calls.Load(), cnt.successes.Load(), cnt.degraded.Load(), cnt.soft.Load(), cnt.hard.Load())
+	log.Printf("clsaload: %d calls: %d ok, %d temporary failures, %d hard failures",
+		cnt.calls.Load(), cnt.successes.Load(), cnt.soft.Load(), cnt.hard.Load())
 	if stats, err := c.Stats(context.Background()); err == nil {
-		log.Printf("clsaload: daemon: %d requests, %d errors, %d panics recovered, %d shed, %d degraded",
-			stats.Server.Requests, stats.Server.Errors, stats.Server.Panics, stats.Server.Shed, stats.Server.Degraded)
+		log.Printf("clsaload: daemon: %d requests, %d errors, %d panics recovered, %d shed",
+			stats.Server.Requests, stats.Server.Errors, stats.Server.Panics, stats.Server.Shed)
 	}
 	if n := cnt.hard.Load(); n > 0 {
 		return fmt.Errorf("%d hard failures", n)
@@ -129,7 +128,6 @@ func worker(ctx context.Context, c *client.Client, w int, cnt *counters) {
 		model := models[i%len(models)]
 		mode := modes[i%len(modes)]
 		var err error
-		degraded := false
 		switch i % 8 {
 		case 0: // batch across models
 			var batch []clsacim.Request
@@ -144,9 +142,6 @@ func worker(ctx context.Context, c *client.Client, w int, cnt *counters) {
 						err = fmt.Errorf("batch item: %s", r.Error)
 						break
 					}
-					if r.Evaluation != nil && r.Evaluation.Degraded {
-						degraded = true
-					}
 				}
 			}
 		case 1: // streamed multi-inference
@@ -155,14 +150,8 @@ func worker(ctx context.Context, c *client.Client, w int, cnt *counters) {
 				Inferences: 4,
 				Mode:       clsacim.ModeLayerByLayer,
 			})
-		case 2: // deadline pressure with degradation opt-in
-			res, eerr := c.Evaluate(ctx, clsacim.Request{
-				Model: model, Mode: mode, AllowDegraded: true, TimeoutMillis: 1,
-			})
-			err = eerr
-			if eerr == nil && res.Degraded {
-				degraded = true
-			}
+		case 2: // deadline pressure: a blown deadline is a 504
+			_, err = c.Evaluate(ctx, clsacim.Request{Model: model, Mode: mode, TimeoutMillis: 1})
 		case 3: // reads
 			if i%16 == 3 {
 				_, err = c.Stats(ctx)
@@ -170,19 +159,12 @@ func worker(ctx context.Context, c *client.Client, w int, cnt *counters) {
 				_, err = c.Models(ctx)
 			}
 		default: // single evaluation
-			res, eerr := c.Evaluate(ctx, clsacim.Request{Model: model, Mode: mode})
-			err = eerr
-			if eerr == nil && res.Degraded {
-				degraded = true
-			}
+			_, err = c.Evaluate(ctx, clsacim.Request{Model: model, Mode: mode})
 		}
 		cnt.calls.Add(1)
 		switch {
 		case err == nil:
 			cnt.successes.Add(1)
-			if degraded {
-				cnt.degraded.Add(1)
-			}
 		case isHard(err):
 			cnt.hard.Add(1)
 			log.Printf("clsaload: hard failure: %v", err)
@@ -196,9 +178,9 @@ func worker(ctx context.Context, c *client.Client, w int, cnt *counters) {
 // Temporary API errors, an open breaker, transport noise, and context
 // expiry (including the driver's own deadline) are the expected
 // residue of chaos; a non-retryable API error means a request was
-// mangled somewhere and fails the run. A degradable request that still
-// timed out server-side reports deadline_exceeded — expected under
-// injected latency, so it stays soft.
+// mangled somewhere and fails the run. A deadline-pressured request
+// that timed out server-side reports 504 deadline_exceeded, which is
+// temporary and so stays soft.
 func isHard(err error) bool {
 	if errors.Is(err, client.ErrCircuitOpen) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

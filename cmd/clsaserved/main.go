@@ -10,14 +10,13 @@
 //	clsaserved -timeout 30s -max-batch 512 -validate
 //	clsaserved -config arch.json                 # engine base Config from JSON
 //	clsaserved -admit "evaluate=32:64:500ms,batch=4"  # load shedding
-//	clsaserved -degrade                          # deadline → coarse fallback
 //	clsaserved -faults "seed=7,error=0.05"       # chaos testing only
 //	clsaserved -import net.onnx -import other.json   # serve imported models
 //
 // Endpoints: POST /v1/evaluate, POST /v1/evaluate/batch,
 // POST /v1/stream, GET /v1/models, GET /v1/stats, GET /healthz. See
 // docs/serving.md for the wire schema, curl examples, and the
-// resilience model (admission control, panic recovery, degraded mode).
+// resilience model (admission control, panic recovery, deadlines).
 //
 // -faults injects deterministic faults (latency spikes, errors, handler
 // panics, connection drops) into the request path for resilience
@@ -56,7 +55,6 @@ type options struct {
 	maxBatch   int
 	grace      time.Duration
 	validate   bool
-	degrade    bool
 	configPath string
 	admitSpec  string
 	faultsSpec string
@@ -82,7 +80,6 @@ func main() {
 	flag.IntVar(&o.maxBatch, "max-batch", serve.DefaultMaxBatch, "max requests per batch call")
 	flag.DurationVar(&o.grace, "shutdown-grace", 10*time.Second, "drain time for in-flight requests on SIGTERM")
 	flag.BoolVar(&o.validate, "validate", false, "run the timeline invariant checker on every schedule (canary mode)")
-	flag.BoolVar(&o.degrade, "degrade", false, "serve coarse degraded results when a request deadline is too tight (engine-wide WithDegradation)")
 	flag.StringVar(&o.configPath, "config", "", "JSON file with the engine's base clsacim.Config (architecture defaults)")
 	flag.StringVar(&o.admitSpec, "admit", "", `admission gates per endpoint class, e.g. "evaluate=32:64:500ms,batch=4:8:1s,stream=2" (class=concurrency[:queue[:wait]])`)
 	flag.StringVar(&o.faultsSpec, "faults", os.Getenv("CLSA_FAULTS"),
@@ -124,9 +121,6 @@ func run(o options) error {
 	}
 	if o.validate {
 		opts = append(opts, clsacim.WithValidation())
-	}
-	if o.degrade {
-		opts = append(opts, clsacim.WithDegradation())
 	}
 	eng, err := clsacim.New(opts...)
 	if err != nil {

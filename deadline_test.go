@@ -1,0 +1,65 @@
+package clsacim
+
+import (
+	"context"
+	"errors"
+	"testing"
+)
+
+// tightRequest is a request whose 1ms deadline cannot cover a cold
+// compile.
+func tightRequest() Request {
+	return Request{Model: "mobilenetv1", Mode: ModeCrossLayer, TimeoutMillis: 1}
+}
+
+func TestTightDeadlineWithoutOptInStillFails(t *testing.T) {
+	e, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Evaluate(context.Background(), tightRequest())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+func TestCallerDeadlineStaysHard(t *testing.T) {
+	e, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tight request deadline must not mask an already-cancelled
+	// caller context.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = e.Evaluate(ctx, tightRequest())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestBatchDegradesPerRequest: deadlines apply per batch item. The
+// tight items fail on their own; the deadline-free item sharing their
+// compile key gets a full evaluation with a timeline.
+func TestBatchDegradesPerRequest(t *testing.T) {
+	e, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relaxed := Request{Model: "mobilenetv1", Mode: ModeCrossLayer}
+	out, err := e.EvaluateBatch(context.Background(), []Request{tightRequest(), tightRequest(), relaxed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if !errors.Is(out[i].Err, context.DeadlineExceeded) {
+			t.Errorf("tight item %d err = %v, want DeadlineExceeded", i, out[i].Err)
+		}
+	}
+	if out[2].Err != nil || out[2].Evaluation == nil {
+		t.Fatalf("relaxed item: ev %+v, err %v; want full evaluation", out[2].Evaluation, out[2].Err)
+	}
+	if spans := out[2].Evaluation.Result.LayerSpans(); len(spans) == 0 {
+		t.Error("relaxed item's report has no timeline")
+	}
+}

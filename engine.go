@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -47,22 +46,20 @@ type Engine struct {
 	base       Config
 	workers    int
 	validate   bool
-	degraded   bool // WithDegradation: every request may degrade
-	cacheLimit int  // 0 = unbounded
+	cacheLimit int // 0 = unbounded
 
 	mu    sync.Mutex
 	cache map[string]*compileEntry
 	lru   *list.List // *compileEntry values; front = most recently used
 
-	compiles      atomic.Int64
-	hits          atomic.Int64
-	partialHits   atomic.Int64
-	misses        atomic.Int64
-	evictions     atomic.Int64
-	evaluations   atomic.Int64
-	degradedEvals atomic.Int64
-	streamEvals   atomic.Int64
-	streamInfs    atomic.Int64
+	compiles    atomic.Int64
+	hits        atomic.Int64
+	partialHits atomic.Int64
+	misses      atomic.Int64
+	evictions   atomic.Int64
+	evaluations atomic.Int64
+	streamEvals atomic.Int64
+	streamInfs  atomic.Int64
 }
 
 // compileEntry is a cache slot with single-flight semantics: the first
@@ -127,12 +124,8 @@ type Stats struct {
 	// Evictions counts cached compilations dropped by the LRU bound
 	// (see WithCacheLimit). Always 0 on an unbounded engine.
 	Evictions int64
-	// Evaluations counts completed Evaluate calls, including degraded
-	// ones; DegradedEvaluations counts the subset served by the coarse
-	// fast path because the request's deadline was too tight for the
-	// full pipeline (see Request.AllowDegraded).
-	Evaluations         int64
-	DegradedEvaluations int64
+	// Evaluations counts completed Evaluate calls.
+	Evaluations int64
 	// StreamEvaluations counts completed EvaluateStream calls, and
 	// StreamInferences the total inferences they served.
 	StreamEvaluations int64
@@ -150,17 +143,16 @@ func (e *Engine) Stats() Stats {
 	entries := len(e.cache)
 	e.mu.Unlock()
 	return Stats{
-		Compiles:            e.compiles.Load(),
-		CacheHits:           e.hits.Load(),
-		PartialHits:         e.partialHits.Load(),
-		CacheMisses:         e.misses.Load(),
-		Evictions:           e.evictions.Load(),
-		Evaluations:         e.evaluations.Load(),
-		DegradedEvaluations: e.degradedEvals.Load(),
-		StreamEvaluations:   e.streamEvals.Load(),
-		StreamInferences:    e.streamInfs.Load(),
-		CachedEntries:       entries,
-		CacheLimit:          e.cacheLimit,
+		Compiles:          e.compiles.Load(),
+		CacheHits:         e.hits.Load(),
+		PartialHits:       e.partialHits.Load(),
+		CacheMisses:       e.misses.Load(),
+		Evictions:         e.evictions.Load(),
+		Evaluations:       e.evaluations.Load(),
+		StreamEvaluations: e.streamEvals.Load(),
+		StreamInferences:  e.streamInfs.Load(),
+		CachedEntries:     entries,
+		CacheLimit:        e.cacheLimit,
 	}
 }
 
@@ -366,9 +358,9 @@ func requestCtx(ctx context.Context, req Request) (context.Context, context.Canc
 
 // deadlineErr reports whether ctx is done or its deadline has already
 // passed. The wall-clock comparison matters: context timers fire
-// asynchronously and can lag a blown deadline by milliseconds, and the
-// degraded-mode decision ("is there time left for the full pipeline?")
-// must not depend on timer delivery.
+// asynchronously and can lag a blown deadline by milliseconds, so a
+// request whose deadline passed during its compilations must fail with
+// context.DeadlineExceeded without waiting on timer delivery.
 func deadlineErr(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -456,11 +448,6 @@ func (e *Engine) checkReport(rep *Report) error {
 	if !e.validate {
 		return nil
 	}
-	if rep.sched == nil {
-		// Degraded reports carry no timeline; the coarse event loop is
-		// covered by the simulator's own equivalence tests.
-		return nil
-	}
 	comp := rep.comp
 	key := comp.normalizeMode(rep.Mode).wireName()
 	comp.sched.mu.Lock()
@@ -514,33 +501,18 @@ func baselineCfg(cfg Config) Config {
 }
 
 func (e *Engine) evaluate(ctx context.Context, m *Model, req Request) (*Evaluation, error) {
-	degradable := e.degradable(req)
-	rctx, cancel := requestCtx(ctx, req)
+	ctx, cancel := requestCtx(ctx, req)
 	defer cancel()
-	// A degradable request compiles under the caller's context alone:
-	// its own deadline (TimeoutMillis) must not abort the compilation
-	// it intends to salvage a coarse result from. The caller's own
-	// deadline or cancellation stays hard either way.
-	cctx := rctx
-	if degradable {
-		cctx = ctx
-	}
 	cfg := e.effective(req)
-	baseComp, baseHit, err := e.compileCounted(cctx, m, baselineCfg(cfg))
+	baseComp, baseHit, err := e.compileCounted(ctx, m, baselineCfg(cfg))
 	if err != nil {
 		return nil, err
 	}
-	comp, hit, err := e.compileCounted(cctx, m, cfg)
+	comp, hit, err := e.compileCounted(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := deadlineErr(rctx); err != nil {
-		// The deadline was too tight for the full pipeline; the coarse
-		// fast path can still produce exact scalar metrics from the
-		// finished compilations.
-		if degradable && errors.Is(err, context.DeadlineExceeded) {
-			return e.evaluateDegraded(baseComp, comp, req.Mode)
-		}
+	if err := deadlineErr(ctx); err != nil {
 		return nil, err
 	}
 	if baseHit {
@@ -565,38 +537,6 @@ func (e *Engine) evaluate(ctx context.Context, m *Model, req Request) (*Evaluati
 	}
 	e.evaluations.Add(1)
 	return newEvaluation(baseline, result, comp), nil
-}
-
-// degradable reports whether a request may fall back to the coarse
-// fast path on deadline expiry: its own opt-in or the engine-wide
-// WithDegradation.
-func (e *Engine) degradable(req Request) bool {
-	return req.AllowDegraded || e.degraded
-}
-
-// evaluateDegraded serves an evaluation through the coarse simulator:
-// exact scalar metrics (makespan, latency, utilization, speedup) with
-// no materialized timeline. Both reports and the Evaluation are marked
-// Degraded. Virtualized compilations cannot degrade — the coarse loop
-// does not model crossbar reprogramming — and fail with the deadline
-// instead.
-func (e *Engine) evaluateDegraded(baseComp, comp *Compiled, mode ScheduleMode) (*Evaluation, error) {
-	if baseComp.virtual != nil || comp.virtual != nil {
-		return nil, context.DeadlineExceeded
-	}
-	baseline, err := baseComp.ScheduleCoarse(ModeLayerByLayer)
-	if err != nil {
-		return nil, err
-	}
-	result, err := comp.ScheduleCoarse(mode)
-	if err != nil {
-		return nil, err
-	}
-	e.evaluations.Add(1)
-	e.degradedEvals.Add(1)
-	ev := newEvaluation(baseline, result, comp)
-	ev.Degraded = true
-	return ev, nil
 }
 
 // runPool runs fn(0..n-1) on the Engine's bounded worker pool.
@@ -744,13 +684,6 @@ func (e *Engine) EvaluateBatch(ctx context.Context, reqs []Request) ([]BatchResu
 			comp = comp.withExtraPEs(p.variX)
 		}
 		if err := deadlineErr(rctxs[i]); err != nil {
-			// The shared compilations exist (phase 2 runs under the
-			// batch context), so a degradable request whose own deadline
-			// expired can still be served coarsely.
-			if e.degradable(reqs[i]) && errors.Is(err, context.DeadlineExceeded) {
-				out[i].Evaluation, out[i].Err = e.evaluateDegraded(baseComp, comp, reqs[i].Mode)
-				return
-			}
 			out[i].Err = err
 			return
 		}

@@ -196,32 +196,6 @@ func TestEvaluateBatchStatsMatchSerial(t *testing.T) {
 	}
 }
 
-func TestSimulateCoarseMatchesFull(t *testing.T) {
-	eng := MustNew()
-	comp, err := eng.Compile(context.Background(),
-		Request{Model: "tinybranchnet", Mode: ModeCrossLayer, ExtraPEs: 2, WeightDuplication: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []ScheduleMode{ModeLayerByLayer, ModeWindow(2), ModeCrossLayer} {
-		full, err := comp.Simulate(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coarse, err := comp.SimulateCoarse(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if coarse.MakespanCycles != full.MakespanCycles ||
-			coarse.Utilization != full.Utilization ||
-			coarse.PeakLiveElems != full.PeakLiveElems ||
-			coarse.LatencyNanos != full.LatencyNanos {
-			t.Errorf("%s: coarse %+v disagrees with full simulation (makespan %d, util %v, peak %d)",
-				mode, coarse, full.MakespanCycles, full.Utilization, full.PeakLiveElems)
-		}
-	}
-}
-
 func TestSolverSweepSharesBaseline(t *testing.T) {
 	// The baseline never runs a solver, so requests differing only in
 	// Solver must share one baseline compilation.

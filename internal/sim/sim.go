@@ -24,10 +24,12 @@
 // (schedule.Dispatch) can be supplied through Options and shared across
 // modes and engines (internal/stream uses the same plan), and RunCoarse
 // skips per-set Timeline materialization entirely for callers that only
-// need makespan/utilization — the cost-model path of mapping-space
-// search. The previous binary-heap loop survives as the reference
-// implementation in reference_test.go, with a differential test pinning
-// byte-identical timelines.
+// need makespan/utilization/buffer peak (differential tests and the
+// end-to-end benchmark's traced replay; mapping-space search scores
+// candidates with schedule.Scratch.Makespan instead). The previous
+// binary-heap loop survives as the reference implementation in
+// reference_test.go, with a differential test pinning byte-identical
+// timelines.
 package sim
 
 import (
@@ -201,9 +203,8 @@ func (st *State) Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p sche
 // RunCoarse simulates the workload without materializing per-set
 // timeline items: only the makespan, the Eq. 2 utilization, and the
 // buffer peak are computed. On a warm State this path performs no
-// allocations — the fast cost model for mapping-space search and
-// sweeps that do not render timelines. Options.Debug is rejected: the
-// invariant checker needs the full timeline.
+// allocations. Options.Debug is rejected: the invariant checker needs
+// the full timeline.
 func (st *State) RunCoarse(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, opt Options) (Coarse, error) {
 	if opt.Debug {
 		return Coarse{}, fmt.Errorf("sim: coarse run cannot validate (no timeline); use Run")

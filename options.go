@@ -179,19 +179,6 @@ func WithValidation() Option {
 	}
 }
 
-// WithDegradation enables graceful degradation for every request, as
-// if each carried AllowDegraded: an evaluation whose own deadline
-// (Request.TimeoutMillis) expires before the full pipeline finishes is
-// served by the coarse fast path and marked Degraded instead of
-// failing with context.DeadlineExceeded. See Request.AllowDegraded for
-// the exact semantics and what a degraded result omits.
-func WithDegradation() Option {
-	return func(e *Engine) error {
-		e.degraded = true
-		return nil
-	}
-}
-
 // WithWorkers bounds the EvaluateBatch worker pool (default
 // runtime.GOMAXPROCS(0)).
 func WithWorkers(n int) Option {

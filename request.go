@@ -51,18 +51,6 @@ type Request struct {
 	// between pipeline steps and while waiting on the cache — so a
 	// timed-out request may still have warmed the cache for the next one.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// AllowDegraded opts this request into graceful degradation: when
-	// TimeoutMillis is too tight for the full pipeline, Evaluate falls
-	// back to the zero-alloc coarse simulation (SimulateCoarse) and
-	// returns an Evaluation marked Degraded instead of failing with
-	// context.DeadlineExceeded. Scalar metrics (makespan, latency,
-	// utilization, speedup) are exact — the coarse path runs the same
-	// event loop — but the result carries no timeline, so Gantt
-	// rendering, critical paths, and the energy estimate are
-	// unavailable. Degradation rescues only the request's own deadline;
-	// a deadline or cancellation on the caller's context stays hard.
-	// WithDegradation enables the fallback engine-wide.
-	AllowDegraded bool `json:"allow_degraded,omitempty"`
 }
 
 // Validate checks the request against the process-wide registries

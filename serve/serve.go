@@ -74,7 +74,6 @@ type Server struct {
 	inFlight   atomic.Int64
 	panics     atomic.Int64
 	totalShed  atomic.Int64
-	degraded   atomic.Int64
 
 	streamEvals atomic.Int64
 	streamInfs  atomic.Int64
@@ -237,9 +236,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusOf(err), err)
 		return
 	}
-	if ev.Degraded {
-		s.degraded.Add(1)
-	}
 	s.writeJSON(w, http.StatusOK, wireEvaluation(ev))
 }
 
@@ -281,9 +277,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if br.Err != nil {
 			resp.Results[i].Error = br.Err.Error()
 		} else {
-			if br.Evaluation.Degraded {
-				s.degraded.Add(1)
-			}
 			resp.Results[i].Evaluation = wireEvaluation(br.Evaluation)
 		}
 	}
@@ -335,7 +328,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			InFlight:      s.inFlight.Load(),
 			Panics:        s.panics.Load(),
 			Shed:          s.totalShed.Load(),
-			Degraded:      s.degraded.Load(),
 			UptimeSeconds: time.Since(s.start).Seconds(),
 			Admission:     s.admissionStats(),
 		},

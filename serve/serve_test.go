@@ -86,11 +86,12 @@ func TestEvaluateHappyPath(t *testing.T) {
 func TestEvaluateMalformedJSON(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	for name, body := range map[string]string{
-		"syntax":        `{"model": `,
-		"unknown field": `{"model": "tinyconvnet", "bogus_field": 1}`,
-		"wrong type":    `{"model": 7}`,
-		"trailing data": `{"model": "tinyconvnet"} {"model": "tinyconvnet"}`,
-		"empty body":    ``,
+		"syntax":                 `{"model": `,
+		"unknown field":          `{"model": "tinyconvnet", "bogus_field": 1}`,
+		"retired allow_degraded": `{"model":"tinyconvnet","allow_degraded":true}`,
+		"wrong type":             `{"model": 7}`,
+		"trailing data":          `{"model": "tinyconvnet"} {"model": "tinyconvnet"}`,
+		"empty body":             ``,
 	} {
 		var er ErrorResponse
 		rec := doJSON(t, s, http.MethodPost, "/v1/evaluate", body, &er)

@@ -48,11 +48,6 @@ type Evaluation struct {
 	UtilizationGain float64 `json:"utilization_gain"`
 	// Eq3Speedup is the paper's Eq. 3 estimate from the utilizations.
 	Eq3Speedup float64 `json:"eq3_speedup"`
-	// Degraded marks an evaluation served by the coarse fast path
-	// because the request's deadline was too tight for the full
-	// pipeline and it opted in with allow_degraded. Scalar metrics are
-	// exact; timeline-derived extras (energy, schedule JSON) are absent.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // BatchRequest is the body of POST /v1/evaluate/batch.
@@ -148,17 +143,14 @@ type EngineStats struct {
 	// the requested mode's timeline was not cached yet (the incremental
 	// re-simulation path); CacheHits - PartialHits served everything
 	// from cache.
-	PartialHits int64 `json:"partial_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	Evictions   int64 `json:"cache_evictions"`
-	Evaluations int64 `json:"evaluations"`
-	// DegradedEvaluations counts evaluations served by the coarse fast
-	// path after their deadline expired (graceful degradation).
-	DegradedEvaluations int64 `json:"degraded_evaluations"`
-	StreamEvaluations   int64 `json:"stream_evaluations"`
-	StreamInferences    int64 `json:"stream_inferences"`
-	CachedEntries       int   `json:"cached_entries"`
-	CacheLimit          int   `json:"cache_limit"`
+	PartialHits       int64 `json:"partial_hits"`
+	CacheMisses       int64 `json:"cache_misses"`
+	Evictions         int64 `json:"cache_evictions"`
+	Evaluations       int64 `json:"evaluations"`
+	StreamEvaluations int64 `json:"stream_evaluations"`
+	StreamInferences  int64 `json:"stream_inferences"`
+	CachedEntries     int   `json:"cached_entries"`
+	CacheLimit        int   `json:"cache_limit"`
 }
 
 // ServerStats counts HTTP-level activity since the server started.
@@ -180,9 +172,6 @@ type ServerStats struct {
 	// Retry-After), summed across classes; the per-class split is in
 	// Admission.
 	Shed int64 `json:"shed"`
-	// Degraded counts evaluations served degraded (coarse fast path)
-	// over HTTP, single and batch items combined.
-	Degraded int64 `json:"degraded"`
 	// UptimeSeconds is the time since the server was constructed.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Admission reports each configured admission gate; absent when no
@@ -285,24 +274,22 @@ func wireEvaluation(ev *clsacim.Evaluation) *Evaluation {
 		Speedup:         ev.Speedup,
 		UtilizationGain: ev.UtilizationGain,
 		Eq3Speedup:      ev.Eq3Speedup,
-		Degraded:        ev.Degraded,
 	}
 }
 
 // wireStats converts an engine stats snapshot.
 func wireStats(s clsacim.Stats) EngineStats {
 	return EngineStats{
-		Compiles:            s.Compiles,
-		CacheHits:           s.CacheHits,
-		PartialHits:         s.PartialHits,
-		CacheMisses:         s.CacheMisses,
-		Evictions:           s.Evictions,
-		Evaluations:         s.Evaluations,
-		DegradedEvaluations: s.DegradedEvaluations,
-		StreamEvaluations:   s.StreamEvaluations,
-		StreamInferences:    s.StreamInferences,
-		CachedEntries:       s.CachedEntries,
-		CacheLimit:          s.CacheLimit,
+		Compiles:          s.Compiles,
+		CacheHits:         s.CacheHits,
+		PartialHits:       s.PartialHits,
+		CacheMisses:       s.CacheMisses,
+		Evictions:         s.Evictions,
+		Evaluations:       s.Evaluations,
+		StreamEvaluations: s.StreamEvaluations,
+		StreamInferences:  s.StreamInferences,
+		CachedEntries:     s.CachedEntries,
+		CacheLimit:        s.CacheLimit,
 	}
 }
 
