@@ -23,6 +23,7 @@ import (
 	"clsacim/internal/im2col"
 	"clsacim/internal/mapping"
 	"clsacim/internal/models"
+	"clsacim/internal/nn"
 	"clsacim/internal/schedule"
 	"clsacim/internal/sets"
 	"clsacim/internal/sim"
@@ -298,9 +299,9 @@ func benchSolverSearch(b *testing.B, targetSets int) {
 	}
 }
 
-// stageIVWorkload lowers TinyYOLOv4 (wdup+32, fine granularity) through
-// Stages I-II for the scheduler/simulator micro benchmarks.
-func stageIVWorkload(b *testing.B) (*mapping.Mapping, *deps.Graph, cim.Config) {
+// stageIWorkload lowers TinyYOLOv4 (wdup+32, dp) through
+// canonicalization and mapping: the input of Stage I.
+func stageIWorkload(b *testing.B) (*nn.Graph, *mapping.Mapping, cim.Config) {
 	b.Helper()
 	g := models.MustBuild(models.TinyYOLOv4, models.Options{})
 	if _, err := frontend.Canonicalize(g, frontend.Options{}); err != nil {
@@ -318,17 +319,59 @@ func stageIVWorkload(b *testing.B) (*mapping.Mapping, *deps.Graph, cim.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	arch := cim.Default()
+	arch.NumPEs = plan.MinPEs + 32
+	return g, m, arch
+}
+
+// stageIIWorkload runs Stage I on the Stage I workload at fine
+// granularity: the input of Stage II.
+func stageIIWorkload(b *testing.B) (*nn.Graph, *mapping.Mapping, *sets.Plan, cim.Config) {
+	b.Helper()
+	g, m, arch := stageIWorkload(b)
 	sp, err := sets.Determine(g, m, sets.Options{TargetSets: sets.FineGranularity})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g, m, sp, arch
+}
+
+// stageIVWorkload lowers TinyYOLOv4 (wdup+32, fine granularity) through
+// Stages I-II for the scheduler/simulator micro benchmarks.
+func stageIVWorkload(b *testing.B) (*mapping.Mapping, *deps.Graph, cim.Config) {
+	b.Helper()
+	g, m, sp, arch := stageIIWorkload(b)
 	dg, err := deps.Build(g, sp)
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch := cim.Default()
-	arch.NumPEs = plan.MinPEs + 32
 	return m, dg, arch
+}
+
+// BenchmarkStageI measures set determination (Stage I) on TinyYOLOv4
+// wdup+32 at fine granularity.
+func BenchmarkStageI(b *testing.B) {
+	g, m, _ := stageIWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sets.Determine(g, m, sets.Options{TargetSets: sets.FineGranularity}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStageII measures dependency determination (Stage II, the
+// CSR build) on the same workload, with the default worker count.
+func BenchmarkStageII(b *testing.B) {
+	g, _, sp, _ := stageIIWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := deps.Build(g, sp); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkStageIV measures the raw Stage IV list scheduler over the

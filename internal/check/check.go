@@ -143,7 +143,7 @@ func checkShape(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error
 			return violation(KindShape, li, -1,
 				"replica accounting has %d rows, layer has %d replicas", len(tl.ReplicaActive[li]), d)
 		}
-		for si := range ls.Sets {
+		for si := 0; si < ls.NumSets(); si++ {
 			it := tl.Items[int(csr.LayerOff[li])+si]
 			if it.Layer != li || it.Set != si {
 				return violation(KindShape, li, si, "item labeled L%d/S%d", it.Layer, it.Set)
@@ -299,7 +299,7 @@ func checkConservation(dg *deps.Graph, tl *schedule.Timeline) error {
 	for li, ls := range dg.Plan.Layers {
 		var layerActive int64
 		replica := make([]int64, ls.Group.Dup)
-		for si := range ls.Sets {
+		for si := 0; si < ls.NumSets(); si++ {
 			id := int(csr.LayerOff[li]) + si
 			it := tl.Items[id]
 			if got, want := it.End-it.Start, csr.Cycles[id]; got != want {

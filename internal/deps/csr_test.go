@@ -1,6 +1,8 @@
 package deps
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"clsacim/internal/frontend"
@@ -76,7 +78,7 @@ func TestCSRMirrorsDeps(t *testing.T) {
 				if gl, gs := csr.Set(id); gl != li || gs != si {
 					t.Fatalf("%s: ID/Set round trip broke at L%d/S%d", c.id, li, si)
 				}
-				if csr.Cycles[id] != dg.Plan.Layers[li].Sets[si].Cycles {
+				if csr.Cycles[id] != dg.Plan.Layers[li].Cycles(si) {
 					t.Fatalf("%s: cycles mismatch at L%d/S%d", c.id, li, si)
 				}
 				lo, hi := csr.PredOff[id], csr.PredOff[id+1]
@@ -93,36 +95,77 @@ func TestCSRMirrorsDeps(t *testing.T) {
 				}
 			}
 		}
-		// Successor arrays are the exact transpose: every (pred, succ,
-		// vol) triple appears once on each side.
-		type edge struct {
-			p, s int32
-			v    int32
+		// The successor view is the exact transpose.
+		if err := checkTranspose(csr, csr.Successors()); err != nil {
+			t.Fatalf("%s: %v", c.id, err)
 		}
-		fwd := make(map[edge]int)
-		for id := int32(0); int(id) < csr.NumSets(); id++ {
-			for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
-				fwd[edge{csr.Pred[e], id, csr.PredVol[e]}]++
+	}
+}
+
+// checkTranspose reports whether sv is the exact transpose of c's
+// predecessor arrays: every (pred, succ, vol) triple appears once on
+// each side, and every successor run is strictly ascending.
+func checkTranspose(c *CSR, sv *SuccView) error {
+	type edge struct {
+		p, s int32
+		v    int32
+	}
+	if len(sv.Off) != c.NumSets()+1 || len(sv.Succ) != c.NumEdges() || len(sv.Vol) != c.NumEdges() {
+		return fmt.Errorf("successor view sized %d/%d/%d for %d sets, %d edges",
+			len(sv.Off), len(sv.Succ), len(sv.Vol), c.NumSets(), c.NumEdges())
+	}
+	fwd := make(map[edge]int)
+	for id := int32(0); int(id) < c.NumSets(); id++ {
+		for e := c.PredOff[id]; e < c.PredOff[id+1]; e++ {
+			fwd[edge{c.Pred[e], id, c.PredVol[e]}]++
+		}
+	}
+	for id := int32(0); int(id) < c.NumSets(); id++ {
+		prev := int32(-1)
+		for e := sv.Off[id]; e < sv.Off[id+1]; e++ {
+			if sv.Succ[e] <= prev {
+				return fmt.Errorf("successors of %d not strictly ascending", id)
 			}
-		}
-		for id := int32(0); int(id) < csr.NumSets(); id++ {
-			prev := int32(-1)
-			for e := csr.SuccOff[id]; e < csr.SuccOff[id+1]; e++ {
-				if csr.Succ[e] <= prev {
-					t.Fatalf("%s: successors of %d not strictly ascending", c.id, id)
-				}
-				prev = csr.Succ[e]
-				k := edge{id, csr.Succ[e], csr.SuccVol[e]}
-				if fwd[k] == 0 {
-					t.Fatalf("%s: successor edge %v has no forward twin", c.id, k)
-				}
-				fwd[k]--
+			prev = sv.Succ[e]
+			k := edge{id, sv.Succ[e], sv.Vol[e]}
+			if fwd[k] == 0 {
+				return fmt.Errorf("successor edge %v has no forward twin", k)
 			}
+			fwd[k]--
 		}
-		for k, n := range fwd {
-			if n != 0 {
-				t.Fatalf("%s: forward edge %v missing from successor arrays", c.id, k)
-			}
+	}
+	for k, n := range fwd {
+		if n != 0 {
+			return fmt.Errorf("forward edge %v missing from successor view", k)
 		}
+	}
+	return nil
+}
+
+// TestSuccessorsConcurrent: a cached compilation's CSR is shared by
+// concurrent sim and stream requests, each of which asks for the
+// successor view. Every caller must get the same, fully built, exact
+// transpose (run under -race).
+func TestSuccessorsConcurrent(t *testing.T) {
+	dg := buildGraph(t, models.TinyYOLOv4, 416, 26)
+	csr := dg.CSR
+	const callers = 16
+	views := make([]*SuccView, callers)
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for i := range views {
+		go func(i int) {
+			defer wg.Done()
+			views[i] = csr.Successors()
+		}(i)
+	}
+	wg.Wait()
+	for i, sv := range views {
+		if sv != views[0] {
+			t.Fatalf("caller %d got a different view", i)
+		}
+	}
+	if err := checkTranspose(csr, views[0]); err != nil {
+		t.Fatal(err)
 	}
 }

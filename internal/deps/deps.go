@@ -16,16 +16,18 @@
 // Stage II dominates compilation cost, so Build is engineered as the
 // fast path: the backward operator chains are compiled once per
 // consumer layer into flattened route transforms (xform.go), layers are
-// processed by a bounded worker pool with per-worker scratch (they only
-// read the immutable plan), and each layer emits its slice of the final
-// CSR arrays directly — no per-set intermediate slices. The merge is
-// positional (results land in per-layer slots concatenated in plan
-// order), so the CSR output is byte-identical at any worker count.
+// processed by a bounded worker pool with pooled per-worker scratch
+// (they only read the immutable plan), and each layer's edges are
+// accumulated in that scratch and copied out once at their exact length
+// — no per-set intermediate slices. The merge is positional (results
+// land in per-layer slots concatenated in plan order), so the CSR output
+// is byte-identical at any worker count.
 package deps
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,8 +47,8 @@ type SetRef struct {
 // flat CSR arrays (see CSR). Use DepsOf for a per-set SetRef view.
 type Graph struct {
 	Plan *sets.Plan
-	// CSR is the compressed-sparse-row dependency graph (both edge
-	// directions); the scheduler and simulator hot paths consume it.
+	// CSR is the compressed-sparse-row dependency graph; the scheduler
+	// and simulator hot paths consume it.
 	CSR *CSR
 }
 
@@ -62,13 +64,13 @@ func Build(g *nn.Graph, plan *sets.Plan) (*Graph, error) {
 	return BuildOpt(g, plan, Options{})
 }
 
-// layerEdges is one layer's slice of the dependency arrays: flat
-// predecessor ids and volumes, with setOff[si] indexing set si's run
-// (len(setOff) = set count + 1).
+// layerEdges is one layer's slice of the predecessor arrays: flat
+// predecessor ids and volumes, each set's run in raster order. The
+// per-set run offsets are written straight into the CSR's PredOff,
+// relative to the layer's first edge.
 type layerEdges struct {
-	setOff []int32
-	pred   []int32
-	vol    []int32
+	pred []int32
+	vol  []int32
 }
 
 // routeTab is one route evaluated against one consumer layer's set
@@ -89,13 +91,19 @@ type routeTab struct {
 	colOff, colPred, colLen []int32
 }
 
-// buildScratch is the per-worker reusable state.
+// buildScratch is the reusable state of one worker. Workers take it
+// from scratchPool, so repeated Builds (a sweep compiles many graphs)
+// reuse the buffers instead of regrowing them per layer.
 type buildScratch struct {
 	routes []route
 	tabs   []routeTab
 	ids    []int32 // per-set edge accumulator (flat ids)
 	vols   []int32
+	pred   []int32 // per-layer edge accumulator, copied out once
+	vol    []int32
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // BuildOpt computes Stage II for plan over graph g. Consumer layers are
 // independent given the immutable plan, so they are fanned out over a
@@ -107,9 +115,15 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 	total := 0
 	for li := range plan.Layers {
 		layerOff[li] = int32(total)
-		total += len(plan.Layers[li].Sets)
+		total += plan.Layers[li].NumSets()
 	}
 	layerOff[nl] = int32(total)
+	c := &CSR{
+		LayerOff: layerOff,
+		SetLayer: make([]int32, total),
+		Cycles:   make([]int64, total),
+		PredOff:  make([]int32, total+1),
+	}
 
 	results := make([]layerEdges, nl)
 	errs := make([]error, nl)
@@ -117,29 +131,28 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nl {
-		workers = nl
-	}
-	if workers <= 1 {
-		var scratch buildScratch
-		for li := 0; li < nl; li++ {
-			results[li], errs[li] = buildLayer(plan, li, layerOff, &scratch)
+	workers = max(min(workers, nl), 1)
+	var next atomic.Int64
+	work := func() {
+		sc := scratchPool.Get().(*buildScratch)
+		defer scratchPool.Put(sc)
+		for {
+			li := int(next.Add(1)) - 1
+			if li >= nl {
+				return
+			}
+			results[li], errs[li] = buildLayer(plan, li, c, sc)
 		}
+	}
+	if workers == 1 {
+		work()
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				var scratch buildScratch
-				for {
-					li := int(next.Add(1)) - 1
-					if li >= nl {
-						return
-					}
-					results[li], errs[li] = buildLayer(plan, li, layerOff, &scratch)
-				}
+				work()
 			}()
 		}
 		wg.Wait()
@@ -149,19 +162,23 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 			return nil, err
 		}
 	}
-	return &Graph{Plan: plan, CSR: assembleCSR(plan, layerOff, results)}, nil
+	c.assemble(results)
+	return &Graph{Plan: plan, CSR: c}, nil
 }
 
-// buildLayer computes the dependency edges of every set of layer li.
-// The layer's receptive-field transform and backward routes are
+// buildLayer computes the dependency edges of every set of layer li and
+// fills the layer's id range of csr's per-set arrays (SetLayer, Cycles,
+// and PredOff relative to the layer's first edge); workers own disjoint
+// ranges. The layer's receptive-field transform and backward routes are
 // compiled once; each route's axis chains are then evaluated once per
 // consumer grid row and column (all transforms act on H, W, and C
 // independently, and sets are grid cells spanning the full channel
 // depth), so the per-set loop is pure table lookup. Edges come out
 // sorted by flat predecessor id with duplicates merged at maximum
 // volume (a set can be reached over several routes), matching the
-// recursive formulation exactly.
-func buildLayer(plan *sets.Plan, li int, layerOff []int32, sc *buildScratch) (layerEdges, error) {
+// recursive formulation exactly. They accumulate in the worker's
+// scratch and are copied out once, at their final length.
+func buildLayer(plan *sets.Plan, li int, csr *CSR, sc *buildScratch) (layerEdges, error) {
 	ls := &plan.Layers[li]
 	node := ls.Group.Node
 	ifm, err := compileIFM(node)
@@ -172,25 +189,26 @@ func buildLayer(plan *sets.Plan, li int, layerOff []int32, sc *buildScratch) (la
 	if err != nil {
 		return layerEdges{}, fmt.Errorf("deps: %v: %w", node, err)
 	}
-	if ls.GH*ls.GW != len(ls.Sets) {
-		return layerEdges{}, fmt.Errorf("deps: %v: %d sets on a %dx%d grid", node, len(ls.Sets), ls.GH, ls.GW)
-	}
 	if len(sc.tabs) < len(sc.routes) {
 		sc.tabs = append(sc.tabs, make([]routeTab, len(sc.routes)-len(sc.tabs))...)
 	}
 	ntabs := 0
 	for ri := range sc.routes {
-		if fillTab(&sc.tabs[ntabs], plan, &ifm, &sc.routes[ri], ls, layerOff) {
+		if fillTab(&sc.tabs[ntabs], plan, &ifm, &sc.routes[ri], ls, csr.LayerOff) {
 			ntabs++
 		}
 	}
 	tabs := sc.tabs[:ntabs]
 
-	out := layerEdges{setOff: make([]int32, len(ls.Sets)+1)}
+	base := csr.LayerOff[li]
+	sc.pred, sc.vol = sc.pred[:0], sc.vol[:0]
 	si := 0
 	for r := 0; r < ls.GH; r++ {
 		for c := 0; c < ls.GW; c++ {
-			out.setOff[si] = int32(len(out.pred))
+			id := base + int32(si)
+			csr.SetLayer[id] = int32(li)
+			csr.Cycles[id] = ls.Cycles(si)
+			csr.PredOff[id] = int32(len(sc.pred))
 			si++
 			sc.ids, sc.vols = sc.ids[:0], sc.vols[:0]
 			for ti := range tabs {
@@ -206,11 +224,10 @@ func buildLayer(plan *sets.Plan, li int, layerOff []int32, sc *buildScratch) (la
 					}
 				}
 			}
-			out.pred, out.vol = mergeEdges(sc.ids, sc.vols, out.pred, out.vol)
+			sc.pred, sc.vol = mergeEdges(sc.ids, sc.vols, sc.pred, sc.vol)
 		}
 	}
-	out.setOff[len(ls.Sets)] = int32(len(out.pred))
-	return out, nil
+	return layerEdges{pred: slices.Clone(sc.pred), vol: slices.Clone(sc.vol)}, nil
 }
 
 // fillTab evaluates one route against the consumer layer's grid,

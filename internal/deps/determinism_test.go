@@ -210,3 +210,31 @@ func buildWithDup(t *testing.T, g *nn.Graph, plan *mapping.Plan, f int, d []int,
 	}
 	return dg
 }
+
+// TestBuildAllocsPerLayer pins Stage II's memory model: a warm Build
+// allocates the CSR arrays plus a few objects per layer (routes, the
+// layer's exact-length edge copy), never per set or per edge. The fixed
+// term absorbs the scratch regrowth when the race detector makes
+// sync.Pool drop the warm scratch.
+func TestBuildAllocsPerLayer(t *testing.T) {
+	const perLayer, fixed = 8, 64
+	for _, target := range []int{sets.DefaultTargetSets, sets.FineGranularity} {
+		g, plan := planFor(t, models.TinyYOLOv4, 416, target)
+		build := func() {
+			if _, err := BuildOpt(g, plan, Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build()
+		allocs := testing.AllocsPerRun(10, build)
+		limit := float64(perLayer*len(plan.Layers) + fixed)
+		if allocs > limit {
+			ns := 0
+			for li := range plan.Layers {
+				ns += plan.Layers[li].NumSets()
+			}
+			t.Errorf("target %d: warm Build made %.0f allocs over %d layers (%d sets); want <= %.0f",
+				target, allocs, len(plan.Layers), ns, limit)
+		}
+	}
+}

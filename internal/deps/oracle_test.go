@@ -9,6 +9,7 @@ import (
 	"clsacim/internal/mapping"
 	"clsacim/internal/models"
 	"clsacim/internal/nn"
+	"clsacim/internal/region"
 	"clsacim/internal/sets"
 )
 
@@ -173,13 +174,12 @@ func poolMask(out []bool, node, src *nn.Node, a avail, kh, kw, sh, sw int, pad n
 
 // requiredElems returns the set of input-element indices a base layer
 // needs to compute its OFM box.
-func requiredElems(t *testing.T, n *nn.Node, ls sets.Set) []int {
+func requiredElems(t *testing.T, n *nn.Node, b region.Box) []int {
 	t.Helper()
 	src := n.Inputs[0].OutShape
 	var idx []int
 	switch op := n.Op.(type) {
 	case *nn.Conv2D:
-		b := ls.Box
 		for y := b.H0; y < b.H1; y++ {
 			for x := b.W0; x < b.W1; x++ {
 				for kh := 0; kh < op.KH; kh++ {
@@ -196,7 +196,6 @@ func requiredElems(t *testing.T, n *nn.Node, ls sets.Set) []int {
 			}
 		}
 	case *nn.DepthwiseConv2D:
-		b := ls.Box
 		for y := b.H0; y < b.H1; y++ {
 			for x := b.W0; x < b.W1; x++ {
 				for kh := 0; kh < op.KH; kh++ {
@@ -229,7 +228,7 @@ func oracleCheck(t *testing.T, g *nn.Graph, dg *Graph, li, si int, checkMinimal 
 	t.Helper()
 	plan := dg.Plan
 	target := plan.Layers[li].Group.Node
-	need := requiredElems(t, target, plan.Layers[li].Sets[si])
+	need := requiredElems(t, target, plan.Layers[li].Box(si))
 	refs := dg.DepsOf(li, si)
 
 	run := func(skip int) bool {
@@ -245,7 +244,7 @@ func oracleCheck(t *testing.T, g *nn.Graph, dg *Graph, li, si int, checkMinimal 
 			}
 			node := plan.Layers[r.Layer].Group.Node
 			mask := a[node]
-			b := plan.Layers[r.Layer].Sets[r.Set].Box
+			b := plan.Layers[r.Layer].Box(r.Set)
 			s := node.OutShape
 			for h := b.H0; h < b.H1; h++ {
 				for w := b.W0; w < b.W1; w++ {
@@ -319,7 +318,7 @@ func buildDeps(t *testing.T, id models.ID, inputSize, targetSets, extraPEs int) 
 func TestOracleTinyBranchNet(t *testing.T) {
 	g, dg := buildDeps(t, models.TinyBranchNet, 16, 4, 0)
 	for li := range dg.Plan.Layers {
-		for si := range dg.Plan.Layers[li].Sets {
+		for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 			oracleCheck(t, g, dg, li, si, true)
 		}
 	}
@@ -333,7 +332,7 @@ func TestOracleTinyYOLOv4(t *testing.T) {
 	}
 	g, dg := buildDeps(t, models.TinyYOLOv4, 64, 3, 0)
 	for li := range dg.Plan.Layers {
-		for si := range dg.Plan.Layers[li].Sets {
+		for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 			oracleCheck(t, g, dg, li, si, true)
 		}
 	}
@@ -347,7 +346,7 @@ func TestOracleTinyYOLOv3Finer(t *testing.T) {
 	}
 	g, dg := buildDeps(t, models.TinyYOLOv3, 64, 7, 0)
 	for li := range dg.Plan.Layers {
-		for si := range dg.Plan.Layers[li].Sets {
+		for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 			oracleCheck(t, g, dg, li, si, true)
 		}
 	}
@@ -358,7 +357,7 @@ func TestOracleTinyYOLOv3Finer(t *testing.T) {
 func TestOracleTinyDWNet(t *testing.T) {
 	g, dg := buildDeps(t, models.TinyDWNet, 16, 4, 0)
 	for li := range dg.Plan.Layers {
-		for si := range dg.Plan.Layers[li].Sets {
+		for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 			oracleCheck(t, g, dg, li, si, true)
 		}
 	}
@@ -371,7 +370,7 @@ func TestOracleResNetBlock(t *testing.T) {
 	// Limit to the first 12 layers to keep the oracle fast; they cover
 	// stem + pooling + the first bottleneck (projection, add).
 	for li := 0; li < 12 && li < len(dg.Plan.Layers); li++ {
-		for si := range dg.Plan.Layers[li].Sets {
+		for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 			oracleCheck(t, g, dg, li, si, true)
 		}
 	}
@@ -380,7 +379,7 @@ func TestOracleResNetBlock(t *testing.T) {
 func TestDepsSortedAndDeduped(t *testing.T) {
 	_, dg := buildDeps(t, models.TinyYOLOv4, 64, 5, 0)
 	for li := range dg.Plan.Layers {
-		for si := range dg.Plan.Layers[li].Sets {
+		for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 			refs := dg.DepsOf(li, si)
 			for i := 1; i < len(refs); i++ {
 				a, b := refs[i-1], refs[i]
@@ -406,7 +405,7 @@ func TestDepsAcyclicForward(t *testing.T) {
 	for _, id := range []models.ID{models.TinyBranchNet, models.TinyYOLOv4, models.ResNet50} {
 		_, dg := buildDeps(t, id, 32, 4, 0)
 		for li := range dg.Plan.Layers {
-			for si := range dg.Plan.Layers[li].Sets {
+			for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 				for _, r := range dg.DepsOf(li, si) {
 					if r.Layer >= li {
 						t.Fatalf("%s: layer %d set %d depends on layer %d (not earlier)",
@@ -422,7 +421,7 @@ func TestDepsAcyclicForward(t *testing.T) {
 // network input.
 func TestFirstLayerHasNoDeps(t *testing.T) {
 	_, dg := buildDeps(t, models.TinyYOLOv4, 64, 4, 0)
-	for si := range dg.Plan.Layers[0].Sets {
+	for si := 0; si < dg.Plan.Layers[0].NumSets(); si++ {
 		if refs := dg.DepsOf(0, si); len(refs) != 0 {
 			t.Errorf("first layer set %d has deps %v", si, refs)
 		}

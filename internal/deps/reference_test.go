@@ -73,7 +73,7 @@ func walkBack(n *nn.Node, r region.Box, plan *sets.Plan, acc []SetRef) ([]SetRef
 	if li, ok := plan.ByNode[n]; ok {
 		ls := &plan.Layers[li]
 		for _, si := range ls.Intersecting(r, nil) {
-			iv := ls.Sets[si].Box.Intersect(r)
+			iv := ls.Box(si).Intersect(r)
 			if iv.Empty() {
 				continue
 			}
@@ -216,10 +216,10 @@ func referenceDeps(t *testing.T, plan *sets.Plan) [][][]SetRef {
 	deps := make([][][]SetRef, len(plan.Layers))
 	for li := range plan.Layers {
 		ls := &plan.Layers[li]
-		deps[li] = make([][]SetRef, len(ls.Sets))
+		deps[li] = make([][]SetRef, ls.NumSets())
 		node := ls.Group.Node
-		for si, set := range ls.Sets {
-			req, err := requiredIFM(node, set.Box)
+		for si := range deps[li] {
+			req, err := requiredIFM(node, ls.Box(si))
 			if err != nil {
 				t.Fatalf("reference: %v set %d: %v", node, si, err)
 			}

@@ -267,12 +267,12 @@ func TestFuzzDepsOracleLight(t *testing.T) {
 			// earlier, volumes positive and bounded by the predecessor
 			// set volume.
 			for li := range dg.Plan.Layers {
-				for si := range dg.Plan.Layers[li].Sets {
+				for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 					for _, ref := range dg.DepsOf(li, si) {
 						if ref.Layer >= li {
 							t.Fatalf("layer %d set %d depends forward on %d", li, si, ref.Layer)
 						}
-						pv := dg.Plan.Layers[ref.Layer].Sets[ref.Set].Box.Volume()
+						pv := dg.Plan.Layers[ref.Layer].Box(ref.Set).Volume()
 						if ref.Vol <= 0 || ref.Vol > pv {
 							t.Fatalf("dep volume %d outside (0, %d]", ref.Vol, pv)
 						}

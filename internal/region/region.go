@@ -167,37 +167,53 @@ func (b Box) withAxisRange(a axis, lo, hi int) Box {
 	return b
 }
 
-// splitAxis cuts b into at most n pieces along the given axis. Boundaries
-// are placed on multiples of align (relative to the axis origin) so that
-// downstream window operations such as (2,2)-stride pooling see complete
-// windows in every piece except possibly the last.
+// splitAxis cuts b into at most n pieces along the given axis at the
+// boundaries Cuts places.
 func splitAxis(b Box, n, align int, a axis) []Box {
 	if b.Empty() {
+		return nil
+	}
+	lo, hi := b.axisRange(a)
+	cuts := Cuts(lo, hi, n, align)
+	out := make([]Box, len(cuts)-1)
+	for i := range out {
+		out[i] = b.withAxisRange(a, cuts[i], cuts[i+1])
+	}
+	return out
+}
+
+// Cuts returns the boundaries of at most n contiguous pieces of the
+// interval [lo, hi) whose lengths differ by at most one align-sized
+// block. Every boundary except the last is a multiple of align
+// (relative to lo), so downstream window operations such as
+// (2,2)-stride pooling see complete windows in every piece except
+// possibly the last. n is clamped to [1, ceil((hi-lo)/align)]. The
+// result starts at lo, strictly increases and ends at hi; it is nil for
+// an empty interval.
+func Cuts(lo, hi, n, align int) []int {
+	if hi <= lo {
 		return nil
 	}
 	if align < 1 {
 		align = 1
 	}
-	lo, hi := b.axisRange(a)
-	extent := hi - lo
-	units := (extent + align - 1) / align // number of align-sized blocks
+	units := (hi - lo + align - 1) / align // number of align-sized blocks
 	if n < 1 {
 		n = 1
 	}
 	if n > units {
 		n = units
 	}
-	out := make([]Box, 0, n)
-	prev := lo
+	out := make([]int, 1, n+1)
+	out[0] = lo
 	for i := 1; i <= n; i++ {
-		// Distribute blocks evenly: piece i ends after round(i*units/n) blocks.
+		// Distribute blocks evenly: piece i ends after floor(i*units/n) blocks.
 		end := lo + (units*i/n)*align
 		if end > hi || i == n {
 			end = hi
 		}
-		if end > prev {
-			out = append(out, b.withAxisRange(a, prev, end))
-			prev = end
+		if end > out[len(out)-1] {
+			out = append(out, end)
 		}
 	}
 	return out

@@ -57,7 +57,7 @@ func NewDispatch(dg *deps.Graph, p Policy) *Dispatch {
 	for li, ls := range dg.Plan.Layers {
 		base := d.RepOff[li]
 		dup := ls.Group.Dup
-		for si := range ls.Sets {
+		for si := 0; si < ls.NumSets(); si++ {
 			cnt[base+int32(p.Replica(si, dup))]++
 		}
 	}
@@ -72,7 +72,7 @@ func NewDispatch(dg *deps.Graph, p Policy) *Dispatch {
 	for li, ls := range dg.Plan.Layers {
 		base := d.RepOff[li]
 		dup := ls.Group.Dup
-		for si := range ls.Sets {
+		for si := 0; si < ls.NumSets(); si++ {
 			g := base + int32(p.Replica(si, dup))
 			d.Order[cnt[g]] = int32(si)
 			cnt[g]++

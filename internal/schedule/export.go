@@ -53,7 +53,7 @@ func (t *Timeline) BuildExport(dg *deps.Graph) Export {
 			Active:   t.LayerActive[li],
 		}
 		for si, it := range t.ItemsOf(li) {
-			b := ls.Sets[si].Box
+			b := ls.Box(si)
 			el.Items = append(el.Items, ExportItem{
 				Set: si, Replica: it.Replica, Start: it.Start, End: it.End,
 				H0: b.H0, H1: b.H1, W0: b.W0, W1: b.W1,

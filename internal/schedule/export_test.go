@@ -33,15 +33,15 @@ func TestExportJSONRoundTrip(t *testing.T) {
 		if el.Name != ls.Group.Node.Name || el.Replicas != ls.Group.Dup {
 			t.Errorf("layer %d header mismatch: %+v", li, el)
 		}
-		if len(el.Items) != len(ls.Sets) {
-			t.Fatalf("layer %d items = %d, want %d", li, len(el.Items), len(ls.Sets))
+		if len(el.Items) != ls.NumSets() {
+			t.Fatalf("layer %d items = %d, want %d", li, len(el.Items), ls.NumSets())
 		}
 		for si, it := range el.Items {
 			want := *s.At(li, si)
 			if it.Start != want.Start || it.End != want.End || it.Replica != want.Replica {
 				t.Fatalf("layer %d set %d timing mismatch", li, si)
 			}
-			box := ls.Sets[si].Box
+			box := ls.Box(si)
 			if it.H0 != box.H0 || it.H1 != box.H1 || it.W0 != box.W0 || it.W1 != box.W1 {
 				t.Fatalf("layer %d set %d box mismatch", li, si)
 			}

@@ -163,7 +163,7 @@ func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *T
 			active = t.ReplicaActive[li]
 		}
 		var layerEnd, layerActive int64
-		for si := 0; si < len(ls.Sets); si++ {
+		for si := 0; si < ls.NumSets(); si++ {
 			id := base + si
 			r := p.Replica(si, d)
 			start := ready[r]
@@ -235,7 +235,7 @@ func LayerByLayerVirtual(dg *deps.Graph, reload []int64) (*Timeline, error) {
 	for li, ls := range dg.Plan.Layers {
 		cur += reload[li]
 		base := int(csr.LayerOff[li])
-		for si := 0; si < len(ls.Sets); si++ {
+		for si := 0; si < ls.NumSets(); si++ {
 			c := csr.Cycles[base+si]
 			t.Items[base+si] = Item{Layer: li, Set: si, Replica: 0, Start: cur, End: cur + c}
 			cur += c

@@ -85,10 +85,8 @@ func TestLayerByLayerWithDuplication(t *testing.T) {
 		ti := int64(ls.Group.Node.OutShape.Pixels())
 		ideal := (ti + d - 1) / d
 		maxSet := int64(0)
-		for _, set := range ls.Sets {
-			if set.Cycles > maxSet {
-				maxSet = set.Cycles
-			}
+		for si := 0; si < ls.NumSets(); si++ {
+			maxSet = max(maxSet, ls.Cycles(si))
 		}
 		if span > ideal+maxSet {
 			t.Errorf("layer %d span %d exceeds t/d %d + one set %d", li, span, ideal, maxSet)
@@ -207,7 +205,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	// Find a set with at least one dependency and move it before the dep.
 	found := false
 	for li := range dg.Plan.Layers {
-		for si := range dg.Plan.Layers[li].Sets {
+		for si := 0; si < dg.Plan.Layers[li].NumSets(); si++ {
 			if len(dg.DepsOf(li, si)) == 0 {
 				continue
 			}

@@ -153,9 +153,9 @@ func (t *Timeline) Validate(dg *deps.Graph, opt Options) error {
 	}
 	for li, ls := range dg.Plan.Layers {
 		items := t.ItemsOf(li)
-		if len(items) != len(ls.Sets) {
+		if len(items) != ls.NumSets() {
 			return fmt.Errorf("schedule: layer %d has %d items, plan has %d sets",
-				li, len(items), len(ls.Sets))
+				li, len(items), ls.NumSets())
 		}
 		d := ls.Group.Dup
 		prevEnd := make([]int64, d)

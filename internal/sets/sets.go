@@ -35,31 +35,39 @@ const DefaultTargetSets = 26
 // partition (alignH x alignW tiles).
 const FineGranularity = 1 << 30
 
-// Set is one minimum scheduling unit.
-type Set struct {
-	// Layer indexes the owning group in Plan.Layers.
-	Layer int
-	// Index is the intra-layer raster position (Stage III order).
-	Index int
-	// Box is the tile in the layer's OFM coordinates.
-	Box region.Box
-	// Cycles is the execution time: one cycle per OFM pixel.
-	Cycles int64
-}
-
-// LayerSets holds the Stage I result for one mapped base layer. Sets
-// form a GH x GW grid in raster order; RowBounds and ColBounds hold the
-// grid boundaries (len GH+1 and GW+1) for O(log n) intersection queries.
+// LayerSets holds the Stage I result for one mapped base layer. Its
+// sets form a GH x GW grid over the OFM, numbered in raster order: set
+// si is grid cell (si / GW, si % GW) and spans the full channel depth
+// C, so two boundary arrays identify every set (paper §IV-1: "two
+// coordinates identify the set's location and size"). RowBounds and
+// ColBounds hold the grid boundaries (len GH+1 and GW+1) and answer
+// intersection queries in O(log n).
 type LayerSets struct {
 	Group  *mapping.Group
-	Sets   []Set
 	AlignH int
 	AlignW int
 	GH, GW int
+	// C is the channel depth every set spans (the OFM channel count).
+	C int
 	// RowBounds[i] is the first OFM row of grid row i; RowBounds[GH] is
 	// the OFM height. ColBounds likewise for columns.
 	RowBounds []int
 	ColBounds []int
+}
+
+// NumSets returns the layer's set count.
+func (ls *LayerSets) NumSets() int { return ls.GH * ls.GW }
+
+// Box returns the OFM tile of set si.
+func (ls *LayerSets) Box(si int) region.Box {
+	r, c := si/ls.GW, si%ls.GW
+	return region.NewBox(ls.RowBounds[r], ls.RowBounds[r+1], ls.ColBounds[c], ls.ColBounds[c+1], 0, ls.C)
+}
+
+// Cycles returns the execution time of set si: one cycle per OFM pixel.
+func (ls *LayerSets) Cycles(si int) int64 {
+	r, c := si/ls.GW, si%ls.GW
+	return int64(ls.RowBounds[r+1]-ls.RowBounds[r]) * int64(ls.ColBounds[c+1]-ls.ColBounds[c])
 }
 
 // Intersecting appends to dst the indices of sets whose boxes intersect
@@ -170,46 +178,51 @@ func Determine(g *nn.Graph, m *mapping.Mapping, opt Options) (*Plan, error) {
 		if gh > 0 && gh == unitsH && n > unitsH {
 			gw = min((n+gh-1)/gh, unitsW)
 		}
-		full := region.Full(out.H, out.W, out.C)
-		rows := full.SplitH(gh, alignH)
-		cols := full.SplitW(gw, alignW)
-		ls := LayerSets{Group: grp, AlignH: alignH, AlignW: alignW, GH: len(rows), GW: len(cols)}
-		ls.RowBounds = make([]int, 0, len(rows)+1)
-		for _, r := range rows {
-			ls.RowBounds = append(ls.RowBounds, r.H0)
+		ls := LayerSets{
+			Group: grp, AlignH: alignH, AlignW: alignW, C: out.C,
+			RowBounds: region.Cuts(0, out.H, gh, alignH),
+			ColBounds: region.Cuts(0, out.W, gw, alignW),
 		}
-		ls.RowBounds = append(ls.RowBounds, out.H)
-		ls.ColBounds = make([]int, 0, len(cols)+1)
-		for _, c := range cols {
-			ls.ColBounds = append(ls.ColBounds, c.W0)
-		}
-		ls.ColBounds = append(ls.ColBounds, out.W)
-		ls.Sets = make([]Set, 0, len(rows)*len(cols))
-		idx := 0
-		for _, r := range rows {
-			for _, c := range cols {
-				b := region.NewBox(r.H0, r.H1, c.W0, c.W1, 0, out.C)
-				ls.Sets = append(ls.Sets, Set{Layer: li, Index: idx, Box: b, Cycles: int64(b.Pixels())})
-				idx++
-			}
-		}
-		// The grid construction guarantees pairwise disjointness; volume
-		// and containment checks catch boundary bugs in O(n).
-		var vol int
-		for i := range ls.Sets {
-			s := &ls.Sets[i]
-			if s.Box.Empty() || !full.ContainsBox(s.Box) {
-				return nil, fmt.Errorf("sets: tile %v of %v outside OFM", s.Box, grp.Node)
-			}
-			vol += s.Box.Volume()
-		}
-		if vol != full.Volume() {
-			return nil, fmt.Errorf("sets: tiles of %v cover %d of %d elements", grp.Node, vol, full.Volume())
+		ls.GH, ls.GW = len(ls.RowBounds)-1, len(ls.ColBounds)-1
+		if err := ls.checkGrid(out.H, out.W); err != nil {
+			return nil, fmt.Errorf("sets: %v: %w", grp.Node, err)
 		}
 		plan.Layers = append(plan.Layers, ls)
 		plan.ByNode[grp.Node] = li
 	}
 	return plan, nil
+}
+
+// checkGrid verifies that the layer's grid tiles its h x w x C OFM
+// exactly. On a grid, boundary arrays that start at 0, strictly
+// increase and end at the OFM extent, with matching GH/GW and C > 0,
+// prove every set non-empty, the sets pairwise disjoint and their union
+// the whole OFM, in O(GH+GW).
+func (ls *LayerSets) checkGrid(h, w int) error {
+	if ls.C <= 0 {
+		return fmt.Errorf("channel depth %d", ls.C)
+	}
+	if err := checkBounds("row", ls.RowBounds, ls.GH, h); err != nil {
+		return err
+	}
+	return checkBounds("column", ls.ColBounds, ls.GW, w)
+}
+
+// checkBounds verifies one axis of a set grid: n cells whose boundaries
+// start at 0, strictly increase and end at extent.
+func checkBounds(axis string, b []int, n, extent int) error {
+	if n < 1 || len(b) != n+1 {
+		return fmt.Errorf("%d %s bounds for %d grid %ss", len(b), axis, n, axis)
+	}
+	if b[0] != 0 || b[n] != extent {
+		return fmt.Errorf("%s bounds span [%d, %d), OFM extent is %d", axis, b[0], b[n], extent)
+	}
+	for i := 1; i <= n; i++ {
+		if b[i] <= b[i-1] {
+			return fmt.Errorf("%s bound %d at %d does not follow %d", axis, i, b[i], b[i-1])
+		}
+	}
+	return nil
 }
 
 func clampAlign(a, extent int) int {
@@ -276,11 +289,7 @@ func min(a, b int) int {
 }
 
 // TotalCycles returns the serial execution time of one layer's sets
-// (its t_i under pure intra-layer scheduling).
-func (ls LayerSets) TotalCycles() int64 {
-	var t int64
-	for _, s := range ls.Sets {
-		t += s.Cycles
-	}
-	return t
+// (its t_i under pure intra-layer scheduling): one cycle per OFM pixel.
+func (ls *LayerSets) TotalCycles() int64 {
+	return int64(ls.RowBounds[ls.GH]-ls.RowBounds[0]) * int64(ls.ColBounds[ls.GW]-ls.ColBounds[0])
 }

@@ -50,16 +50,13 @@ func TestPartitionExactness(t *testing.T) {
 		for _, ls := range plan.Layers {
 			out := ls.Group.Node.OutShape
 			full := region.Full(out.H, out.W, out.C)
-			boxes := make([]region.Box, len(ls.Sets))
+			boxes := make([]region.Box, ls.NumSets())
 			var cycles int64
-			for i, s := range ls.Sets {
-				boxes[i] = s.Box
-				cycles += s.Cycles
-				if s.Layer != plan.ByNode[ls.Group.Node] || s.Index != i {
-					t.Fatalf("set bookkeeping wrong: %+v", s)
-				}
-				if s.Cycles != int64(s.Box.Pixels()) {
-					t.Fatalf("set cycles %d != pixels %d", s.Cycles, s.Box.Pixels())
+			for i := range boxes {
+				boxes[i] = ls.Box(i)
+				cycles += ls.Cycles(i)
+				if ls.Cycles(i) != int64(boxes[i].Pixels()) {
+					t.Fatalf("set cycles %d != pixels %d", ls.Cycles(i), boxes[i].Pixels())
 				}
 			}
 			if !region.CoversExactly(full, boxes) {
@@ -90,9 +87,9 @@ func TestAlignmentRespectsPooling(t *testing.T) {
 		if ls.AlignH != 2 {
 			t.Errorf("conv2d alignH = %d, want 2", ls.AlignH)
 		}
-		for _, s := range ls.Sets {
-			if s.Box.H1 != ls.Group.Node.OutShape.H && s.Box.H1%2 != 0 {
-				t.Errorf("boundary %d not aligned", s.Box.H1)
+		for si := 0; si < ls.NumSets(); si++ {
+			if b := ls.Box(si); b.H1 != ls.Group.Node.OutShape.H && b.H1%2 != 0 {
+				t.Errorf("boundary %d not aligned", b.H1)
 			}
 		}
 	}
@@ -139,13 +136,13 @@ func TestDupRounding(t *testing.T) {
 		if d <= 1 {
 			continue
 		}
-		if len(ls.Sets)%d != 0 && len(ls.Sets) >= d {
+		if ls.NumSets()%d != 0 && ls.NumSets() >= d {
 			// Rounding target to a multiple of d can still be clamped by
 			// alignment units; only flag clear violations.
 			units := (ls.Group.Node.OutShape.H + ls.AlignH - 1) / ls.AlignH
-			if len(ls.Sets) < units {
+			if ls.NumSets() < units {
 				t.Errorf("layer %v: %d sets not a multiple of dup %d (units %d)",
-					ls.Group.Node, len(ls.Sets), d, units)
+					ls.Group.Node, ls.NumSets(), d, units)
 			}
 		}
 	}
@@ -168,8 +165,8 @@ func TestGridIndexMatchesScan(t *testing.T) {
 		box := region.NewBox(h0-2, h0+r.Intn(8), w0-2, w0+r.Intn(8), 0, out.C)
 		got := ls.Intersecting(box, nil)
 		want := map[int]bool{}
-		for i, s := range ls.Sets {
-			if s.Box.Intersects(box) {
+		for i := 0; i < ls.NumSets(); i++ {
+			if ls.Box(i).Intersects(box) {
 				want[i] = true
 			}
 		}
@@ -202,9 +199,9 @@ func TestFineGranularityIsPerPixel(t *testing.T) {
 		out := ls.Group.Node.OutShape
 		unitsH := (out.H + ls.AlignH - 1) / ls.AlignH
 		unitsW := (out.W + ls.AlignW - 1) / ls.AlignW
-		if len(ls.Sets) != unitsH*unitsW {
+		if ls.NumSets() != unitsH*unitsW {
 			t.Errorf("layer %v: %d sets, want %d (finest aligned)",
-				ls.Group.Node, len(ls.Sets), unitsH*unitsW)
+				ls.Group.Node, ls.NumSets(), unitsH*unitsW)
 		}
 	}
 }
@@ -217,8 +214,8 @@ func TestRasterOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ls := range plan.Layers {
-		for i := 1; i < len(ls.Sets); i++ {
-			a, b := ls.Sets[i-1].Box, ls.Sets[i].Box
+		for i := 1; i < ls.NumSets(); i++ {
+			a, b := ls.Box(i-1), ls.Box(i)
 			if b.H0 < a.H0 || (b.H0 == a.H0 && b.W0 <= a.W0 && !(b.W0 > a.W0)) && b.W0 < a.W0 {
 				t.Fatalf("layer %v: sets out of raster order at %d", ls.Group.Node, i)
 			}
@@ -236,5 +233,64 @@ func TestTotalCycles(t *testing.T) {
 		if got := ls.TotalCycles(); got != int64(ls.Group.Node.OutShape.Pixels()) {
 			t.Errorf("TotalCycles = %d", got)
 		}
+	}
+}
+
+// TestCheckGridRejects feeds checkGrid every defect a set grid can
+// carry. Each must be rejected: together the rows show the O(GH+GW)
+// bounds check catches everything the per-tile empty / containment /
+// volume-sum loop it replaced caught.
+func TestCheckGridRejects(t *testing.T) {
+	const h, w, c = 8, 6, 4
+	good := func() LayerSets {
+		return LayerSets{GH: 3, GW: 2, C: c, RowBounds: []int{0, 2, 5, 8}, ColBounds: []int{0, 3, 6}}
+	}
+	if ls := good(); ls.checkGrid(h, w) != nil {
+		t.Fatalf("well-formed grid rejected: %v", ls.checkGrid(h, w))
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*LayerSets)
+	}{
+		{"gap: grid drops its last row", func(ls *LayerSets) { ls.GH = 2 }},
+		{"gap: grid drops its last column", func(ls *LayerSets) { ls.GW = 1 }},
+		{"stray bound: bounds outlast the grid", func(ls *LayerSets) { ls.GH, ls.RowBounds = 2, []int{0, 5, 8, 9} }},
+		{"missing bound: grid outlasts the bounds", func(ls *LayerSets) { ls.GH = 4 }},
+		{"overlap: row bound steps back", func(ls *LayerSets) { ls.RowBounds = []int{0, 5, 2, 8} }},
+		{"overlap: column bound steps back", func(ls *LayerSets) { ls.ColBounds = []int{0, 4, 3, 6} }},
+		{"empty set: repeated row bound", func(ls *LayerSets) { ls.RowBounds = []int{0, 2, 2, 8} }},
+		{"non-zero start: rows", func(ls *LayerSets) { ls.RowBounds = []int{1, 2, 5, 8} }},
+		{"non-zero start: columns", func(ls *LayerSets) { ls.ColBounds = []int{1, 3, 6} }},
+		{"short end: rows", func(ls *LayerSets) { ls.RowBounds = []int{0, 2, 5, 7} }},
+		{"short end: columns", func(ls *LayerSets) { ls.ColBounds = []int{0, 3, 5} }},
+		{"outside OFM: rows run past the end", func(ls *LayerSets) { ls.RowBounds = []int{0, 2, 5, 9} }},
+		{"no rows", func(ls *LayerSets) { ls.GH, ls.RowBounds = 0, []int{0} }},
+		{"C = 0", func(ls *LayerSets) { ls.C = 0 }},
+	} {
+		ls := good()
+		tc.mut(&ls)
+		if err := ls.checkGrid(h, w); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestDetermineAllocsIndependentOfSetCount pins Stage I's memory model:
+// sets are grid cells derived from two boundary arrays, so Determine's
+// allocation count depends on the layer count only, never on how many
+// sets those layers are cut into.
+func TestDetermineAllocsIndependentOfSetCount(t *testing.T) {
+	g, m := mapped(t, models.TinyYOLOv4, 416, 32)
+	allocs := func(target int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Determine(g, m, Options{TargetSets: target}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	coarse, fine := allocs(DefaultTargetSets), allocs(FineGranularity)
+	if coarse != fine {
+		t.Errorf("Determine allocs: %v at %d sets/layer, %v at FineGranularity; want equal",
+			coarse, DefaultTargetSets, fine)
 	}
 }

@@ -153,11 +153,12 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 		},
 	}
 	for li, ls := range dg.Plan.Layers {
-		st.setsLeft[li] = int32(len(ls.Sets))
+		st.setsLeft[li] = int32(ls.NumSets())
 	}
+	sv := csr.Successors()
 	for i := 0; i < ns; i++ {
 		st.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
-		st.consLeft[i] = csr.SuccOff[i+1] - csr.SuccOff[i]
+		st.consLeft[i] = sv.Off[i+1] - sv.Off[i]
 	}
 	return st
 }
@@ -248,7 +249,7 @@ func (st *refState) complete(e refEvent) {
 	st.busy[g] = false
 	st.pos[g]++
 
-	vol := int64(ls.Sets[si].Box.Volume())
+	vol := int64(ls.Box(si).Volume())
 	st.liveElems += vol
 	if st.liveElems > st.res.PeakLiveElems {
 		st.res.PeakLiveElems = st.liveElems
@@ -257,12 +258,13 @@ func (st *refState) complete(e refEvent) {
 		st.liveElems -= vol
 	}
 
-	for x := st.csr.SuccOff[e.id]; x < st.csr.SuccOff[e.id+1]; x++ {
-		cid := st.csr.Succ[x]
+	sv := st.csr.Successors()
+	for x := sv.Off[e.id]; x < sv.Off[e.id+1]; x++ {
+		cid := sv.Succ[x]
 		cl, cs := st.csr.Set(cid)
 		cost := int64(0)
 		if st.edge != nil {
-			cost = st.edge(deps.SetRef{Layer: li, Set: si, Vol: int(st.csr.SuccVol[x])}, cl)
+			cost = st.edge(deps.SetRef{Layer: li, Set: si, Vol: int(sv.Vol[x])}, cl)
 		}
 		if t := e.time + cost; t > st.readyAt[cid] {
 			st.readyAt[cid] = t
@@ -288,7 +290,7 @@ func (st *refState) retireInputsOf(id int32) {
 		st.consLeft[pid]--
 		if st.consLeft[pid] == 0 {
 			pl, ps := st.csr.Set(pid)
-			st.liveElems -= int64(st.dg.Plan.Layers[pl].Sets[ps].Box.Volume())
+			st.liveElems -= int64(st.dg.Plan.Layers[pl].Box(ps).Volume())
 		}
 	}
 }

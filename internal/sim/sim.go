@@ -135,6 +135,7 @@ type State struct {
 	arch      cim.Config
 	dg        *deps.Graph
 	csr       *deps.CSR
+	succ      *deps.SuccView // csr.Successors(), fetched once per run
 	m         *mapping.Mapping
 	p         schedule.Policy
 	edge      schedule.EdgeCostFn
@@ -249,6 +250,7 @@ func (st *State) prepare(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p 
 	nl := len(dg.Plan.Layers)
 	ns := csr.NumSets()
 	st.arch, st.dg, st.csr, st.m, st.p, st.edge = arch, dg, csr, m, p, opt.Edge
+	st.succ = csr.Successors()
 	st.disp = opt.Dispatch
 	if st.disp == nil {
 		st.disp = schedule.NewDispatch(dg, p)
@@ -257,8 +259,8 @@ func (st *State) prepare(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p 
 		st.vols = grow(st.vols, ns)
 		for li, ls := range dg.Plan.Layers {
 			off := csr.LayerOff[li]
-			for si := range ls.Sets {
-				st.vols[off+int32(si)] = int64(ls.Sets[si].Box.Volume())
+			for si := 0; si < ls.NumSets(); si++ {
+				st.vols[off+int32(si)] = int64(ls.Box(si).Volume())
 			}
 		}
 		st.maxCycles = 1
@@ -286,11 +288,11 @@ func (st *State) prepare(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p 
 	clear(st.gateOpen)
 	clear(st.layerDone)
 	for li := range dg.Plan.Layers {
-		st.setsLeft[li] = int32(len(dg.Plan.Layers[li].Sets))
+		st.setsLeft[li] = int32(dg.Plan.Layers[li].NumSets())
 	}
 	for i := 0; i < ns; i++ {
 		st.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
-		st.consLeft[i] = csr.SuccOff[i+1] - csr.SuccOff[i]
+		st.consLeft[i] = st.succ.Off[i+1] - st.succ.Off[i]
 	}
 	st.queue.Init(st.maxCycles, totalReps)
 	st.window = p.Window()
@@ -435,12 +437,13 @@ func (st *State) complete(id int32, now int64) {
 		st.liveElems -= vol
 	}
 
-	for x := csr.SuccOff[id]; x < csr.SuccOff[id+1]; x++ {
-		cid := csr.Succ[x]
+	sv := st.succ
+	for x := sv.Off[id]; x < sv.Off[id+1]; x++ {
+		cid := sv.Succ[x]
 		cl := int(csr.SetLayer[cid])
 		t := now
 		if st.edge != nil {
-			t += st.edge(deps.SetRef{Layer: li, Set: int(id - csr.LayerOff[li]), Vol: int(csr.SuccVol[x])}, cl)
+			t += st.edge(deps.SetRef{Layer: li, Set: int(id - csr.LayerOff[li]), Vol: int(sv.Vol[x])}, cl)
 		}
 		if t > st.readyAt[cid] {
 			st.readyAt[cid] = t

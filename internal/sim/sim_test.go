@@ -276,8 +276,8 @@ func TestBufferAccounting(t *testing.T) {
 	}
 	var total, largest int64
 	for _, ls := range cp.dg.Plan.Layers {
-		for _, s := range ls.Sets {
-			v := int64(s.Box.Volume())
+		for si := 0; si < ls.NumSets(); si++ {
+			v := int64(ls.Box(si).Volume())
 			total += v
 			if v > largest {
 				largest = v

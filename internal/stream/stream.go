@@ -163,6 +163,7 @@ type engine struct {
 	gate  int
 	disp  []*schedule.Dispatch // per model
 	csr   []*deps.CSR          // per model
+	succ  []*deps.SuccView     // per model: csr[mi].Successors()
 	peOff []int                // grpBase: global group id prefix per model
 	// grpLayer[mi][lg] is the layer of model mi's local group lg.
 	grpLayer [][]int32
@@ -274,6 +275,7 @@ func newEngine(w Workload, opt Options) *engine {
 		gate:         opt.MaxInFlight,
 		disp:         make([]*schedule.Dispatch, len(w.Models)),
 		csr:          make([]*deps.CSR, len(w.Models)),
+		succ:         make([]*deps.SuccView, len(w.Models)),
 		peOff:        make([]int, len(w.Models)+1),
 		grpLayer:     make([][]int32, len(w.Models)),
 		jobs:         make([]*jobState, len(w.Sequence)),
@@ -290,6 +292,7 @@ func newEngine(w Workload, opt Options) *engine {
 	for mi, s := range w.Models {
 		e.disp[mi] = schedule.NewDispatch(s.Graph, s.Policy)
 		e.csr[mi] = s.Graph.CSR
+		e.succ[mi] = s.Graph.CSR.Successors()
 		e.peOff[mi+1] = e.peOff[mi] + e.disp[mi].NumReplicas()
 		gl := make([]int32, e.disp[mi].NumReplicas())
 		for li := 0; li < len(s.Graph.Plan.Layers); li++ {
@@ -476,7 +479,7 @@ func (e *engine) admit(j int32, now int64) {
 		remaining: ns,
 	}
 	for li := range s.Graph.Plan.Layers {
-		jb.setsLeft[li] = int32(len(s.Graph.Plan.Layers[li].Sets))
+		jb.setsLeft[li] = int32(s.Graph.Plan.Layers[li].NumSets())
 	}
 	for i := 0; i < ns; i++ {
 		jb.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
@@ -607,12 +610,13 @@ func (e *engine) complete(ev payload, now int64) {
 	e.busy[G] = false
 	jb.pos[lg]++
 
-	for x := csr.SuccOff[ev.id]; x < csr.SuccOff[ev.id+1]; x++ {
-		cid := csr.Succ[x]
+	sv := e.succ[mi]
+	for x := sv.Off[ev.id]; x < sv.Off[ev.id+1]; x++ {
+		cid := sv.Succ[x]
 		cl := int(csr.SetLayer[cid])
 		cost := int64(0)
 		if s.Edge != nil {
-			cost = s.Edge(deps.SetRef{Layer: li, Set: si, Vol: int(csr.SuccVol[x])}, cl)
+			cost = s.Edge(deps.SetRef{Layer: li, Set: si, Vol: int(sv.Vol[x])}, cl)
 		}
 		if t := now + cost; t > jb.readyAt[cid] {
 			jb.readyAt[cid] = t
