@@ -500,7 +500,7 @@ func edgeCostFn(arch cim.Config, mapped *mapping.Mapping) schedule.EdgeCostFn {
 
 // scoringMode resolves the mode a scored solver optimizes for from
 // Config.SolverMode (default xinf), folded onto its canonical
-// representative for the layer count like Compiled.normalizeMode.
+// representative for the layer count (foldMode).
 func scoringMode(cfg Config, layers int) (ScheduleMode, error) {
 	mode := ModeCrossLayer
 	if cfg.SolverMode != "" {
@@ -510,13 +510,21 @@ func scoringMode(cfg Config, layers int) (ScheduleMode, error) {
 			return ScheduleMode{}, err
 		}
 	}
+	return foldMode(mode, layers), nil
+}
+
+// foldMode folds modes with provably identical schedules on a network
+// of the given layer count onto one canonical representative: any
+// window-1 mode is lbl, and any window at least the layer count is xinf
+// (the gate never engages).
+func foldMode(mode ScheduleMode, layers int) ScheduleMode {
 	switch k := mode.Window(); {
 	case k <= 1:
-		return ModeLayerByLayer, nil
+		return ModeLayerByLayer
 	case k >= layers:
-		return ModeCrossLayer, nil
+		return ModeCrossLayer
 	default:
-		return mode, nil
+		return mode
 	}
 }
 
@@ -665,21 +673,11 @@ func (c *Compiled) schedOptions(mode ScheduleMode) schedule.Options {
 	return opt
 }
 
-// normalizeMode folds modes with provably identical schedules onto one
-// canonical representative: any window-1 mode is lbl, and any window at
-// least the layer count is xinf (the gate never engages). This keeps
-// the timeline cache from computing x1 next to lbl, or x<large> next
-// to xinf.
+// normalizeMode is foldMode for the compilation's layer count. It keeps
+// the timeline cache from computing x1 next to lbl, or x<large> next to
+// xinf.
 func (c *Compiled) normalizeMode(mode ScheduleMode) ScheduleMode {
-	k := mode.Window()
-	switch {
-	case k <= 1:
-		return ModeLayerByLayer
-	case k >= len(c.depGraph.Plan.Layers):
-		return ModeCrossLayer
-	default:
-		return mode
-	}
+	return foldMode(mode, len(c.depGraph.Plan.Layers))
 }
 
 // timeline returns the validated execution timeline of the compilation

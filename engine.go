@@ -233,25 +233,9 @@ func normalizeCfg(cfg Config) (Config, int) {
 	return cfg, 0
 }
 
-// cacheKey canonicalizes a (model, config) pair via normalizeCfg.
-func cacheKey(model string, cfg Config) (string, error) {
-	cfg, _ = normalizeCfg(cfg)
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("clsacim: encoding cache key: %w", err)
-	}
-	return model + "\x00" + string(b), nil
-}
-
-// compile returns the cached compilation of (m, cfg), compiling at most
-// once per key (single-flight).
-func (e *Engine) compile(ctx context.Context, m *Model, cfg Config) (*Compiled, error) {
-	c, _, err := e.compileCounted(ctx, m, cfg)
-	return c, err
-}
-
-// compileCounted is compile exposing whether the request was served
-// from the cache (hit = true includes waiting on an in-flight
+// compileCounted returns the cached compilation of (m, cfg), compiling
+// at most once per key (single-flight), and whether the request was
+// served from the cache (hit = true includes waiting on an in-flight
 // compilation) — the input of the partial-hit accounting. Waiters honor
 // ctx; the compilation itself runs to completion once started so late
 // arrivals can still use it. With a cache limit set, finishing a
@@ -397,22 +381,35 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Compiled, error) {
 	// A compilation that ran past the request deadline still lands in
 	// the cache for later requests, but this caller asked for a bound
 	// and must see the expiry — same contract as Schedule/Evaluate.
-	if err := ctx.Err(); err != nil {
+	if err := deadlineErr(ctx); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// notePartial records a compile-cache hit that still has to run Stage
-// III/IV because the requested canonical mode has no cached timeline
-// yet. Callers invoke it (on hit) before scheduling; the check races
-// benignly with concurrent builders of the same timeline — a request
-// that loses that race did wait on scheduling work, which is exactly
-// what the counter measures.
-func (e *Engine) notePartial(comp *Compiled, mode ScheduleMode) {
-	if !comp.hasTimeline(mode) {
+// scheduleChecked is the step every request path runs on a compilation
+// returned by compileCounted: fail on a blown deadline, count a partial
+// hit, schedule (Stage III/IV, cached per canonical mode), and validate
+// the report under WithValidation.
+//
+// The partial-hit check races benignly with concurrent builders of the
+// same timeline — a request that loses that race did wait on
+// scheduling work, which is exactly what the counter measures.
+func (e *Engine) scheduleChecked(ctx context.Context, comp *Compiled, hit bool, mode ScheduleMode) (*Report, error) {
+	if err := deadlineErr(ctx); err != nil {
+		return nil, err
+	}
+	if hit && !comp.hasTimeline(mode) {
 		e.partialHits.Add(1)
 	}
+	rep, err := comp.Schedule(mode)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.checkReport(rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // Schedule compiles (cached) and schedules the request, returning the
@@ -423,20 +420,7 @@ func (e *Engine) Schedule(ctx context.Context, req Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if hit {
-		e.notePartial(comp, req.Mode)
-	}
-	rep, err := comp.Schedule(req.Mode)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.checkReport(rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return e.scheduleChecked(ctx, comp, hit, req.Mode)
 }
 
 // checkReport runs the engine-independent invariant checker on a
@@ -512,27 +496,12 @@ func (e *Engine) evaluate(ctx context.Context, m *Model, req Request) (*Evaluati
 	if err != nil {
 		return nil, err
 	}
-	if err := deadlineErr(ctx); err != nil {
-		return nil, err
-	}
-	if baseHit {
-		e.notePartial(baseComp, ModeLayerByLayer)
-	}
-	baseline, err := baseComp.Schedule(ModeLayerByLayer)
+	baseline, err := e.scheduleChecked(ctx, baseComp, baseHit, ModeLayerByLayer)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkReport(baseline); err != nil {
-		return nil, err
-	}
-	if hit {
-		e.notePartial(comp, req.Mode)
-	}
-	result, err := comp.Schedule(req.Mode)
+	result, err := e.scheduleChecked(ctx, comp, hit, req.Mode)
 	if err != nil {
-		return nil, err
-	}
-	if err := e.checkReport(result); err != nil {
 		return nil, err
 	}
 	e.evaluations.Add(1)
@@ -567,152 +536,30 @@ func (e *Engine) runPool(n int, fn func(int)) {
 }
 
 // EvaluateBatch evaluates requests concurrently on a worker pool
-// bounded by WithWorkers (default GOMAXPROCS). Results are positionally
-// aligned with reqs; per-request failures land in BatchResult.Err
-// rather than aborting the batch. The returned error is non-nil only
-// when ctx was cancelled, in which case unprocessed requests carry the
-// context error.
+// bounded by WithWorkers (default GOMAXPROCS): each request runs
+// Evaluate. Results are positionally aligned with reqs; per-request
+// failures land in BatchResult.Err rather than aborting the batch. The
+// returned error is non-nil only when ctx was cancelled, in which case
+// unprocessed requests carry the context error.
 //
-// The batch is sweep-structured: requests are first grouped by their
-// compile keys (model, architecture, mapping, granularity — baseline
-// and variant alike), each distinct key compiles exactly once on the
-// worker pool, and only then does the per-request scheduling work fan
-// out. A sweep of N points over K distinct configurations probes the
-// compile cache K times instead of 2N; cache accounting stays exactly
-// as if the requests had run serially (each deduplicated reference
-// counts as the hit it would have been).
+// Every request's deadline clock starts when the batch starts, so a
+// TimeoutMillis covers the time the request queues behind others. A
+// blown deadline fails only that request's slot: a compilation, once
+// started, runs to completion under single-flight, so co-batched
+// requests sharing its key still use it. Duplicate keys within a batch
+// compile once through the same cache, and the hit accounting is that
+// of the same requests sent through Evaluate one by one.
 func (e *Engine) EvaluateBatch(ctx context.Context, reqs []Request) ([]BatchResult, error) {
 	out := make([]BatchResult, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	// Phase 1: resolve models, normalize configs, deduplicate compile
-	// jobs. A job's probe (its first referencing request) carries the
-	// hit/miss accounting, but the compile itself runs under the batch
-	// context: per-request deadlines apply only to that request's own
-	// result slot, so one short-timeout request can never poison
-	// co-batched requests sharing its compile key.
-	type compileJob struct {
-		m    *Model
-		cfg  Config // normalized (ExtraPEs folded out)
-		comp *Compiled
-		hit  bool
-		err  error
-	}
-	type reqPlan struct {
-		err        error
-		base, vari *compileJob
-		baseFirst  bool // this request's probe compiles the baseline key
-		variFirst  bool
-		variX      int // ExtraPEs to re-apply as an F-view
-	}
-	jobs := make(map[string]*compileJob)
-	var order []*compileJob
-	plan := make([]reqPlan, len(reqs))
-	// Per-request deadline clocks start now, before the compile fan-out,
-	// so a request's TimeoutMillis covers its share of waiting on shared
-	// compilations (as it would when calling Evaluate directly).
-	rctxs := make([]context.Context, len(reqs))
+	rctx := make([]context.Context, len(reqs))
 	for i, req := range reqs {
 		var cancel context.CancelFunc
-		rctxs[i], cancel = requestCtx(ctx, req)
+		rctx[i], cancel = requestCtx(ctx, req)
 		defer cancel()
-		m, err := lookupModel(req.Model)
-		if err != nil {
-			plan[i].err = err
-			continue
-		}
-		cfg := e.effective(req)
-		for slot, c := range [2]Config{baselineCfg(cfg), cfg} {
-			norm, extra := normalizeCfg(c)
-			b, err := json.Marshal(norm)
-			if err != nil {
-				plan[i].err = fmt.Errorf("clsacim: encoding cache key: %w", err)
-				break
-			}
-			key := m.Name + "\x00" + string(b)
-			j, ok := jobs[key]
-			if !ok {
-				j = &compileJob{m: m, cfg: norm}
-				jobs[key] = j
-				order = append(order, j)
-			}
-			if slot == 0 {
-				plan[i].base, plan[i].baseFirst = j, !ok
-			} else {
-				plan[i].vari, plan[i].variFirst, plan[i].variX = j, !ok, extra
-			}
-		}
 	}
-	// Phase 2: compile each distinct key once, fanned over the pool,
-	// under the batch context — a key may serve many requests with
-	// different deadlines, so no individual deadline may abort it.
-	e.runPool(len(order), func(k int) {
-		j := order[k]
-		j.comp, j.hit, j.err = e.compileCounted(ctx, j.m, j.cfg)
-	})
-	// Phase 3: per-request scheduling, fanned over the pool.
 	e.runPool(len(reqs), func(i int) {
 		out[i].Request = reqs[i]
-		p := plan[i]
-		if p.err != nil {
-			out[i].Err = p.err
-			return
-		}
-		// Every reference beyond a key's compiling probe is a cache hit.
-		if !p.baseFirst {
-			e.hits.Add(1)
-		}
-		if !p.variFirst {
-			e.hits.Add(1)
-		}
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			return
-		}
-		if p.base.err != nil {
-			out[i].Err = p.base.err
-			return
-		}
-		if p.vari.err != nil {
-			out[i].Err = p.vari.err
-			return
-		}
-		baseComp := p.base.comp
-		comp := p.vari.comp
-		if p.variX > 0 {
-			comp = comp.withExtraPEs(p.variX)
-		}
-		if err := deadlineErr(rctxs[i]); err != nil {
-			out[i].Err = err
-			return
-		}
-		if p.base.hit || !p.baseFirst {
-			e.notePartial(baseComp, ModeLayerByLayer)
-		}
-		if p.vari.hit || !p.variFirst {
-			e.notePartial(comp, reqs[i].Mode)
-		}
-		baseline, err := baseComp.Schedule(ModeLayerByLayer)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		if err := e.checkReport(baseline); err != nil {
-			out[i].Err = err
-			return
-		}
-		result, err := comp.Schedule(reqs[i].Mode)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		if err := e.checkReport(result); err != nil {
-			out[i].Err = err
-			return
-		}
-		e.evaluations.Add(1)
-		out[i].Evaluation = newEvaluation(baseline, result, comp)
+		out[i].Evaluation, out[i].Err = e.Evaluate(rctx[i], reqs[i])
 	})
 	return out, ctx.Err()
 }

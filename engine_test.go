@@ -166,33 +166,48 @@ func TestExtraPEsViewMatchesDirectCompile(t *testing.T) {
 }
 
 func TestEvaluateBatchStatsMatchSerial(t *testing.T) {
-	// The sweep-structured batch must preserve the cache accounting of
-	// the serial path exactly: one miss per distinct key, every further
-	// reference a hit.
-	reqs := sweepRequests("tinybranchnet", 8)
-	serial := MustNew()
-	for _, req := range reqs {
-		if _, err := serial.Evaluate(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
+	// The batch must preserve the cache accounting of the serial path
+	// exactly: one miss per distinct key, every further reference a hit
+	// — also when a small cache limit evicts keys mid-batch and a later
+	// reference has to compile them again.
+	sweep := sweepRequests("tinybranchnet", 8)
+	cases := []struct {
+		name string
+		reqs []Request
+		opts []Option
+	}{
+		{"unbounded", sweep, nil},
+		{"evicting", append(append([]Request{}, sweep...), sweep...),
+			[]Option{WithCacheLimit(2), WithWorkers(1)}},
 	}
-	batch := MustNew()
-	results, err := batch.EvaluateBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("batch result %d: %v", i, res.Err)
-		}
-	}
-	ss, bs := serial.Stats(), batch.Stats()
-	if bs.Compiles != ss.Compiles || bs.CacheMisses != ss.CacheMisses ||
-		bs.CacheHits != ss.CacheHits || bs.Evaluations != ss.Evaluations {
-		t.Errorf("batch stats %+v, serial stats %+v", bs, ss)
-	}
-	if bs.CachedEntries != ss.CachedEntries {
-		t.Errorf("batch cached %d entries, serial %d", bs.CachedEntries, ss.CachedEntries)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := MustNew(tc.opts...)
+			for _, req := range tc.reqs {
+				if _, err := serial.Evaluate(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch := MustNew(tc.opts...)
+			results, err := batch.EvaluateBatch(context.Background(), tc.reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range results {
+				if res.Err != nil {
+					t.Fatalf("batch result %d: %v", i, res.Err)
+				}
+			}
+			ss, bs := serial.Stats(), batch.Stats()
+			if bs.Compiles != ss.Compiles || bs.CacheMisses != ss.CacheMisses ||
+				bs.CacheHits != ss.CacheHits || bs.Evictions != ss.Evictions ||
+				bs.Evaluations != ss.Evaluations {
+				t.Errorf("batch stats %+v, serial stats %+v", bs, ss)
+			}
+			if bs.CachedEntries != ss.CachedEntries {
+				t.Errorf("batch cached %d entries, serial %d", bs.CachedEntries, ss.CachedEntries)
+			}
+		})
 	}
 }
 
@@ -871,23 +886,37 @@ func TestCacheLimitKeepsInflightEntries(t *testing.T) {
 	}
 }
 
+var sleepingSolvers atomic.Int64
+
+// registerSleepingSolver registers a duplication solver that sleeps for
+// d and then duplicates nothing, pinning a compile's duration so that
+// deadline tests do not race a real cold compile against a short timer.
+// The solver registry is process-global and rejects duplicates, so the
+// name is fresh on every call (and under -count=N).
+func registerSleepingSolver(t *testing.T, d time.Duration) string {
+	t.Helper()
+	name := fmt.Sprintf("test-sleeps-%d", sleepingSolvers.Add(1))
+	err := RegisterSolver(name, func(layers []SolverLayer, totalPEs, minPEs int) ([]int, error) {
+		time.Sleep(d)
+		dup := make([]int, len(layers))
+		for i := range dup {
+			dup[i] = 1
+		}
+		return dup, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return name
+}
+
 func TestRequestTimeoutMillis(t *testing.T) {
 	eng := MustNew()
 	// Pin the compile duration well past the deadline with a sleeping
 	// solver, so the deadline check after compilation fires
 	// deterministically (racing a real cold compile against a short
 	// timer is flaky under load).
-	solverName := fmt.Sprintf("test-sleeps-%d", time.Now().UnixNano())
-	if err := RegisterSolver(solverName, func(layers []SolverLayer, totalPEs, minPEs int) ([]int, error) {
-		time.Sleep(250 * time.Millisecond)
-		d := make([]int, len(layers))
-		for i := range d {
-			d[i] = 1
-		}
-		return d, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	solverName := registerSleepingSolver(t, 250*time.Millisecond)
 	_, err := eng.Evaluate(context.Background(), Request{
 		Model: "tinyconvnet", ExtraPEs: 1, WeightDuplication: true,
 		Solver: solverName, TimeoutMillis: 1,
@@ -928,28 +957,40 @@ func TestRequestTimeoutMillis(t *testing.T) {
 	}
 }
 
+// TestEvaluateBatchDeadlineStartsAtBatchStart: a request's TimeoutMillis
+// counts from the start of the batch, not from when a worker picks the
+// request up, so a request queued behind slow work expires in the queue.
+func TestEvaluateBatchDeadlineStartsAtBatchStart(t *testing.T) {
+	solverName := registerSleepingSolver(t, 300*time.Millisecond)
+	eng := MustNew(WithWorkers(1))
+	out, err := eng.EvaluateBatch(context.Background(), []Request{
+		{Model: "tinyconvnet", Mode: ModeCrossLayer, ExtraPEs: 1, WeightDuplication: true, Solver: solverName},
+		// A different model: no shared compile to wait on, only the
+		// queue behind request 0 on the single worker.
+		{Model: "tinybranchnet", Mode: ModeCrossLayer, TimeoutMillis: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Err != nil {
+		t.Fatalf("slow request: %v", out[0].Err)
+	}
+	if !errors.Is(out[1].Err, context.DeadlineExceeded) {
+		t.Errorf("queued request: err = %v, want context.DeadlineExceeded", out[1].Err)
+	}
+}
+
 // TestEvaluateBatchMixedDeadlines: a short-timeout request in a batch
 // must not poison co-batched requests sharing its compile key. The
-// shared compile runs under the batch context; the short deadline fails
-// only that request's own result slot.
+// shared compile runs to completion under single-flight; the short
+// deadline fails only that request's own result slot.
 func TestEvaluateBatchMixedDeadlines(t *testing.T) {
 	eng := MustNew()
 	// Pin the shared compile well past the short deadline with a
 	// sleeping solver so the timeout fires deterministically.
-	solverName := fmt.Sprintf("test-batch-sleeps-%d", time.Now().UnixNano())
-	if err := RegisterSolver(solverName, func(layers []SolverLayer, totalPEs, minPEs int) ([]int, error) {
-		time.Sleep(250 * time.Millisecond)
-		d := make([]int, len(layers))
-		for i := range d {
-			d[i] = 1
-		}
-		return d, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Request 0 (the compile job's probe under the old attribution) has
-	// a 1 ms deadline; requests 1 and 2 share its compile key with no
-	// deadline and a generous one.
+	solverName := registerSleepingSolver(t, 250*time.Millisecond)
+	// Request 0 has a 1 ms deadline; requests 1 and 2 share its compile
+	// key with no deadline and a generous one.
 	mk := func(timeoutMillis int64) Request {
 		return Request{
 			Model: "tinyconvnet", Mode: ModeCrossLayer, ExtraPEs: 1,

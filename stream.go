@@ -249,27 +249,24 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 	defer cancel()
 
 	comps := make([]*Compiled, len(req.Models))
+	hits := make([]bool, len(req.Models))
 	for i, sm := range req.Models {
 		m, err := lookupModel(sm.Model)
 		if err != nil {
 			return nil, err
 		}
-		// Overlay the stream's scheduling mode: hit accounting below and
-		// scored solvers (which optimize the requested mode's makespan)
-		// both need the mode the models will actually run under.
+		// Overlay the stream's scheduling mode: scored solvers optimize
+		// the makespan of the mode the models will actually run under.
 		r := sm.request()
 		r.Mode = req.Mode
 		c, hit, err := e.compileCounted(ctx, m, e.effective(r))
 		if err != nil {
 			return nil, err
 		}
-		if hit {
-			e.notePartial(c, req.Mode)
-		}
 		if c.Virtualized() {
 			return nil, fmt.Errorf("clsacim: stream model %q is virtualized (F < PEmin); streaming requires full weight residency", sm.Model)
 		}
-		comps[i] = c
+		comps[i], hits[i] = c, hit
 	}
 	tMVM := comps[0].cfg.TMVMNanos
 	for i, c := range comps {
@@ -337,7 +334,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 		return nil, err
 	}
 
-	out, err := e.assembleStreamResult(req, comps, res, tMVM, fabric)
+	out, err := e.assembleStreamResult(ctx, req, comps, hits, res, tMVM, fabric)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +370,7 @@ func modelMix(req StreamRequest) ([]int, error) {
 	return stream.ModelSequence(req.Arrival.Seed^0x6d697865726d6978, req.Inferences, weights)
 }
 
-func (e *Engine) assembleStreamResult(req StreamRequest, comps []*Compiled, res *stream.Result, tMVM float64, fabric int) (*StreamResult, error) {
+func (e *Engine) assembleStreamResult(ctx context.Context, req StreamRequest, comps []*Compiled, hits []bool, res *stream.Result, tMVM float64, fabric int) (*StreamResult, error) {
 	elapsed := metrics.LatencyNanos(res.MakespanCycles, tMVM)
 	out := &StreamResult{
 		Inferences:     len(res.Jobs),
@@ -415,12 +412,11 @@ func (e *Engine) assembleStreamResult(req StreamRequest, comps []*Compiled, res 
 	if res.MakespanCycles > 0 && fabric > 0 {
 		out.PEUtilization = float64(busy) / (float64(fabric) * float64(res.MakespanCycles))
 	}
+	// Each model's single-inference reference is where Stage III/IV runs
+	// for its compilation, so the stream's partial hits are counted here.
 	for i, c := range comps {
-		rep, err := c.Schedule(req.Mode)
+		rep, err := e.scheduleChecked(ctx, c, hits[i], req.Mode)
 		if err != nil {
-			return nil, err
-		}
-		if err := e.checkReport(rep); err != nil {
 			return nil, err
 		}
 		mr := StreamModelResult{
