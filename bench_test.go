@@ -395,15 +395,15 @@ func BenchmarkStageIV(b *testing.B) {
 }
 
 // BenchmarkSimulate measures the steady-state discrete-event simulator
-// on the same workload and policies: a reused sim.State and a prebuilt
-// Stage III dispatch plan, the way Compiled.Simulate drives it. The
-// cold path (fresh scratch, dispatch built per run) is sim.Run.
+// on the same workload and policies: a reused sim.State, which keeps its
+// scratch and its Stage III dispatch plan across runs of one workload.
+// The cold path (fresh scratch, dispatch built per run) is sim.Run.
 func BenchmarkSimulate(b *testing.B) {
 	m, dg, arch := stageIVWorkload(b)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
 		b.Run(p.Name(), func(b *testing.B) {
 			st := sim.NewState()
-			opt := sim.Options{Dispatch: schedule.NewDispatch(dg, p)}
+			var opt sim.Options
 			if _, err := st.Run(arch, dg, m, p, opt); err != nil {
 				b.Fatal(err) // warm the scratch so allocs/op is steady-state
 			}
@@ -430,7 +430,7 @@ func BenchmarkSimulateCoarse(b *testing.B) {
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
 		b.Run(p.Name(), func(b *testing.B) {
 			st := sim.NewState()
-			opt := sim.Options{Dispatch: schedule.NewDispatch(dg, p)}
+			var opt sim.Options
 			if _, err := st.RunCoarse(arch, dg, m, p, opt); err != nil {
 				b.Fatal(err) // warm the scratch so allocs/op is steady-state
 			}
@@ -470,9 +470,10 @@ func BenchmarkScheduleCrossLayer(b *testing.B) {
 	}
 }
 
-// BenchmarkEventSimTinyYOLOv4 measures the discrete-event simulator on
-// the same workload.
-func BenchmarkEventSimTinyYOLOv4(b *testing.B) {
+// BenchmarkReportDerivedMetrics measures the per-PE activity and the
+// buffer peak that a report derives from its cached timeline on the
+// same workload.
+func BenchmarkReportDerivedMetrics(b *testing.B) {
 	m, err := clsacim.LoadModel("tinyyolov4", clsacim.ModelOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -481,10 +482,15 @@ func BenchmarkEventSimTinyYOLOv4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rep, err := comp.Schedule(clsacim.ModeCrossLayer)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.Simulate(clsacim.ModeCrossLayer); err != nil {
-			b.Fatal(err)
+		if len(rep.PEActive()) != rep.F || rep.PeakLiveElems() <= 0 {
+			b.Fatal("empty report metrics")
 		}
 	}
 }

@@ -58,7 +58,6 @@ import (
 	"clsacim/internal/nn"
 	"clsacim/internal/schedule"
 	"clsacim/internal/sets"
-	"clsacim/internal/sim"
 )
 
 // ScheduleMode selects the scheduling strategy. The zero value is the
@@ -272,14 +271,13 @@ type Compiled struct {
 
 	// sched is the compilation's mutable scheduling state, shared by
 	// pointer between a base compilation and its derived F-views (see
-	// withExtraPEs), so all of them reuse one set of timelines,
-	// validation marks, the Stage III dispatch plan, and the simulator
-	// scratch pool.
+	// withExtraPEs), so all of them reuse one set of timelines and
+	// validation marks.
 	sched *schedState
 }
 
-// schedState caches everything scheduling and simulation derive from a
-// compilation's immutable Stage I-III artifacts.
+// schedState caches what scheduling derives from a compilation's
+// immutable Stage I-III artifacts.
 //
 // timelines caches validated schedules per canonical mode wire name. A
 // Compiled is immutable and shared through the Engine's compile cache,
@@ -287,19 +285,13 @@ type Compiled struct {
 // sweeps that rescore the same baseline hit this cache. checked (same
 // key space, same lock) marks timelines that already passed the full
 // internal/check invariant set, so WithValidation sweeps validate each
-// cached timeline once instead of per request.
-//
-// dispatch is the lazily built Stage III dispatch plan and simPool the
-// sim.State scratch, both used only by Simulate: every built-in policy
-// shares the raster Replica rule, so one plan serves every scheduling
-// mode, and re-simulating a cached compilation under another mode only
-// re-runs the event loop.
+// cached timeline once instead of per request. Per-PE activity and the
+// buffer peak are derived from a cached timeline on demand
+// (Report.PEActive, Report.PeakLiveElems).
 type schedState struct {
 	mu        sync.Mutex
 	timelines map[string]*schedule.Timeline
 	checked   map[string]bool
-	dispatch  *schedule.Dispatch
-	simPool   sync.Pool // *sim.State
 }
 
 // Virtualized reports whether the compilation uses weight reloading
@@ -433,7 +425,6 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 		sched: &schedState{
 			timelines: make(map[string]*schedule.Timeline),
 			checked:   make(map[string]bool),
-			simPool:   sync.Pool{New: func() any { return sim.NewState() }},
 		},
 		cfg:      cfg,
 		arch:     arch,
@@ -456,9 +447,9 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 // independent of how many idle extra PEs the architecture provides —
 // only the reported F, the Eq. 2 utilization denominator, and the Eq. 3
 // x differ. The view is a shallow copy with the PE count adjusted; the
-// scheduling state (timelines, dispatch plan, simulator pool) stays
-// shared with the base, so a no-duplication ExtraPEs sweep compiles and
-// schedules once.
+// scheduling state (timelines and validation marks) stays shared with
+// the base, so a no-duplication ExtraPEs sweep compiles and schedules
+// once.
 func (c *Compiled) withExtraPEs(x int) *Compiled {
 	v := *c
 	v.cfg.ExtraPEs = x
@@ -732,21 +723,6 @@ func (c *Compiled) hasTimeline(mode ScheduleMode) bool {
 	return ok
 }
 
-// dispatch returns the compilation's shared Stage III dispatch plan,
-// building it on first use. Every built-in policy shares the raster
-// Replica rule, so one plan serves all scheduling modes.
-func (c *Compiled) dispatch() *schedule.Dispatch {
-	s := c.sched
-	s.mu.Lock()
-	d := s.dispatch
-	if d == nil {
-		d = schedule.NewDispatch(c.depGraph, schedule.CrossLayer)
-		s.dispatch = d
-	}
-	s.mu.Unlock()
-	return d
-}
-
 // Schedule runs Stage III/IV under the mode's policy (the layer-by-layer
 // baseline, xK bounded windows, or full cross-layer) and computes the
 // metrics. The schedule is validated before being returned. Virtualized
@@ -894,56 +870,26 @@ func (r *Report) CriticalLayers() ([]CriticalStep, error) {
 	return out, nil
 }
 
+// PEActive returns the busy cycles of each of the F PEs over the
+// schedule (the per-PE terms of paper Eq. 2). PEs shared between layers
+// under weight virtualization sum the activity of every layer placed on
+// them.
+func (r *Report) PEActive() []int64 {
+	return metrics.PEActive(r.sched, r.comp.mapped)
+}
+
+// PeakLiveElems returns the largest number of intermediate OFM elements
+// buffered at one instant of the schedule: a set's output is live from
+// its end to the end of its last reader.
+func (r *Report) PeakLiveElems() int64 {
+	return metrics.PeakLiveElems(r.sched, r.comp.depGraph)
+}
+
 // WriteScheduleJSON serializes the full set-level schedule (layer names,
 // replica assignment, per-set timing and OFM boxes) as indented JSON for
 // external tooling.
 func (r *Report) WriteScheduleJSON(w io.Writer) error {
 	return r.sched.WriteJSON(w, r.comp.depGraph)
-}
-
-// SimReport is the outcome of the event-driven simulation.
-type SimReport struct {
-	Model          string
-	Mode           ScheduleMode
-	MakespanCycles int64
-	LatencyNanos   float64
-	Utilization    float64
-	// PeakLiveElems is the maximum number of intermediate OFM elements
-	// simultaneously buffered on the architecture.
-	PeakLiveElems int64
-	// PEActive holds per-PE busy cycles (length F).
-	PEActive []int64
-}
-
-// Simulate executes the workload on the discrete-event simulator
-// (package sim) instead of the analytic scheduler. Both produce
-// identical timelines — the simulator additionally reports per-PE
-// activity and buffer pressure.
-//
-// Re-simulation on a cached compilation is incremental: the Stage I-III
-// artifacts and the dispatch plan are reused across modes, the event
-// loop's scratch state comes from a shared pool, and only the event
-// loop itself re-runs.
-func (c *Compiled) Simulate(mode ScheduleMode) (*SimReport, error) {
-	nm := c.normalizeMode(mode)
-	st := c.sched.simPool.Get().(*sim.State)
-	res, err := st.Run(c.arch, c.depGraph, c.mapped, nm.policy(), sim.Options{
-		Edge:     c.schedOptions(nm).EdgeCost,
-		Dispatch: c.dispatch(),
-	})
-	c.sched.simPool.Put(st)
-	if err != nil {
-		return nil, err
-	}
-	return &SimReport{
-		Model:          c.ModelName,
-		Mode:           mode,
-		MakespanCycles: res.Makespan,
-		LatencyNanos:   metrics.LatencyNanos(res.Makespan, c.arch.TMVMNanos),
-		Utilization:    res.Utilization,
-		PeakLiveElems:  res.PeakLiveElems,
-		PEActive:       res.PEActive,
-	}, nil
 }
 
 // Evaluation compares one configuration against the paper's reference:

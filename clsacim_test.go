@@ -206,7 +206,10 @@ func TestBuilderNoOutput(t *testing.T) {
 	}
 }
 
-func TestSimulateMatchesSchedule(t *testing.T) {
+// TestReportPEActivityAndBufferPeak: the report's per-PE activity spans
+// all F PEs and sums to the Eq. 2 numerator, and the schedule buffers
+// some intermediate data.
+func TestReportPEActivityAndBufferPeak(t *testing.T) {
 	c, err := Compile(load(t, "tinyyolov4"), Config{ExtraPEs: 16, WeightDuplication: true, TargetSets: 26})
 	if err != nil {
 		t.Fatal(err)
@@ -216,21 +219,20 @@ func TestSimulateMatchesSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := c.Simulate(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.MakespanCycles != rep.MakespanCycles {
-			t.Errorf("%v: sim %d != sched %d", mode, sr.MakespanCycles, rep.MakespanCycles)
-		}
-		if diff := sr.Utilization - rep.Utilization; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("%v: sim ut %v != sched ut %v", mode, sr.Utilization, rep.Utilization)
-		}
-		if sr.PeakLiveElems <= 0 {
+		if rep.PeakLiveElems() <= 0 {
 			t.Errorf("%v: no buffer pressure recorded", mode)
 		}
-		if len(sr.PEActive) != c.TotalPEs() {
-			t.Errorf("%v: PEActive length %d", mode, len(sr.PEActive))
+		act := rep.PEActive()
+		if len(act) != c.TotalPEs() {
+			t.Errorf("%v: PEActive length %d", mode, len(act))
+		}
+		var sum int64
+		for _, a := range act {
+			sum += a
+		}
+		ut := float64(sum) / (float64(rep.F) * float64(rep.MakespanCycles))
+		if diff := ut - rep.Utilization; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("%v: utilization from PEActive %v != reported %v", mode, ut, rep.Utilization)
 		}
 	}
 }
@@ -418,8 +420,7 @@ func TestSolverVariantsCompile(t *testing.T) {
 
 // TestModeWindowFacade exercises the bounded xK family end to end
 // through the public API: makespans are bracketed by the two extremes
-// and monotone in K, the analytic schedule matches the event simulator,
-// and the mode survives a Request JSON round trip.
+// and monotone in K, and the mode survives a Request JSON round trip.
 func TestModeWindowFacade(t *testing.T) {
 	c, err := Compile(load(t, "tinyyolov3"), Config{ExtraPEs: 16, WeightDuplication: true, TargetSets: 26})
 	if err != nil {
@@ -446,13 +447,6 @@ func TestModeWindowFacade(t *testing.T) {
 		if rep.MakespanCycles > lbl.MakespanCycles || rep.MakespanCycles < xinf.MakespanCycles {
 			t.Errorf("x%d makespan %d outside [xinf %d, lbl %d]",
 				k, rep.MakespanCycles, xinf.MakespanCycles, lbl.MakespanCycles)
-		}
-		sr, err := c.Simulate(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.MakespanCycles != rep.MakespanCycles {
-			t.Errorf("x%d: simulator makespan %d != schedule %d", k, sr.MakespanCycles, rep.MakespanCycles)
 		}
 		prev = rep.MakespanCycles
 	}

@@ -1,7 +1,7 @@
 // Command clsasim compiles a model for a tiled CIM architecture and
 // reports the paper's evaluation metrics for one configuration:
-// makespan, latency, utilization (Eq. 2), and speedup against the
-// layer-by-layer reference.
+// makespan, latency, utilization (Eq. 2), speedup against the
+// layer-by-layer reference, and the schedule's buffer peak.
 //
 // Usage:
 //
@@ -31,7 +31,6 @@ func main() {
 	pe := flag.Int("pe", 256, "crossbar dimension")
 	noc := flag.Float64("noc", 0, "NoC cycles per mesh hop (0 = idealized)")
 	gpeu := flag.Float64("gpeu", 0, "GPEU cycles per 1024 transferred elements")
-	simulate := flag.Bool("sim", false, "also run the event-driven simulator and report buffer pressure")
 	critical := flag.Bool("critical", false, "print the critical path aggregated per layer")
 	importPath := flag.String("import", "", "graph file to import (clsacim-graph/v1 JSON or .onnx); becomes the default -model")
 	flag.Parse()
@@ -90,21 +89,7 @@ func main() {
 	if dups := nonTrivial(r.Duplication); dups > 0 {
 		fmt.Printf("duplication    %d layers duplicated: %v\n", dups, r.Duplication)
 	}
-
-	if *simulate {
-		// The engine hands back the cached compilation of the same key
-		// the evaluation used — no recompile for the simulator run.
-		comp, err := eng.Compile(ctx, req)
-		if err != nil {
-			fatal(err)
-		}
-		sr, err := comp.Simulate(mode)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("event sim      makespan %d cycles, utilization %.2f%%, peak live data %d elements\n",
-			sr.MakespanCycles, sr.Utilization*100, sr.PeakLiveElems)
-	}
+	fmt.Printf("buffer peak    %d live intermediate elements\n", r.PeakLiveElems())
 
 	if *critical {
 		layers, err := r.CriticalLayers()

@@ -1,12 +1,16 @@
 // Package metrics computes the paper's evaluation quantities:
 // architecture utilization (Eq. 2), inference speedup relative to
 // layer-by-layer scheduling, and the Eq. 3 speedup/utilization
-// consistency relation.
+// consistency relation. It also derives the per-PE activity and the
+// buffer peak of a schedule from its timeline.
 package metrics
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"clsacim/internal/deps"
 	"clsacim/internal/mapping"
 	"clsacim/internal/schedule"
 )
@@ -33,6 +37,63 @@ func Utilization(s *schedule.Timeline, m *mapping.Mapping) (float64, error) {
 		activePE += int64(g.PEsPerReplica()) * s.LayerActive[li]
 	}
 	return float64(activePE) / (float64(m.F) * float64(s.Makespan)), nil
+}
+
+// PEActive returns the busy cycles of each of the mapping's F PEs: every
+// PE of a replica is active exactly while the replica executes a set.
+// PEs that virtualization pools share between layers sum the activity
+// of every replica placed on them, so the total is the Eq. 2 numerator
+// sum(c_i * LayerActive_i).
+func PEActive(s *schedule.Timeline, m *mapping.Mapping) []int64 {
+	out := make([]int64, m.F)
+	for li, g := range m.Groups {
+		for r, a := range s.ReplicaActive[li] {
+			for _, pe := range g.ReplicaPEs(r) {
+				out[pe] += a
+			}
+		}
+	}
+	return out
+}
+
+// PeakLiveElems returns the largest number of intermediate OFM elements
+// live at one instant of the schedule — the aggregate buffer pressure
+// on the architecture. A set's output is live on the closed interval
+// from its End to the latest End of the sets that read it; an output
+// nobody reads is live only at its End. So a set still holds its inputs
+// while its own output lands, and simultaneous events need no order.
+func PeakLiveElems(s *schedule.Timeline, dg *deps.Graph) int64 {
+	csr := dg.CSR
+	release := make([]int64, len(s.Items))
+	for id := range s.Items {
+		release[id] = max(release[id], s.Items[id].End)
+		for _, p := range csr.Pred[csr.PredOff[id]:csr.PredOff[id+1]] {
+			release[p] = max(release[p], s.Items[id].End)
+		}
+	}
+	type event struct{ at, delta int64 }
+	events := make([]event, 0, 2*len(s.Items))
+	for li := range dg.Plan.Layers {
+		ls := &dg.Plan.Layers[li]
+		off := int(csr.LayerOff[li])
+		for si := 0; si < ls.NumSets(); si++ {
+			vol := int64(ls.Box(si).Volume())
+			events = append(events, event{s.Items[off+si].End, vol}, event{release[off+si], -vol})
+		}
+	}
+	// At equal times allocations apply before releases (closed intervals).
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.delta, a.delta)
+	})
+	var live, peak int64
+	for _, e := range events {
+		live += e.delta
+		peak = max(peak, live)
+	}
+	return peak
 }
 
 // Speedup returns baseline/makespan: how much faster the measured

@@ -157,3 +157,124 @@ func TestEq3Degenerate(t *testing.T) {
 		t.Error("zero PEmin must yield 0")
 	}
 }
+
+// derivedPolicies are the modes the timeline-derived metrics are
+// checked under: the layer-by-layer baseline, a bounded window, and
+// full cross-layer scheduling.
+var derivedPolicies = []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer}
+
+// TestPEActivityConsistency: per-PE busy cycles distribute the group
+// activity over exactly the replica's PEs, and the Eq. 2 utilization
+// from PEActive matches the metrics-layer computation.
+func TestPEActivityConsistency(t *testing.T) {
+	m, dg := pipeline(t, models.TinyYOLOv4, 416, 32, 52)
+	for _, p := range derivedPolicies {
+		s, err := schedule.Schedule(dg, p, schedule.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		act := PEActive(s, m)
+		if len(act) != m.F {
+			t.Fatalf("%v: PEActive length %d, want F = %d", p, len(act), m.F)
+		}
+		var sum, want int64
+		for _, a := range act {
+			sum += a
+		}
+		for li, g := range m.Groups {
+			want += int64(g.PEsPerReplica()) * s.LayerActive[li]
+		}
+		if sum != want {
+			t.Errorf("%v: PE activity %d != group activity %d", p, sum, want)
+		}
+		// Every PE of a replica sees the replica's activity.
+		for li, g := range m.Groups {
+			for r := 0; r < g.Dup; r++ {
+				for _, pe := range g.ReplicaPEs(r) {
+					if act[pe] != s.ReplicaActive[li][r] {
+						t.Fatalf("%v: layer %d replica %d: PE %d activity %d != replica activity %d",
+							p, li, r, pe, act[pe], s.ReplicaActive[li][r])
+					}
+				}
+			}
+		}
+		// Unallocated PEs are idle.
+		for pe := m.PEsUsed; pe < m.F; pe++ {
+			if act[pe] != 0 {
+				t.Errorf("%v: unallocated PE %d has activity %d", p, pe, act[pe])
+			}
+		}
+		ut, err := Utilization(s, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ut <= 0 || ut > 1 {
+			t.Errorf("%v: utilization %v out of range", p, ut)
+		}
+		if fromPEs := float64(sum) / (float64(m.F) * float64(s.Makespan)); math.Abs(fromPEs-ut) > 1e-12 {
+			t.Errorf("%v: utilization from PEActive %v != Utilization %v", p, fromPEs, ut)
+		}
+	}
+}
+
+// TestBufferAccounting: peak live data is at least the largest single
+// set and bounded by the total intermediate volume.
+func TestBufferAccounting(t *testing.T) {
+	_, dg := pipeline(t, models.TinyYOLOv4, 128, 0, 26)
+	var total, largest int64
+	for _, ls := range dg.Plan.Layers {
+		for si := 0; si < ls.NumSets(); si++ {
+			v := int64(ls.Box(si).Volume())
+			total += v
+			largest = max(largest, v)
+		}
+	}
+	for _, p := range derivedPolicies {
+		s, err := schedule.Schedule(dg, p, schedule.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak := PeakLiveElems(s, dg)
+		if peak < largest {
+			t.Errorf("%v: peak %d < largest set %d", p, peak, largest)
+		}
+		if peak > total {
+			t.Errorf("%v: peak %d > total volume %d", p, peak, total)
+		}
+	}
+}
+
+// TestPeakLiveElemsClosedIntervals pins the tie rule on a hand-built
+// three-layer schedule. A (10 elements) ends at 1 and is read by C
+// (5 elements), which ends at 2; B (20 elements, unread) also ends at
+// 2. A's output is live through C's end, and B's and C's outputs are
+// live at their end, so all three count at t = 2.
+func TestPeakLiveElemsClosedIntervals(t *testing.T) {
+	layer := func(vol int) sets.LayerSets {
+		return sets.LayerSets{GH: 1, GW: 1, C: vol, RowBounds: []int{0, 1}, ColBounds: []int{0, 1}}
+	}
+	dg := &deps.Graph{
+		Plan: &sets.Plan{Layers: []sets.LayerSets{layer(10), layer(20), layer(5)}},
+		CSR: &deps.CSR{
+			LayerOff: []int32{0, 1, 2, 3},
+			SetLayer: []int32{0, 1, 2},
+			Cycles:   []int64{1, 2, 1},
+			PredOff:  []int32{0, 0, 0, 1},
+			Pred:     []int32{0},
+			PredVol:  []int32{10},
+		},
+	}
+	s := &schedule.Timeline{Items: []schedule.Item{
+		{Layer: 0, Start: 0, End: 1},
+		{Layer: 1, Start: 0, End: 2},
+		{Layer: 2, Start: 1, End: 2},
+	}}
+	if got := PeakLiveElems(s, dg); got != 35 {
+		t.Errorf("peak = %d, want 35 (A, B and C all live at t = 2)", got)
+	}
+	// Moving B one cycle later separates the peaks: A+C at 2, B at 3.
+	s.Items[1].Start, s.Items[1].End = 1, 3
+	if got := PeakLiveElems(s, dg); got != 20 {
+		t.Errorf("peak = %d, want 20 (B alone at t = 3)", got)
+	}
+}

@@ -10,16 +10,15 @@ import (
 
 // TestRunAllocs pins the steady-state allocation profile of the
 // simulator. A full Run must allocate only the Result it returns (the
-// Timeline's arrays are the caller's to keep); with the scratch State
-// and a prebuilt Dispatch everything else is reused, so the budget is
-// small and independent of workload size. The coarse path returns
-// scalars by value and must not allocate at all once the scratch is
-// warm.
+// Timeline's arrays are the caller's to keep); the State reuses its
+// scratch and the dispatch plan of the previous run on the same graph
+// and policy, so the budget is small and independent of workload size.
+// The coarse path returns scalars by value and must not allocate at all
+// once the scratch is warm.
 func TestRunAllocs(t *testing.T) {
 	cp := compile(t, models.TinyYOLOv4, 128, 0, sets.FineGranularity)
-	disp := schedule.NewDispatch(cp.dg, schedule.CrossLayer)
 	st := NewState()
-	opt := Options{Dispatch: disp}
+	var opt Options
 
 	// Warm the scratch (first run sizes every array).
 	if _, err := st.Run(cp.arch, cp.dg, cp.m, schedule.CrossLayer, opt); err != nil {

@@ -1,12 +1,12 @@
 package sim
 
 // This file keeps the previous production simulator — a binary-heap
-// event loop that recomputes its dispatch plan and books PE activity
-// per event — as a test-only reference implementation. The calendar
-// queue in sim.go reorders nothing (it preserves the exact (time, seq)
-// total order the heap produced) and the deferred per-replica activity
-// accounting fans out to the same per-PE totals, so both engines must
-// produce byte-identical results. TestSimMatchesReference checks that
+// event loop that recomputes its dispatch plan and books replica
+// activity per event — as a test-only reference implementation. The
+// calendar queue in sim.go reorders nothing (it preserves the exact
+// (time, seq) total order the heap produced) and its deferred
+// per-replica activity accounting sums to the same totals, so both
+// engines must produce byte-identical results. TestSimMatchesReference checks that
 // on randomized workloads; if the fast path ever diverges, this oracle
 // pinpoints the first differing item.
 
@@ -89,7 +89,6 @@ type refState struct {
 
 	depsLeft []int32
 	readyAt  []int64
-	consLeft []int32
 
 	disp *schedule.Dispatch
 	pos  []int32
@@ -104,7 +103,7 @@ type refState struct {
 	queue refQueue
 	seq   int64
 
-	liveElems int64
+	peCycles int64 // sum of c_i * cycles over executed sets (Eq. 2 numerator)
 }
 
 // referenceRun simulates the workload with the heap-based engine. It
@@ -138,7 +137,6 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 		arch: arch, dg: dg, csr: csr, m: m, p: p, edge: edge,
 		depsLeft:  make([]int32, ns),
 		readyAt:   make([]int64, ns),
-		consLeft:  make([]int32, ns),
 		disp:      schedule.NewDispatch(dg, p),
 		pos:       make([]int32, totalReps),
 		busy:      make([]bool, totalReps),
@@ -147,18 +145,13 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 		setsLeft:  make([]int32, nl),
 		layerDone: make([]bool, nl),
 		queue:     make(refQueue, 0, totalReps),
-		res: &Result{
-			Timeline: schedule.NewTimeline(dg, p),
-			PEActive: make([]int64, arch.NumPEs),
-		},
+		res:       &Result{Timeline: schedule.NewTimeline(dg, p)},
 	}
 	for li, ls := range dg.Plan.Layers {
 		st.setsLeft[li] = int32(ls.NumSets())
 	}
-	sv := csr.Successors()
 	for i := 0; i < ns; i++ {
 		st.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
-		st.consLeft[i] = sv.Off[i+1] - sv.Off[i]
 	}
 	return st
 }
@@ -207,10 +200,7 @@ func (st *refState) openGates(now int64) {
 }
 
 func (st *refState) chargePEs(li, rep int, cycles int64) {
-	g := st.m.Groups[li]
-	for _, pe := range g.ReplicaPEs(rep) {
-		st.res.PEActive[pe] += cycles
-	}
+	st.peCycles += int64(st.m.Groups[li].PEsPerReplica()) * cycles
 	st.res.LayerActive[li] += cycles
 	st.res.ReplicaActive[li][rep] += cycles
 }
@@ -249,15 +239,6 @@ func (st *refState) complete(e refEvent) {
 	st.busy[g] = false
 	st.pos[g]++
 
-	vol := int64(ls.Box(si).Volume())
-	st.liveElems += vol
-	if st.liveElems > st.res.PeakLiveElems {
-		st.res.PeakLiveElems = st.liveElems
-	}
-	if st.consLeft[e.id] == 0 {
-		st.liveElems -= vol
-	}
-
 	sv := st.csr.Successors()
 	for x := sv.Off[e.id]; x < sv.Off[e.id+1]; x++ {
 		cid := sv.Succ[x]
@@ -272,7 +253,6 @@ func (st *refState) complete(e refEvent) {
 		st.depsLeft[cid]--
 		st.tryStart(cl, st.p.Replica(cs, st.dg.Plan.Layers[cl].Group.Dup), e.time)
 	}
-	st.retireInputsOf(e.id)
 
 	st.setsLeft[li]--
 	if st.setsLeft[li] == 0 {
@@ -284,17 +264,6 @@ func (st *refState) complete(e refEvent) {
 	st.tryStart(li, rep, e.time)
 }
 
-func (st *refState) retireInputsOf(id int32) {
-	for e := st.csr.PredOff[id]; e < st.csr.PredOff[id+1]; e++ {
-		pid := st.csr.Pred[e]
-		st.consLeft[pid]--
-		if st.consLeft[pid] == 0 {
-			pl, ps := st.csr.Set(pid)
-			st.liveElems -= int64(st.dg.Plan.Layers[pl].Box(ps).Volume())
-		}
-	}
-}
-
 func (st *refState) finish(makespan int64) (*Result, error) {
 	st.res.Makespan = makespan
 	for id := range st.res.Items {
@@ -304,11 +273,7 @@ func (st *refState) finish(makespan int64) (*Result, error) {
 		}
 	}
 	if makespan > 0 && st.arch.NumPEs > 0 {
-		var sum int64
-		for _, a := range st.res.PEActive {
-			sum += a
-		}
-		st.res.Utilization = float64(sum) / (float64(st.arch.NumPEs) * float64(makespan))
+		st.res.Utilization = float64(st.peCycles) / (float64(st.arch.NumPEs) * float64(makespan))
 	}
 	return st.res, nil
 }
@@ -352,7 +317,7 @@ func compileGraph(t *testing.T, g *nn.Graph, extra, targetSets int) compiled {
 // TestSimMatchesReference differentially tests the calendar-queue
 // simulator against the retired binary-heap engine on randomized CNNs:
 // every scheduling mode and set granularity must produce byte-identical
-// timelines and identical activity/buffer accounting. Run under -race
+// timelines and identical utilization. Run under -race
 // in CI it also exercises the State scratch reuse across workloads.
 func TestSimMatchesReference(t *testing.T) {
 	policies := []schedule.Policy{
@@ -395,18 +360,6 @@ func TestSimMatchesReference(t *testing.T) {
 						t.Fatalf("%s: timelines differ outside items (makespan %d vs %d)",
 							name, got.Makespan, want.Makespan)
 					}
-					if len(got.PEActive) != len(want.PEActive) {
-						t.Fatalf("%s: PEActive length %d != %d", name, len(got.PEActive), len(want.PEActive))
-					}
-					for pe := range want.PEActive {
-						if got.PEActive[pe] != want.PEActive[pe] {
-							t.Fatalf("%s: PEActive[%d] = %d, reference %d",
-								name, pe, got.PEActive[pe], want.PEActive[pe])
-						}
-					}
-					if got.PeakLiveElems != want.PeakLiveElems {
-						t.Errorf("%s: peak live %d, reference %d", name, got.PeakLiveElems, want.PeakLiveElems)
-					}
 					if got.Utilization != want.Utilization {
 						t.Errorf("%s: utilization %v, reference %v", name, got.Utilization, want.Utilization)
 					}
@@ -417,10 +370,9 @@ func TestSimMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: coarse: %v", name, err)
 						}
-						if co.Makespan != want.Makespan || co.Utilization != want.Utilization ||
-							co.PeakLiveElems != want.PeakLiveElems {
-							t.Errorf("%s: coarse %+v, reference makespan=%d util=%v peak=%d",
-								name, co, want.Makespan, want.Utilization, want.PeakLiveElems)
+						if co.Makespan != want.Makespan || co.Utilization != want.Utilization {
+							t.Errorf("%s: coarse %+v, reference makespan=%d util=%v",
+								name, co, want.Makespan, want.Utilization)
 						}
 					}
 				}

@@ -4,6 +4,10 @@
 // replica PE-group resources with an event queue, independently of the
 // analytic scheduler in package schedule; tests assert that both produce
 // identical timelines, which cross-validates the Stage IV recursion.
+// That differential is the package's job: the library schedules with
+// package schedule and derives per-PE activity and the buffer peak from
+// the timeline (package metrics), so sim is the timing oracle of the
+// tests and the scorer of the end-to-end benchmark's traced replay.
 //
 // The simulator consumes the same CSR dependency arrays as the
 // scheduler and returns the same schedule.Timeline, so the two engines
@@ -12,24 +16,15 @@
 // admission window is simulated as a gate that opens a layer only once
 // every layer Window positions back has completed.
 //
-// Beyond timing, the simulator accounts per-PE active cycles (the inputs
-// to paper Eq. 2) and tracks the live intermediate-data footprint (a
-// proxy for the tile buffer / DRAM traffic requirements of §II-A).
-//
-// The event loop is built for re-simulation: a State holds every
-// scratch array plus a bucketed calendar queue (internal/eventq) and is
-// reset, not reallocated, across runs — re-evaluating one compilation
-// under another scheduling mode touches no per-set allocations beyond
-// the returned Timeline. The immutable Stage III dispatch plan
-// (schedule.Dispatch) can be supplied through Options and shared across
-// modes and engines (internal/stream uses the same plan), and RunCoarse
-// skips per-set Timeline materialization entirely for callers that only
-// need makespan/utilization/buffer peak (differential tests and the
-// end-to-end benchmark's traced replay; mapping-space search scores
-// candidates with schedule.Scratch.Makespan instead). The previous
-// binary-heap loop survives as the reference implementation in
-// reference_test.go, with a differential test pinning byte-identical
-// timelines.
+// A State holds every scratch array plus a bucketed calendar queue
+// (internal/eventq) and is reset, not reallocated, across runs. It keeps
+// the Stage III dispatch plan (schedule.Dispatch) of its last run and
+// reuses it while the graph and the policy name stay the same, so
+// re-running one workload allocates only the returned Timeline, and
+// RunCoarse, which skips per-set Timeline materialization, allocates
+// nothing beyond the name of a bounded-window policy (the plan key). The previous binary-heap loop survives as the reference
+// implementation in reference_test.go, with a differential test pinning
+// byte-identical timelines.
 package sim
 
 import (
@@ -44,17 +39,11 @@ import (
 )
 
 // Result is the outcome of one simulation: the executed Timeline (the
-// same representation the analytic scheduler returns) plus the
-// simulator's extra accounting.
+// same representation the analytic scheduler returns) and its Eq. 2
+// utilization.
 type Result struct {
 	*schedule.Timeline
-	// PEActive[p] is the number of cycles PE p spent computing MVMs.
-	PEActive []int64
-	// PeakLiveElems is the maximum number of OFM elements simultaneously
-	// alive (produced but not yet consumed by every dependent set) — the
-	// aggregate buffer pressure on the architecture.
-	PeakLiveElems int64
-	// Utilization is paper Eq. 2 computed from PEActive.
+	// Utilization is paper Eq. 2 over the architecture's NumPEs.
 	Utilization float64
 }
 
@@ -62,9 +51,8 @@ type Result struct {
 // per-set timeline. It is returned by value, so a warm State yields it
 // without allocating.
 type Coarse struct {
-	Makespan      int64
-	Utilization   float64
-	PeakLiveElems int64
+	Makespan    int64
+	Utilization float64
 }
 
 // Options configures a simulation run.
@@ -72,12 +60,6 @@ type Options struct {
 	// Edge is the optional dependency-edge cost (NoC hops, GPEU
 	// processing); nil means the paper's idealized zero-cost movement.
 	Edge schedule.EdgeCostFn
-	// Dispatch optionally supplies a precomputed Stage III dispatch plan
-	// for (dg, p). It must have been built by schedule.NewDispatch for
-	// the same dependency graph and a policy with the same Replica rule
-	// (all built-in policies share the raster rule, so one plan serves
-	// every mode). Nil builds a fresh plan for the run.
-	Dispatch *schedule.Dispatch
 	// Debug runs the engine-independent invariant checker
 	// (check.Timeline) on the simulated timeline before it is returned:
 	// dependency order, crossbar exclusivity, window admission,
@@ -102,22 +84,21 @@ func RunOpt(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Poli
 
 // State holds the simulator's reusable scratch: per-set counters,
 // per-replica cursors, window state, the calendar event queue, and the
-// per-workload caches (set volumes, maximum set duration). A State is
-// reset — not reallocated — across runs, so re-simulating one
-// compilation under different modes allocates only the returned
-// Timeline (and nothing at all on the coarse path). A State is not safe
-// for concurrent use; engines pool them.
+// plan of the last workload. A State is reset — not reallocated —
+// across runs, so re-simulating one workload allocates only the
+// returned Timeline (and nothing at all on the coarse path). A State is
+// not safe for concurrent use.
 type State struct {
-	// Per-workload cache, keyed by dependency-graph identity: the OFM
-	// volume of every flat set (buffer accounting) and the longest set
-	// duration (the calendar queue's increment bound).
-	volsFor   *deps.Graph
-	vols      []int64
-	maxCycles int64
+	// Per-workload cache, keyed by dependency-graph identity and policy
+	// name: the Stage III dispatch plan and the longest set duration
+	// (the calendar queue's increment bound).
+	planFor    *deps.Graph
+	planPolicy string
+	disp       *schedule.Dispatch
+	maxCycles  int64
 
 	depsLeft []int32 // unmet dependency count per flat set
 	readyAt  []int64 // max dependency completion (+edge cost) per flat set
-	consLeft []int32 // outstanding consumer count per flat set (buffer accounting)
 	pos      []int32 // completed-set cursor per global replica group
 	busy     []bool  // per global replica group
 	repAct   []int64 // busy cycles per global replica group
@@ -132,67 +113,50 @@ type State struct {
 	queue eventq.Queue[int32]
 
 	// Per-run fields.
-	arch      cim.Config
-	dg        *deps.Graph
-	csr       *deps.CSR
-	succ      *deps.SuccView // csr.Successors(), fetched once per run
-	m         *mapping.Mapping
-	p         schedule.Policy
-	edge      schedule.EdgeCostFn
-	disp      *schedule.Dispatch
-	items     []schedule.Item // nil on the coarse path
-	window    int
-	frontier  int
-	seq       int64
-	done      int // completed sets
-	liveElems int64
-	peakLive  int64
+	arch     cim.Config
+	dg       *deps.Graph
+	csr      *deps.CSR
+	succ     *deps.SuccView // csr.Successors(), fetched once per run
+	m        *mapping.Mapping
+	p        schedule.Policy
+	edge     schedule.EdgeCostFn
+	items    []schedule.Item // nil on the coarse path
+	window   int
+	frontier int
+	seq      int64
+	done     int // completed sets
 }
 
 // NewState returns an empty State ready for its first run.
 func NewState() *State { return &State{} }
 
-// Run simulates the workload and returns the full Result (timeline,
-// per-PE activity, buffer pressure). The State's scratch is reused; the
-// returned Result owns fresh memory and survives later runs.
+// Run simulates the workload and returns the full Result (timeline and
+// utilization). The State's scratch is reused; the returned Result owns
+// fresh memory and survives later runs.
 func (st *State) Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, opt Options) (*Result, error) {
 	if err := st.prepare(arch, dg, m, p, opt); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Timeline: schedule.NewTimeline(dg, p),
-		PEActive: make([]int64, arch.NumPEs),
-	}
+	res := &Result{Timeline: schedule.NewTimeline(dg, p)}
 	st.items = res.Items
 	makespan, err := st.loop()
 	if err != nil {
 		return nil, err
 	}
 	res.Makespan = makespan
-	// Distribute the per-group activity: every PE of a replica is active
-	// exactly while the replica executes, so per-PE accounting is a
-	// fan-out of repAct at finish time instead of a loop per event.
 	var sum int64
 	for li, g := range m.Groups {
-		c := int64(g.PEsPerReplica())
 		var layer int64
 		row := res.ReplicaActive[li]
 		base := st.disp.RepOff[li]
 		for r := range row {
-			a := st.repAct[base+int32(r)]
-			row[r] = a
-			layer += a
-			for _, pe := range g.ReplicaPEs(r) {
-				res.PEActive[pe] = a
-			}
+			row[r] = st.repAct[base+int32(r)]
+			layer += row[r]
 		}
 		res.LayerActive[li] = layer
-		sum += c * layer
+		sum += int64(g.PEsPerReplica()) * layer
 	}
-	if makespan > 0 && arch.NumPEs > 0 {
-		res.Utilization = float64(sum) / (float64(arch.NumPEs) * float64(makespan))
-	}
-	res.PeakLiveElems = st.peakLive
+	res.Utilization = st.utilization(sum, makespan)
 	if opt.Debug {
 		if err := check.Timeline(m, dg, p, res.Timeline, check.Options{EdgeCost: opt.Edge}); err != nil {
 			return nil, fmt.Errorf("sim: debug validation: %w", err)
@@ -202,9 +166,8 @@ func (st *State) Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p sche
 }
 
 // RunCoarse simulates the workload without materializing per-set
-// timeline items: only the makespan, the Eq. 2 utilization, and the
-// buffer peak are computed. On a warm State this path performs no
-// allocations. Options.Debug is rejected: the invariant checker needs
+// timeline items: only the makespan and the Eq. 2 utilization are
+// computed. On a warm State this path performs no allocations. Options.Debug is rejected: the invariant checker needs
 // the full timeline.
 func (st *State) RunCoarse(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, opt Options) (Coarse, error) {
 	if opt.Debug {
@@ -225,11 +188,15 @@ func (st *State) RunCoarse(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, 
 			sum += c * st.repAct[gg]
 		}
 	}
-	out := Coarse{Makespan: makespan, PeakLiveElems: st.peakLive}
-	if makespan > 0 && arch.NumPEs > 0 {
-		out.Utilization = float64(sum) / (float64(arch.NumPEs) * float64(makespan))
+	return Coarse{Makespan: makespan, Utilization: st.utilization(sum, makespan)}, nil
+}
+
+// utilization is paper Eq. 2 from the summed PE-cycles of the run.
+func (st *State) utilization(peCycles, makespan int64) float64 {
+	if makespan <= 0 || st.arch.NumPEs <= 0 {
+		return 0
 	}
-	return out, nil
+	return float64(peCycles) / (float64(st.arch.NumPEs) * float64(makespan))
 }
 
 // prepare validates the inputs and resets the scratch for one run.
@@ -251,30 +218,19 @@ func (st *State) prepare(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p 
 	ns := csr.NumSets()
 	st.arch, st.dg, st.csr, st.m, st.p, st.edge = arch, dg, csr, m, p, opt.Edge
 	st.succ = csr.Successors()
-	st.disp = opt.Dispatch
-	if st.disp == nil {
+	if st.planFor != dg || st.planPolicy != p.Name() {
 		st.disp = schedule.NewDispatch(dg, p)
-	}
-	if st.volsFor != dg {
-		st.vols = grow(st.vols, ns)
-		for li, ls := range dg.Plan.Layers {
-			off := csr.LayerOff[li]
-			for si := 0; si < ls.NumSets(); si++ {
-				st.vols[off+int32(si)] = int64(ls.Box(si).Volume())
-			}
-		}
 		st.maxCycles = 1
 		for _, c := range csr.Cycles {
 			if c > st.maxCycles {
 				st.maxCycles = c
 			}
 		}
-		st.volsFor = dg
+		st.planFor, st.planPolicy = dg, p.Name()
 	}
 	totalReps := st.disp.NumReplicas()
 	st.depsLeft = grow(st.depsLeft, ns)
 	st.readyAt = grow(st.readyAt, ns)
-	st.consLeft = grow(st.consLeft, ns)
 	st.pos = grow(st.pos, totalReps)
 	st.busy = grow(st.busy, totalReps)
 	st.repAct = grow(st.repAct, totalReps)
@@ -292,15 +248,12 @@ func (st *State) prepare(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p 
 	}
 	for i := 0; i < ns; i++ {
 		st.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
-		st.consLeft[i] = st.succ.Off[i+1] - st.succ.Off[i]
 	}
 	st.queue.Init(st.maxCycles, totalReps)
 	st.window = p.Window()
 	st.frontier = 0
 	st.seq = 0
 	st.done = 0
-	st.liveElems = 0
-	st.peakLive = 0
 	return nil
 }
 
@@ -424,19 +377,6 @@ func (st *State) complete(id int32, now int64) {
 	st.busy[g] = false
 	st.pos[g]++
 
-	// Buffer accounting: the produced elements stay live until every
-	// consumer set has executed.
-	vol := st.vols[id]
-	st.liveElems += vol
-	if st.liveElems > st.peakLive {
-		st.peakLive = st.liveElems
-	}
-	if st.consLeft[id] == 0 {
-		// No consumers (network output or unread layer): retire
-		// immediately to DRAM.
-		st.liveElems -= vol
-	}
-
 	sv := st.succ
 	for x := sv.Off[id]; x < sv.Off[id+1]; x++ {
 		cid := sv.Succ[x]
@@ -451,7 +391,6 @@ func (st *State) complete(id int32, now int64) {
 		st.depsLeft[cid]--
 		st.tryStart(cl, st.disp.RepOf[cid], now)
 	}
-	st.retireInputsOf(id)
 
 	st.setsLeft[li]--
 	if st.setsLeft[li] == 0 {
@@ -463,16 +402,4 @@ func (st *State) complete(id int32, now int64) {
 	st.done++
 	// The replica may have further runnable sets.
 	st.tryStart(li, g, now)
-}
-
-// retireInputsOf releases the buffer claims this set held on its
-// producers.
-func (st *State) retireInputsOf(id int32) {
-	for e := st.csr.PredOff[id]; e < st.csr.PredOff[id+1]; e++ {
-		pid := st.csr.Pred[e]
-		st.consLeft[pid]--
-		if st.consLeft[pid] == 0 {
-			st.liveElems -= st.vols[pid]
-		}
-	}
 }

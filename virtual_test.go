@@ -63,6 +63,56 @@ func TestVirtualizedCompileAndSchedule(t *testing.T) {
 	}
 }
 
+// TestVirtualizedReportMetrics runs TinyYOLOv4 ten PEs below PEmin. The
+// pooled PEs that swapped layers share must sum every layer's activity,
+// cross-layer modes must be refused (they need every weight resident),
+// and the layer-by-layer makespan must include the reload time.
+func TestVirtualizedReportMetrics(t *testing.T) {
+	m := load(t, "tinyyolov4")
+	full, err := Compile(m, Config{TargetSets: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullRep, err := full.Schedule(ModeLayerByLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(m, Config{TargetSets: 26, TotalPEs: fullRep.PEmin - 10, WeightVirtualization: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Schedule(ModeLayerByLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := rep.PEActive()
+	if len(act) != rep.F {
+		t.Fatalf("PEActive length %d, want F = %d", len(act), rep.F)
+	}
+	var sum, numerator int64
+	for _, a := range act {
+		sum += a
+	}
+	for li, g := range c.mapped.Groups {
+		numerator += int64(g.PEsPerReplica()) * rep.sched.LayerActive[li]
+	}
+	if sum != numerator || sum != 217503 {
+		t.Errorf("sum of PEActive = %d, Eq. 2 numerator = %d, want both 217503", sum, numerator)
+	}
+	for _, mode := range []ScheduleMode{ModeWindow(4), ModeCrossLayer} {
+		if _, err := c.Schedule(mode); err == nil {
+			t.Errorf("%v scheduling accepted below PEmin", mode)
+		}
+	}
+	if rep.ReloadCycles <= 0 || rep.MakespanCycles != fullRep.MakespanCycles+rep.ReloadCycles {
+		t.Errorf("virtual lbl makespan %d != full %d + reload %d",
+			rep.MakespanCycles, fullRep.MakespanCycles, rep.ReloadCycles)
+	}
+	if rep.PeakLiveElems() <= 0 {
+		t.Error("no buffer pressure recorded")
+	}
+}
+
 func TestVirtualizationLatencyMonotoneInPEs(t *testing.T) {
 	m := load(t, "vgg16")
 	var prev int64 // shrinking F must never make inference faster
