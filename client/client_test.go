@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +16,9 @@ import (
 )
 
 // startDaemon runs a real serve.Server on a loopback listener and
-// returns a client pointed at it.
-func startDaemon(t *testing.T) *client.Client {
+// returns a client pointed at it, built with opts, and the count of
+// HTTP requests the daemon received.
+func startDaemon(t *testing.T, opts ...client.Option) (*client.Client, *atomic.Int64) {
 	t.Helper()
 	eng, err := clsacim.New(clsacim.WithCacheLimit(8))
 	if err != nil {
@@ -25,17 +28,21 @@ func startDaemon(t *testing.T) *client.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(h)
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		h.ServeHTTP(w, r)
+	}))
 	t.Cleanup(ts.Close)
-	c, err := client.New(ts.URL)
+	c, err := client.New(ts.URL, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, &calls
 }
 
 func TestClientRoundTrip(t *testing.T) {
-	c := startDaemon(t)
+	c, _ := startDaemon(t)
 	ctx := context.Background()
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("health: %v", err)
@@ -108,7 +115,7 @@ func TestClientRoundTrip(t *testing.T) {
 }
 
 func TestClientTypedErrors(t *testing.T) {
-	c := startDaemon(t)
+	c, _ := startDaemon(t)
 	ctx := context.Background()
 
 	_, err := c.Evaluate(ctx, clsacim.Request{Model: "no-such-net"})
@@ -140,6 +147,19 @@ func TestClientTypedErrors(t *testing.T) {
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("timed-out err = %v, want errors.Is context.DeadlineExceeded", err)
+	}
+
+	// An invalid Config is a permanent 400: even a retrying client
+	// sends it exactly once.
+	rc, calls := startDaemon(t, client.WithRetry(client.RetryPolicy{
+		MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1,
+	}))
+	_, err = rc.Evaluate(ctx, clsacim.Request{Model: "tinyconvnet", Config: &clsacim.Config{PERows: -5}})
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || apiErr.Temporary() {
+		t.Errorf("invalid config err = %v, want a permanent 400 *APIError", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("daemon saw %d attempts for a 400, want 1", n)
 	}
 }
 

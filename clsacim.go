@@ -7,14 +7,14 @@
 //	Computing-in-Memory Architectures", DATE 2024.
 //
 // The entry point is the Engine: a concurrency-safe evaluator that
-// holds the architecture (functional options), caches compilations by
+// holds the architecture (a Config), caches compilations by
 // (model, architecture, mapping) key, and runs batches on a bounded
 // worker pool:
 //
-//	eng, _ := clsacim.New(
-//		clsacim.WithCrossbar(256, 256),
-//		clsacim.WithTMVMNanos(1400),
-//	)
+//	eng, _ := clsacim.New(clsacim.WithConfig(clsacim.Config{
+//		PERows: 256, PECols: 256, // the defaults, shown for clarity
+//		TMVMNanos: 1400,
+//	}))
 //	ev, _ := eng.Evaluate(ctx, clsacim.Request{
 //		Model:             "tinyyolov4",
 //		Mode:              clsacim.ModeCrossLayer, // xinf
@@ -44,8 +44,10 @@ package clsacim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"clsacim/internal/cim"
@@ -135,7 +137,8 @@ func (m ScheduleMode) Name() string { return m.wireName() }
 // case-study architecture: 256x256 crossbars, tMVM = 1400 ns, F = PEmin,
 // no weight duplication, idealized (zero-cost) data movement.
 // Config round-trips through JSON (zero fields are omitted), so
-// configurations can arrive over the wire alongside a Request.
+// configurations can arrive over the wire alongside a Request; Validate
+// is the one check of its fields.
 type Config struct {
 	// PERows and PECols are the crossbar dimensions (default 256x256).
 	PERows int `json:"pe_rows,omitempty"`
@@ -207,6 +210,63 @@ type Config struct {
 	// EnergyPerWriteNanoJ is the nJ cost of programming one crossbar
 	// (virtualization).
 	EnergyPerWriteNanoJ float64 `json:"energy_per_write_nj,omitempty"`
+}
+
+// ErrInvalidConfig reports a Config field outside its domain: a
+// negative count or cost, or a NaN or infinite float. The message names
+// the field.
+var ErrInvalidConfig = errors.New("clsacim: invalid config")
+
+// Validate checks every field of c without compiling anything. Zero
+// keeps meaning "default" for every field. Solver must name a
+// registered solver (ErrUnknownSolver) and SolverMode a scheduling mode
+// (ErrUnknownMode), even where the field would be ignored; every other
+// violation wraps ErrInvalidConfig. New (through WithConfig), every
+// Engine request path and Compile run it before any work.
+func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"PERows", int64(c.PERows)},
+		{"PECols", int64(c.PECols)},
+		{"ExtraPEs", int64(c.ExtraPEs)},
+		{"TotalPEs", int64(c.TotalPEs)},
+		{"SolverBudget", int64(c.SolverBudget)},
+		{"TargetSets", int64(c.TargetSets)},
+		{"PEsPerTile", int64(c.PEsPerTile)},
+		{"WriteCyclesPerCrossbar", c.WriteCyclesPerCrossbar},
+		{"WriteParallelism", int64(c.WriteParallelism)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%w: negative %s %d", ErrInvalidConfig, f.name, f.v)
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"TMVMNanos", c.TMVMNanos},
+		{"NoCCyclesPerHop", c.NoCCyclesPerHop},
+		{"GPEUCyclesPerKElem", c.GPEUCyclesPerKElem},
+		{"EnergyPerMVMNanoJ", c.EnergyPerMVMNanoJ},
+		{"EnergyPerWriteNanoJ", c.EnergyPerWriteNanoJ},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s %g is not a finite non-negative number", ErrInvalidConfig, f.name, f.v)
+		}
+	}
+	if c.Solver != "" {
+		if err := checkSolver(c.Solver); err != nil {
+			return err
+		}
+	}
+	if c.SolverMode != "" {
+		if _, err := ParseMode(c.SolverMode); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -335,6 +395,9 @@ func (c *Compiled) ResidentLayers() int {
 // the whole pipeline. New code should go through an Engine, whose
 // compile cache shares this work across requests.
 func Compile(model *Model, cfg Config) (*Compiled, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	scored := cfg.WeightDuplication && mapping.IsScored(cfg.Solver)
 	var solve mapping.Func

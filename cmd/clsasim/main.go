@@ -34,6 +34,11 @@ func main() {
 	critical := flag.Bool("critical", false, "print the critical path aggregated per layer")
 	importPath := flag.String("import", "", "graph file to import (clsacim-graph/v1 JSON or .onnx); becomes the default -model")
 	flag.Parse()
+	// Config reads a zero crossbar dimension as the 256 default, but
+	// the output echoes -pe, so only a real dimension is accepted.
+	if *pe <= 0 {
+		fatal(fmt.Errorf("-pe must be positive, have %d", *pe))
+	}
 
 	if *importPath != "" {
 		m, err := clsacim.ImportModel(*importPath, clsacim.ModelOptions{})
@@ -53,12 +58,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := clsacim.New(
-		clsacim.WithCrossbar(*pe, *pe),
-		clsacim.WithNoC(*noc),
-		clsacim.WithGPEU(*gpeu),
-		clsacim.WithTargetSets(*sets),
-	)
+	eng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{
+		PERows: *pe, PECols: *pe,
+		NoCCyclesPerHop:    *noc,
+		GPEUCyclesPerKElem: *gpeu,
+		TargetSets:         *sets,
+	}))
 	if err != nil {
 		fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := clsacim.New(clsacim.WithTargetSets(*sets))
+	eng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{TargetSets: *sets}))
 	if err != nil {
 		fatal(err)
 	}

@@ -27,6 +27,11 @@ func main() {
 	list := flag.Bool("list", false, "list available models")
 	importPath := flag.String("import", "", "graph file to import (clsacim-graph/v1 JSON or .onnx); becomes the default -model")
 	flag.Parse()
+	// Config reads a zero crossbar dimension as the 256 default, but
+	// the output echoes -pe, so only a real dimension is accepted.
+	if *pe <= 0 {
+		fatal(fmt.Errorf("-pe must be positive, have %d", *pe))
+	}
 
 	if *importPath != "" {
 		m, err := clsacim.ImportModel(*importPath, clsacim.ModelOptions{})
@@ -56,7 +61,7 @@ func main() {
 		return
 	}
 
-	eng, err := clsacim.New(clsacim.WithCrossbar(*pe, *pe))
+	eng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{PERows: *pe, PECols: *pe}))
 	if err != nil {
 		fatal(err)
 	}

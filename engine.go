@@ -17,7 +17,7 @@ import (
 )
 
 // Engine is the concurrency-safe entry point of the package: it holds
-// an architecture description (set through Options), a keyed compile
+// an architecture description (set through WithConfig), a keyed compile
 // cache, and a bounded worker pool for batch evaluation.
 //
 // Compilation — frontend canonicalization, im2col analysis, duplication
@@ -156,41 +156,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// effective resolves the Config a request compiles under: the request's
-// full Config override if present (else the Engine defaults), with the
-// request's non-zero mapping fields overlaid.
-func (e *Engine) effective(req Request) Config {
-	cfg := e.base
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	if req.ExtraPEs != 0 {
-		cfg.ExtraPEs = req.ExtraPEs
-	}
-	if req.TotalPEs != 0 {
-		cfg.TotalPEs = req.TotalPEs
-	}
-	if req.WeightDuplication {
-		cfg.WeightDuplication = true
-	}
-	if req.Solver != "" {
-		cfg.Solver = req.Solver
-	}
-	if req.SolverBudget != 0 {
-		cfg.SolverBudget = req.SolverBudget
-	}
-	if req.SolverSeed != 0 {
-		cfg.SolverSeed = req.SolverSeed
-	}
-	// A scored solver optimizes the makespan of a concrete scheduling
-	// mode; absent an explicit choice, optimize for the mode the request
-	// will actually be scheduled under.
-	if cfg.WeightDuplication && cfg.SolverMode == "" && mapping.IsScored(cfg.Solver) {
-		cfg.SolverMode = req.Mode.Name()
-	}
-	return cfg
-}
-
 // normalizeCfg canonicalizes a Config for cache keying and returns the
 // ExtraPEs the caller must re-apply as a derived view (withExtraPEs).
 // Configs are defaulted first so that e.g. Config{} and
@@ -242,9 +207,14 @@ func normalizeCfg(cfg Config) (Config, int) {
 // compilation may evict the least-recently-used finished entries beyond
 // the bound.
 //
-// Keys are normalized (normalizeCfg): a no-duplication ExtraPEs request
-// compiles the x = 0 base once and returns a derived F-view of it.
+// cfg is validated first (Config.Validate), so an invalid Config fails
+// before any work, cache hits included. Keys are normalized
+// (normalizeCfg): a no-duplication ExtraPEs request compiles the x = 0
+// base once and returns a derived F-view of it.
 func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Compiled, bool, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, false, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -366,7 +336,7 @@ func (e *Engine) compileRequest(ctx context.Context, req Request) (*Compiled, bo
 		return nil, false, ctx, func() {}, err
 	}
 	ctx, cancel := requestCtx(ctx, req)
-	c, hit, err := e.compileCounted(ctx, m, e.effective(req))
+	c, hit, err := e.compileCounted(ctx, m, req.overlay(e.base))
 	return c, hit, ctx, cancel, err
 }
 
@@ -487,7 +457,12 @@ func baselineCfg(cfg Config) Config {
 func (e *Engine) evaluate(ctx context.Context, m *Model, req Request) (*Evaluation, error) {
 	ctx, cancel := requestCtx(ctx, req)
 	defer cancel()
-	cfg := e.effective(req)
+	cfg := req.overlay(e.base)
+	// baselineCfg clears the PE-count fields, so the request's own
+	// Config is checked before the baseline compiles.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	baseComp, baseHit, err := e.compileCounted(ctx, m, baselineCfg(cfg))
 	if err != nil {
 		return nil, err

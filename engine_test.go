@@ -584,9 +584,6 @@ func TestUnknownSolverTyped(t *testing.T) {
 	if !strings.Contains(err.Error(), "dp") {
 		t.Errorf("error does not list available solvers: %v", err)
 	}
-	if _, err := New(WithSolver("bogus")); !errors.Is(err, ErrUnknownSolver) {
-		t.Errorf("WithSolver(bogus) = %v, want ErrUnknownSolver", err)
-	}
 }
 
 func TestUnknownModelTyped(t *testing.T) {
@@ -658,21 +655,93 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-func TestEngineOptionErrors(t *testing.T) {
-	for name, opt := range map[string]Option{
-		"crossbar": WithCrossbar(0, 256),
-		"tmvm":     WithTMVMNanos(-1),
-		"noc":      WithNoC(-0.5),
-		"gpeu":     WithGPEU(-1),
-		"energy":   WithEnergy(-1, 0),
-		"sets":     WithTargetSets(-1),
-		"tile":     WithPEsPerTile(0),
-		"workers":  WithWorkers(0),
-		"virt":     WithVirtualization(-1, 0),
-	} {
-		if _, err := New(opt); err == nil {
-			t.Errorf("option %s accepted an invalid value", name)
-		}
+// TestInvalidConfigRejectedAtEveryEntryPoint pins the one Config gate:
+// every invalid field fails with its sentinel at every entry point that
+// takes a Config, before anything compiles or touches the cache.
+func TestInvalidConfigRejectedAtEveryEntryPoint(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rows := []struct {
+		name string
+		cfg  Config
+		want error
+	}{
+		{"PERows", Config{PERows: -1}, ErrInvalidConfig},
+		{"PECols", Config{PECols: -1}, ErrInvalidConfig},
+		{"TMVMNanos", Config{TMVMNanos: -1}, ErrInvalidConfig},
+		{"ExtraPEs", Config{ExtraPEs: -1}, ErrInvalidConfig},
+		{"TotalPEs", Config{TotalPEs: -1}, ErrInvalidConfig},
+		{"SolverBudget", Config{SolverBudget: -1}, ErrInvalidConfig},
+		{"TargetSets", Config{TargetSets: -1}, ErrInvalidConfig},
+		{"PEsPerTile", Config{PEsPerTile: -1}, ErrInvalidConfig},
+		{"WriteCyclesPerCrossbar", Config{WriteCyclesPerCrossbar: -1}, ErrInvalidConfig},
+		{"WriteParallelism", Config{WriteParallelism: -1}, ErrInvalidConfig},
+		{"NoCCyclesPerHop", Config{NoCCyclesPerHop: -0.5}, ErrInvalidConfig},
+		{"GPEUCyclesPerKElem", Config{GPEUCyclesPerKElem: -1}, ErrInvalidConfig},
+		{"EnergyPerMVMNanoJ", Config{EnergyPerMVMNanoJ: -1}, ErrInvalidConfig},
+		{"EnergyPerWriteNanoJ", Config{EnergyPerWriteNanoJ: -1}, ErrInvalidConfig},
+		{"TMVMNanos NaN", Config{TMVMNanos: nan}, ErrInvalidConfig},
+		{"NoCCyclesPerHop +Inf", Config{NoCCyclesPerHop: inf}, ErrInvalidConfig},
+		{"EnergyPerMVMNanoJ -Inf", Config{EnergyPerMVMNanoJ: -inf}, ErrInvalidConfig},
+		{"bogus solver", Config{Solver: "bogus"}, ErrUnknownSolver},
+		{"bogus solver wdup", Config{Solver: "bogus", WeightDuplication: true}, ErrUnknownSolver},
+		{"bogus solver mode", Config{SolverMode: "warp"}, ErrUnknownMode},
+	}
+	m, err := LoadModel("tinyconvnet", ModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			req := Request{Model: "tinyconvnet", Mode: ModeCrossLayer, Config: &cfg}
+			eng := MustNew()
+			entries := []struct {
+				name string
+				call func() error
+			}{
+				{"New(WithConfig)", func() error { _, err := New(WithConfig(cfg)); return err }},
+				{"Compile", func() error { _, err := Compile(m, cfg); return err }},
+				{"Engine.Evaluate", func() error { _, err := eng.Evaluate(ctx, req); return err }},
+				{"Engine.Schedule", func() error { _, err := eng.Schedule(ctx, req); return err }},
+				{"Request.Validate", req.Validate},
+				{"Engine.EvaluateStream", func() error {
+					_, err := eng.EvaluateStream(ctx, StreamRequest{
+						Models:     []StreamModel{{Model: "tinyconvnet", Config: &cfg}},
+						Inferences: 2,
+					})
+					return err
+				}},
+			}
+			for _, e := range entries {
+				if err := e.call(); !errors.Is(err, row.want) {
+					t.Errorf("%s = %v, want %v", e.name, err, row.want)
+				}
+			}
+			if st := eng.Stats(); st.Compiles != 0 || st.CacheHits+st.CacheMisses != 0 {
+				t.Errorf("stats = %+v, want no compile and no cache lookup", st)
+			}
+		})
+	}
+
+	// A negative budget without duplication normalizes onto the plain
+	// key, so the gate must run before the cache lookup, not only on a
+	// miss.
+	eng := MustNew()
+	if _, err := eng.Schedule(ctx, Request{Model: "tinyconvnet"}); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	_, err = eng.Schedule(ctx, Request{Model: "tinyconvnet", Config: &Config{SolverBudget: -1}})
+	if !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("warm Schedule = %v, want ErrInvalidConfig", err)
+	}
+	if after := eng.Stats(); after.CacheHits != before.CacheHits || after.Compiles != before.Compiles {
+		t.Errorf("invalid Config reached the cache: %+v -> %+v", before, after)
+	}
+
+	if _, err := New(WithWorkers(0)); err == nil {
+		t.Error("WithWorkers(0) accepted")
 	}
 }
 

@@ -48,7 +48,7 @@ func main() {
 	fmt.Println("\nNoC sensitivity (VGG16, 256x256, wdup+32 + xinf, mesh, XY routing):")
 	fmt.Printf("%-12s %10s %9s %12s\n", "cycles/hop", "makespan", "speedup", "utilization")
 	for _, hop := range []float64{0, 0.5, 1, 2, 4, 8} {
-		nocEng, err := clsacim.New(clsacim.WithNoC(hop))
+		nocEng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{NoCCyclesPerHop: hop}))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func main() {
 	fmt.Println("\nGPEU cost sensitivity (cycles per 1024 forwarded elements):")
 	fmt.Printf("%-12s %10s %9s\n", "cy/Kelem", "makespan", "speedup")
 	for _, c := range []float64{0, 1, 4, 16, 64} {
-		gpeuEng, err := clsacim.New(clsacim.WithGPEU(c))
+		gpeuEng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{GPEUCyclesPerKElem: c}))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func main() {
 	// Coarse Stage I granularity keeps each of the ~48 candidate
 	// evaluations cheap; it is the granularity the solver ablation and
 	// the serving path use.
-	eng, err := clsacim.New(clsacim.WithTargetSets(26))
+	eng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{TargetSets: 26}))
 	if err != nil {
 		log.Fatal(err)
 	}

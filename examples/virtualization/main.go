@@ -19,10 +19,14 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// WithVirtualization permits F < PEmin engine-wide (512-cycle
+	// WeightVirtualization permits F < PEmin engine-wide (512-cycle
 	// crossbar writes, 4 programmable in parallel — the defaults);
 	// architectures at or above PEmin are unaffected.
-	eng, err := clsacim.New(clsacim.WithVirtualization(512, 4))
+	eng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{
+		WeightVirtualization:   true,
+		WriteCyclesPerCrossbar: 512,
+		WriteParallelism:       4,
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

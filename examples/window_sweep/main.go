@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	eng, err := clsacim.New(clsacim.WithTargetSets(104))
+	eng, err := clsacim.New(clsacim.WithConfig(clsacim.Config{TargetSets: 104}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"clsacim/internal/mapping"
 	"clsacim/internal/schedule"
 )
 
 // Request describes one evaluation: which model to run, how to map it
 // (the sweep knobs of the paper's Fig. 6c/7), and how to schedule it.
-// The architecture normally comes from the Engine's options; a Request
+// The architecture normally comes from the Engine's Config; a Request
 // only overlays the per-workload fields, so requests stay small and a
 // sweep over (x, wdup) points shares one compiled baseline.
 //
@@ -53,8 +54,11 @@ type Request struct {
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 }
 
-// Validate checks the request against the process-wide registries
-// without compiling anything.
+// Validate checks the request without compiling anything: the model
+// must resolve, TimeoutMillis must not be negative, and the request's
+// Config (or the defaults) with the overlay fields applied must pass
+// Config.Validate. Every Config rule is per field, so the verdict holds
+// on any Engine, whose own Config WithConfig already checked.
 func (r Request) Validate() error {
 	if r.Model == "" {
 		return fmt.Errorf("clsacim: request has no model")
@@ -62,24 +66,45 @@ func (r Request) Validate() error {
 	if _, err := lookupModel(r.Model); err != nil {
 		return err
 	}
-	if r.ExtraPEs < 0 {
-		return fmt.Errorf("clsacim: request has negative ExtraPEs %d", r.ExtraPEs)
-	}
-	if r.TotalPEs < 0 {
-		return fmt.Errorf("clsacim: request has negative TotalPEs %d", r.TotalPEs)
-	}
 	if r.TimeoutMillis < 0 {
 		return fmt.Errorf("clsacim: request has negative TimeoutMillis %d", r.TimeoutMillis)
 	}
+	return r.overlay(Config{}).Validate()
+}
+
+// overlay resolves the Config the request compiles under: its full
+// Config override if present (else base), with the request's non-zero
+// mapping fields on top.
+func (r Request) overlay(base Config) Config {
+	cfg := base
+	if r.Config != nil {
+		cfg = *r.Config
+	}
+	if r.ExtraPEs != 0 {
+		cfg.ExtraPEs = r.ExtraPEs
+	}
+	if r.TotalPEs != 0 {
+		cfg.TotalPEs = r.TotalPEs
+	}
+	if r.WeightDuplication {
+		cfg.WeightDuplication = true
+	}
 	if r.Solver != "" {
-		if err := checkSolver(r.Solver); err != nil {
-			return err
-		}
+		cfg.Solver = r.Solver
 	}
-	if r.SolverBudget < 0 {
-		return fmt.Errorf("clsacim: request has negative SolverBudget %d", r.SolverBudget)
+	if r.SolverBudget != 0 {
+		cfg.SolverBudget = r.SolverBudget
 	}
-	return nil
+	if r.SolverSeed != 0 {
+		cfg.SolverSeed = r.SolverSeed
+	}
+	// A scored solver optimizes the makespan of a concrete scheduling
+	// mode; absent an explicit choice, optimize for the mode the request
+	// will actually be scheduled under.
+	if cfg.WeightDuplication && cfg.SolverMode == "" && mapping.IsScored(cfg.Solver) {
+		cfg.SolverMode = r.Mode.Name()
+	}
+	return cfg
 }
 
 // BatchResult pairs one Request of an EvaluateBatch call with its

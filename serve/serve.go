@@ -307,7 +307,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		sum.models = append(sum.models, pm.Model)
 	}
 	s.lastStream.Store(sum)
-	s.writeJSON(w, http.StatusOK, wireStreamResult(res))
+	s.writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -391,8 +391,9 @@ func decodeStatus(err error) int {
 // drift apart: unknown models are 404 (the resource a Request names
 // does not exist here), expired deadlines 504, cancellations 499 (the
 // nginx convention — the client is gone, the status is for the access
-// log), and request shapes the registries reject 400. Codes are set
-// only where the client package maps them back to sentinels.
+// log), and request shapes the registries or Config.Validate reject
+// 400. Codes are set only where the client package maps them back to
+// sentinels.
 var errClasses = []struct {
 	sentinel error
 	status   int
@@ -403,6 +404,7 @@ var errClasses = []struct {
 	{context.Canceled, 499, CodeCanceled},
 	{clsacim.ErrUnknownSolver, http.StatusBadRequest, ""},
 	{clsacim.ErrUnknownMode, http.StatusBadRequest, ""},
+	{clsacim.ErrInvalidConfig, http.StatusBadRequest, ""},
 	{clsacim.ErrDuplicateModel, http.StatusBadRequest, ""},
 	{clsacim.ErrDuplicateSolver, http.StatusBadRequest, ""},
 }

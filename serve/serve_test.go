@@ -147,14 +147,18 @@ func TestEvaluateUnknownSolverIsBadRequest(t *testing.T) {
 }
 
 func TestEvaluateInvalidValuesAreBadRequest(t *testing.T) {
-	// Plain validation failures (not sentinel errors) are still the
-	// client's fault: 400, never 500.
-	s, _ := newTestServer(t, nil)
+	// Validation failures are the client's fault: 400, never 500, and
+	// never a result for a different configuration.
+	s, eng := newTestServer(t, nil)
 	for name, body := range map[string]string{
-		"empty model":      `{"mode": "xinf"}`,
-		"negative extra":   `{"model": "tinyconvnet", "extra_pes": -1}`,
-		"negative total":   `{"model": "tinyconvnet", "total_pes": -4}`,
-		"negative timeout": `{"model": "tinyconvnet", "timeout_ms": -1}`,
+		"empty model":        `{"mode": "xinf"}`,
+		"negative extra":     `{"model": "tinyconvnet", "extra_pes": -1}`,
+		"negative total":     `{"model": "tinyconvnet", "total_pes": -4}`,
+		"negative timeout":   `{"model": "tinyconvnet", "timeout_ms": -1}`,
+		"config pe_rows":     `{"model": "tinyconvnet", "config": {"pe_rows": -5}}`,
+		"config tmvm":        `{"model": "tinyconvnet", "config": {"tmvm_nanos": -4}}`,
+		"config noc":         `{"model": "tinyconvnet", "config": {"noc_cycles_per_hop": -1}}`,
+		"config target_sets": `{"model": "tinyconvnet", "config": {"target_sets": -4}}`,
 	} {
 		var er ErrorResponse
 		rec := doJSON(t, s, http.MethodPost, "/v1/evaluate", body, &er)
@@ -164,6 +168,9 @@ func TestEvaluateInvalidValuesAreBadRequest(t *testing.T) {
 		if er.Error == "" {
 			t.Errorf("%s: missing error message", name)
 		}
+	}
+	if st := eng.Stats(); st.Compiles != 0 {
+		t.Errorf("invalid requests compiled %d times, want 0", st.Compiles)
 	}
 }
 
@@ -245,7 +252,8 @@ func TestBatchValidatesItems(t *testing.T) {
 	body := `{"requests": [
 		{"model": "tinyconvnet", "total_pes": -4},
 		{"model": "tinyconvnet", "timeout_ms": -1},
-		{"model": "tinyconvnet"}
+		{"model": "tinyconvnet"},
+		{"model": "tinyconvnet", "config": {"pe_rows": -5}}
 	]}`
 	var resp BatchResponse
 	rec := doJSON(t, s, http.MethodPost, "/v1/evaluate/batch", body, &resp)
@@ -261,8 +269,11 @@ func TestBatchValidatesItems(t *testing.T) {
 	if r := resp.Results[2]; r.Error != "" || r.Evaluation == nil {
 		t.Errorf("result 2 = %+v, want the valid item evaluated", r)
 	}
-	if st := eng.Stats(); st.Evaluations != 1 {
-		t.Errorf("engine evaluations = %d, want 1 (invalid items withheld)", st.Evaluations)
+	if r := resp.Results[3]; r.Evaluation != nil || !strings.Contains(r.Error, "PERows") {
+		t.Errorf("result 3 = %+v, want a PERows validation error", r)
+	}
+	if st := eng.Stats(); st.Evaluations != 1 || st.CacheHits+st.CacheMisses != 2 {
+		t.Errorf("engine stats = %+v, want 1 evaluation and 2 cache lookups (invalid items withheld)", st)
 	}
 }
 
@@ -583,6 +594,7 @@ func TestStatusOfMapsSentinels(t *testing.T) {
 		{context.Canceled, 499},
 		{clsacim.ErrUnknownSolver, http.StatusBadRequest},
 		{clsacim.ErrUnknownMode, http.StatusBadRequest},
+		{clsacim.ErrInvalidConfig, http.StatusBadRequest},
 		{errors.New("boom"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {

@@ -3,11 +3,12 @@ package serve
 import "clsacim"
 
 // This file defines the JSON wire schema of the service. Requests reuse
-// clsacim.Request verbatim (its json tags are the wire format);
-// responses get dedicated types here so the schema is stable and
-// snake_case even if the in-process result structs grow fields. The
-// client package decodes into these same types, so a Go caller of the
-// HTTP API never sees the encoding.
+// clsacim.Request and clsacim.StreamRequest verbatim, and stream
+// responses clsacim.StreamResult (their json tags are the wire format);
+// the other responses get dedicated types here so the schema stays
+// stable and snake_case even if the in-process result structs grow
+// fields. The client package decodes into these same types, so a Go
+// caller of the HTTP API never sees the encoding.
 
 // Report is the wire form of one scheduling outcome (clsacim.Report):
 // the paper's per-configuration metrics.
@@ -81,58 +82,21 @@ type ModelsResponse struct {
 	Modes []string `json:"modes"`
 }
 
-// StreamLatency is the wire form of clsacim.LatencyStats: the
-// per-inference sojourn-time distribution in nanoseconds.
-type StreamLatency struct {
-	P50Nanos  float64 `json:"p50_nanos"`
-	P95Nanos  float64 `json:"p95_nanos"`
-	P99Nanos  float64 `json:"p99_nanos"`
-	MeanNanos float64 `json:"mean_nanos"`
-	MaxNanos  float64 `json:"max_nanos"`
-}
-
-// StreamJob is the wire form of one served inference's lifecycle.
-type StreamJob struct {
-	Model        string  `json:"model"`
-	ArrivalCycle int64   `json:"arrival_cycle"`
-	StartCycle   int64   `json:"start_cycle"`
-	EndCycle     int64   `json:"end_cycle"`
-	LatencyNanos float64 `json:"latency_nanos"`
-}
-
-// StreamQueueSample is one point of the queue-depth trace.
-type StreamQueueSample struct {
-	Cycle int64 `json:"cycle"`
-	Depth int   `json:"depth"`
-}
-
-// StreamModelResult is the per-model slice of a streamed evaluation,
-// including the single-inference reference that quantifies the
-// pipelining gain.
-type StreamModelResult struct {
-	Model                string        `json:"model"`
-	Inferences           int           `json:"inferences"`
-	SingleMakespanCycles int64         `json:"single_makespan_cycles"`
-	SingleRatePerSec     float64       `json:"single_rate_per_sec"`
-	ThroughputPerSec     float64       `json:"throughput_per_sec"`
-	Latency              StreamLatency `json:"latency"`
-}
-
-// StreamResponse is the body of a successful POST /v1/stream: the wire
-// form of clsacim.StreamResult.
-type StreamResponse struct {
-	Inferences       int                 `json:"inferences"`
-	MakespanCycles   int64               `json:"makespan_cycles"`
-	ElapsedNanos     float64             `json:"elapsed_nanos"`
-	ThroughputPerSec float64             `json:"throughput_per_sec"`
-	Latency          StreamLatency       `json:"latency"`
-	FabricPEs        int                 `json:"fabric_pes"`
-	PEUtilization    float64             `json:"pe_utilization"`
-	UtilizationPerPE []float64           `json:"utilization_per_pe"`
-	QueueDepth       []StreamQueueSample `json:"queue_depth"`
-	Jobs             []StreamJob         `json:"jobs"`
-	PerModel         []StreamModelResult `json:"per_model"`
-}
+// The stream schema is clsacim.StreamResult itself, whose json tags
+// are the wire format; the aliases keep the serve-side names.
+type (
+	// StreamResponse is the body of a successful POST /v1/stream.
+	StreamResponse = clsacim.StreamResult
+	// StreamLatency is the per-inference sojourn-time distribution in
+	// nanoseconds.
+	StreamLatency = clsacim.LatencyStats
+	// StreamJob is one served inference's lifecycle.
+	StreamJob = clsacim.StreamJob
+	// StreamQueueSample is one point of the queue-depth trace.
+	StreamQueueSample = clsacim.StreamQueueSample
+	// StreamModelResult is the per-model slice of a streamed evaluation.
+	StreamModelResult = clsacim.StreamModelResult
+)
 
 // EngineStats is the wire form of clsacim.Stats: the compile-cache and
 // work accounting of the daemon's engine.
@@ -290,52 +254,5 @@ func wireStats(s clsacim.Stats) EngineStats {
 		StreamInferences:  s.StreamInferences,
 		CachedEntries:     s.CachedEntries,
 		CacheLimit:        s.CacheLimit,
-	}
-}
-
-// wireStreamResult converts an in-process stream result.
-func wireStreamResult(res *clsacim.StreamResult) *StreamResponse {
-	out := &StreamResponse{
-		Inferences:       res.Inferences,
-		MakespanCycles:   res.MakespanCycles,
-		ElapsedNanos:     res.ElapsedNanos,
-		ThroughputPerSec: res.ThroughputPerSec,
-		Latency:          wireLatency(res.Latency),
-		FabricPEs:        res.FabricPEs,
-		PEUtilization:    res.PEUtilization,
-		UtilizationPerPE: res.UtilizationPerPE,
-	}
-	for _, js := range res.Jobs {
-		out.Jobs = append(out.Jobs, StreamJob{
-			Model:        js.Model,
-			ArrivalCycle: js.ArrivalCycle,
-			StartCycle:   js.StartCycle,
-			EndCycle:     js.EndCycle,
-			LatencyNanos: js.LatencyNanos,
-		})
-	}
-	for _, qs := range res.QueueDepth {
-		out.QueueDepth = append(out.QueueDepth, StreamQueueSample{Cycle: qs.Cycle, Depth: qs.Depth})
-	}
-	for _, pm := range res.PerModel {
-		out.PerModel = append(out.PerModel, StreamModelResult{
-			Model:                pm.Model,
-			Inferences:           pm.Inferences,
-			SingleMakespanCycles: pm.SingleMakespanCycles,
-			SingleRatePerSec:     pm.SingleRatePerSec,
-			ThroughputPerSec:     pm.ThroughputPerSec,
-			Latency:              wireLatency(pm.Latency),
-		})
-	}
-	return out
-}
-
-func wireLatency(l clsacim.LatencyStats) StreamLatency {
-	return StreamLatency{
-		P50Nanos:  l.P50Nanos,
-		P95Nanos:  l.P95Nanos,
-		P99Nanos:  l.P99Nanos,
-		MeanNanos: l.MeanNanos,
-		MaxNanos:  l.MaxNanos,
 	}
 }

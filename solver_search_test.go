@@ -16,9 +16,9 @@ import (
 
 // searchEngine builds a fresh engine with coarse Stage I granularity so
 // every search evaluation stays cheap.
-func searchEngine(t *testing.T, opts ...Option) *Engine {
+func searchEngine(t *testing.T) *Engine {
 	t.Helper()
-	return MustNew(append([]Option{WithTargetSets(26)}, opts...)...)
+	return MustNew(WithConfig(Config{TargetSets: 26}))
 }
 
 // Determinism: the same (seed, budget) must yield byte-identical
@@ -138,11 +138,8 @@ func TestSearchSolverValidationAndOptions(t *testing.T) {
 	if err := (Request{Model: "tinyconvnet", SolverBudget: -1}).Validate(); err == nil {
 		t.Error("negative SolverBudget passed Validate")
 	}
-	if _, err := New(WithSolver("search"), WithSolverBudget(16), WithSolverSeed(3)); err != nil {
-		t.Errorf("scored solver engine options rejected: %v", err)
-	}
-	if _, err := New(WithSolverBudget(-1)); err == nil {
-		t.Error("negative WithSolverBudget accepted")
+	if _, err := New(WithConfig(Config{Solver: "search", SolverBudget: 16, SolverSeed: 3})); err != nil {
+		t.Errorf("scored solver engine config rejected: %v", err)
 	}
 	// The registry surface lists the scored solver next to the builtins.
 	found := false

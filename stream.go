@@ -259,7 +259,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 		// the makespan of the mode the models will actually run under.
 		r := sm.request()
 		r.Mode = req.Mode
-		c, hit, err := e.compileCounted(ctx, m, e.effective(r))
+		c, hit, err := e.compileCounted(ctx, m, r.overlay(e.base))
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,7 @@ import (
 // check.Stream oracle.
 func coarseStreamEngine(t *testing.T) *Engine {
 	t.Helper()
-	return MustNew(WithTargetSets(26), WithValidation())
+	return MustNew(WithConfig(Config{TargetSets: 26}), WithValidation())
 }
 
 // The acceptance criterion of the subsystem: pipelined steady-state
@@ -179,7 +179,7 @@ func TestEvaluateStreamRejectsBadRequests(t *testing.T) {
 
 // Virtualized compilations cannot stream: weights must stay resident.
 func TestEvaluateStreamRejectsVirtualized(t *testing.T) {
-	e := MustNew(WithTargetSets(26), WithVirtualization(0, 0))
+	e := MustNew(WithConfig(Config{TargetSets: 26, WeightVirtualization: true}))
 	_, err := e.EvaluateStream(context.Background(), StreamRequest{
 		Models:     []StreamModel{{Model: "tinyyolov4", TotalPEs: 64}},
 		Inferences: 1,

@@ -13,7 +13,7 @@ import (
 // across the policy family, mapping knobs, and data-movement costs —
 // i.e. the checker agrees with the scheduler on real workloads.
 func TestWithValidationAcceptsAllModes(t *testing.T) {
-	eng, err := New(WithValidation(), WithTargetSets(12))
+	eng, err := New(WithValidation(), WithConfig(Config{TargetSets: 12}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestWithValidationAcceptsAllModes(t *testing.T) {
 // TestWithValidationEdgeCost: validation must pass when data movement is
 // charged on dependency edges (the checker replays the same cost model).
 func TestWithValidationEdgeCost(t *testing.T) {
-	eng, err := New(WithValidation(), WithTargetSets(9), WithNoC(2), WithGPEU(1))
+	eng, err := New(WithValidation(), WithConfig(Config{TargetSets: 9, NoCCyclesPerHop: 2, GPEUCyclesPerKElem: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
