@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 // tightRequest is a request whose 1ms deadline cannot cover a cold
@@ -61,5 +62,33 @@ func TestBatchDegradesPerRequest(t *testing.T) {
 	}
 	if spans := out[2].Evaluation.Result.LayerSpans(); len(spans) == 0 {
 		t.Error("relaxed item's report has no timeline")
+	}
+}
+
+// TestStreamDeadlineStopsEventLoop: a warm stream far longer than its
+// deadline must stop inside the stream event loop, not after it, so the
+// request gives up its admission slot on time.
+func TestStreamDeadlineStopsEventLoop(t *testing.T) {
+	e, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := StreamRequest{
+		Models:     []StreamModel{{Model: "tinyyolov4", WeightDuplication: true, ExtraPEs: 32}},
+		Inferences: 1,
+		Mode:       ModeCrossLayer,
+		Arrival:    ArrivalProcess{Kind: "closed", Concurrency: 4},
+	}
+	if _, err := e.EvaluateStream(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	req.Inferences, req.TimeoutMillis = 300, 5
+	start := time.Now()
+	_, err = e.EvaluateStream(context.Background(), req)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("a 5 ms deadline returned after %v", d)
 	}
 }

@@ -11,14 +11,21 @@
 // width, the pop scan walks the ring from the current bucket, and the
 // bounded increment guarantees every live event sits within one lap.
 //
+// Each bucket is kept sorted by (Time, Seq) on insertion. Engines push
+// in nearly ascending order — sequence numbers only grow, and at the
+// finest granularity a bucket is one cycle wide — so the backward
+// insertion walk is O(1) in the common case. Pop then takes the
+// bucket's head through a per-bucket head index, with no scan inside
+// the bucket.
+//
 // Determinism is preserved exactly: Pop returns the strict minimum
 // under the (Time, Seq) order the heap used, because days (bucket
-// indices) are strictly ordered along the scan and the minimum within
-// one bucket is selected by a linear (Time, Seq) scan. Events whose
-// time exceeds the ring's horizon (possible only under unbounded
-// caller-supplied edge costs) overflow into a side list and migrate
-// back once the clock catches up, so correctness never depends on the
-// increment bound — only speed does.
+// indices) are strictly ordered along the scan, every bucket holds
+// events of one day only, and each bucket's head is its (Time, Seq)
+// minimum. Events whose time exceeds the ring's horizon (possible only
+// under unbounded caller-supplied edge costs) overflow into a side list
+// and migrate back once the clock catches up, so correctness never
+// depends on the increment bound — only speed does.
 //
 // A Queue is reusable: Init reshapes the ring for a workload's bound
 // and keeps the bucket storage of earlier runs, so a warm queue
@@ -37,7 +44,7 @@ type Event[P any] struct {
 // event time. The zero value is empty but unshaped; call Init before
 // the first Push.
 type Queue[P any] struct {
-	buckets [][]Event[P]
+	buckets []bucket[P]
 	mask    int64 // len(buckets)-1; len is a power of two
 	shift   uint  // bucket width = 1 << shift cycles
 
@@ -48,12 +55,34 @@ type Queue[P any] struct {
 	overflowMin int64      // min Time in overflow (valid when non-empty)
 }
 
+// bucket holds the events of one day in (Time, Seq) order; ev[:head]
+// are already popped. A drained bucket rewinds to the start of its
+// storage, so the storage never outgrows one day's events.
+type bucket[P any] struct {
+	ev   []Event[P]
+	head int
+}
+
+// insert places e in (Time, Seq) order, walking back from the tail.
+func (b *bucket[P]) insert(e Event[P]) {
+	b.ev = append(b.ev, e)
+	i := len(b.ev) - 1
+	for ; i > b.head && less(e, b.ev[i-1]); i-- {
+		b.ev[i] = b.ev[i-1]
+	}
+	b.ev[i] = e
+}
+
+func less[P any](a, b Event[P]) bool {
+	return a.Time < b.Time || (a.Time == b.Time && a.Seq < b.Seq)
+}
+
 // Init shapes the queue for a run: span is the maximum push increment
 // (an upper bound on e.Time - now at push time; pushes beyond it are
 // still correct, just slower), and width the expected number of
-// concurrently pending events. The queue must be empty; bucket storage
-// from earlier runs is kept, so a warm Init allocates only when the
-// shape grows.
+// concurrently pending events. Events still pending from an abandoned
+// run are discarded; bucket storage from earlier runs is kept, so a
+// warm Init allocates only when the shape grows.
 func (q *Queue[P]) Init(span int64, width int) {
 	if span < 1 {
 		span = 1
@@ -68,10 +97,14 @@ func (q *Queue[P]) Init(span int64, width int) {
 	for span>>shift > int64(nb-2) {
 		shift++
 	}
-	if len(q.buckets) < nb {
-		q.buckets = make([][]Event[P], nb)
+	if cap(q.buckets) < nb {
+		q.buckets = make([]bucket[P], nb)
 	} else {
 		q.buckets = q.buckets[:nb]
+		for i := range q.buckets {
+			q.buckets[i].ev = q.buckets[i].ev[:0]
+			q.buckets[i].head = 0
+		}
 	}
 	q.mask = int64(nb - 1)
 	q.shift = shift
@@ -93,8 +126,7 @@ func (q *Queue[P]) Push(t, seq int64, p P) {
 		q.overflow = append(q.overflow, Event[P]{Time: t, Seq: seq, P: p})
 		return
 	}
-	b := (t >> q.shift) & q.mask
-	q.buckets[b] = append(q.buckets[b], Event[P]{Time: t, Seq: seq, P: p})
+	q.buckets[(t>>q.shift)&q.mask].insert(Event[P]{Time: t, Seq: seq, P: p})
 	q.ringN++
 }
 
@@ -114,20 +146,16 @@ func (q *Queue[P]) Pop() (e Event[P], ok bool) {
 	}
 	day := q.now >> q.shift
 	for i := int64(0); i <= q.mask; i++ {
-		b := q.buckets[(day+i)&q.mask]
-		if len(b) == 0 {
+		b := &q.buckets[(day+i)&q.mask]
+		if b.head == len(b.ev) {
 			continue
 		}
-		best := 0
-		for j := 1; j < len(b); j++ {
-			if b[j].Time < b[best].Time || (b[j].Time == b[best].Time && b[j].Seq < b[best].Seq) {
-				best = j
-			}
+		e = b.ev[b.head]
+		b.head++
+		if b.head == len(b.ev) {
+			b.ev = b.ev[:0]
+			b.head = 0
 		}
-		e = b[best]
-		last := len(b) - 1
-		b[best] = b[last]
-		q.buckets[(day+i)&q.mask] = b[:last]
 		q.ringN--
 		q.now = e.Time
 		return e, true
@@ -149,8 +177,7 @@ func (q *Queue[P]) migrate() {
 			kept = append(kept, e)
 			continue
 		}
-		b := (e.Time >> q.shift) & q.mask
-		q.buckets[b] = append(q.buckets[b], e)
+		q.buckets[(e.Time>>q.shift)&q.mask].insert(e)
 		q.ringN++
 	}
 	q.overflow = kept

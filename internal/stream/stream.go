@@ -13,7 +13,12 @@
 //
 //   - Every job instantiates the shared, immutable Stage III dispatch
 //     plan (schedule.Dispatch) of its model and keeps only per-job
-//     cursors, dependency counters, and window state.
+//     cursors, dependency counters, and window state: 12 bytes per set
+//     (an unmet-dependency count, and a ready time that becomes the
+//     set's start time once it starts). The state is taken from a
+//     per-model free list when the job is admitted and returned to it
+//     when the job retires, so memory scales with the jobs in flight,
+//     not with the jobs served.
 //   - Each replica PE group is a physical resource serving the jobs of
 //     its model strictly FIFO in per-model issue order: a group starts
 //     inference j+1's sets only after finishing its share of inference
@@ -28,12 +33,20 @@
 //     ranges) conflict wherever their replica groups share a physical
 //     PE: a group may not start while a conflicting group is busy.
 //
+// The engine is greedy: after every event, every group whose head set
+// can start has started. A head becomes startable only when its last
+// dependency completes, its layer's gate opens, its group or a
+// conflicting group frees, or its FIFO head changes, so a completion
+// wakes a successor's group only once that successor is ready.
+//
 // The oracle for all of this is check.Stream, which revalidates every
 // per-job timeline plus the cross-inference invariants from scratch;
-// Options.Debug wires it in.
+// Options.Debug wires it in. A job's timeline is built once, when the
+// job retires, unless Options.DropTimelines is set.
 package stream
 
 import (
+	"context"
 	"fmt"
 
 	"clsacim/internal/check"
@@ -85,6 +98,13 @@ type Options struct {
 	// Debug revalidates the full stream against check.Stream before
 	// returning; a violation means an engine bug and fails the run.
 	Debug bool
+	// DropTimelines leaves Result.Timelines nil for callers that read
+	// only the lifecycle stats. Debug needs the timelines and overrides
+	// it.
+	DropTimelines bool
+	// Context, when non-nil, cancels the run: the event loop polls it
+	// every few thousand events and returns its error.
+	Context context.Context
 }
 
 // JobStat is the lifecycle of one job in absolute stream cycles.
@@ -107,7 +127,8 @@ type Result struct {
 	// Jobs holds per-job lifecycle stats in issue order.
 	Jobs []JobStat
 	// Timelines holds each job's executed timeline in absolute stream
-	// time (Makespan = the job's own last completion), issue order.
+	// time (Makespan = the job's own last completion), issue order; nil
+	// under Options.DropTimelines.
 	Timelines []*schedule.Timeline
 	// MakespanCycles is the completion time of the whole stream.
 	MakespanCycles int64
@@ -129,21 +150,20 @@ type payload struct {
 	id  int32
 }
 
-// jobState is the mutable execution state of one admitted job. The
-// large per-set arrays are released at completion; the timeline and the
-// per-group cursors (needed by the FIFO pop rule) survive.
+// jobState is the mutable execution state of one admitted job. It
+// lives only while the job is in flight: retire builds the job's
+// timeline from it (when timelines are kept) and returns it to its
+// model's free list for the next admission.
 type jobState struct {
-	model   int
-	arrival int64
-	start   int64 // earliest item start, -1 until first start
-	end     int64
+	model int
+	start int64 // earliest item start, -1 until first start
 
-	tl       *schedule.Timeline
 	depsLeft []int32 // unmet dependency count per flat set
-	readyAt  []int64 // max dependency completion (+edge cost) per flat set
-	pos      []int32 // completed-set cursor per model-local replica group
+	// readyAt is the max dependency completion (+edge cost) of a set
+	// until the set starts, and its start time from then on.
+	readyAt []int64
+	pos     []int32 // completed-set cursor per model-local replica group
 
-	window    int
 	gateOpen  []bool
 	setsLeft  []int32
 	layerDone []bool
@@ -158,15 +178,37 @@ type fifoQueue struct {
 	head int
 }
 
+// modelRun is one model class's run-time data: its immutable dispatch
+// plan and counter templates, its admission bookkeeping, and the free
+// list of its retired job states.
+type modelRun struct {
+	disp *schedule.Dispatch
+	csr  *deps.CSR
+	succ *deps.SuccView // csr.Successors()
+	edge schedule.EdgeCostFn
+	// base is the global id of the model's first replica group.
+	base int
+	// grpLayer[lg] is the layer of model-local replica group lg.
+	grpLayer []int32
+	// preds and layerSets are the templates a job's depsLeft and
+	// setsLeft reset from: predecessors per set, sets per layer.
+	preds     []int32
+	layerSets []int32
+	window    int
+
+	jobs []int32 // job indices, issue order
+	// nextAdmit indexes jobs: the first job not yet admitted.
+	nextAdmit int
+	// done counts completed jobs (completions are provably in issue
+	// order under the FIFO discipline).
+	done int
+	free []*jobState
+}
+
 type engine struct {
-	w     Workload
-	gate  int
-	disp  []*schedule.Dispatch // per model
-	csr   []*deps.CSR          // per model
-	succ  []*deps.SuccView     // per model: csr[mi].Successors()
-	peOff []int                // grpBase: global group id prefix per model
-	// grpLayer[mi][lg] is the layer of model mi's local group lg.
-	grpLayer [][]int32
+	w      Workload
+	gate   int
+	models []modelRun
 	// conflicts[G] lists the groups of *other* models sharing a
 	// physical PE with group G (shared crossbar pools).
 	conflicts [][]int32
@@ -177,23 +219,33 @@ type engine struct {
 	// run instead of once per completion event.
 	grpAct []int64
 
-	jobs     []*jobState
-	arrived  []bool
-	perModel [][]int32 // job indices per model, issue order
-	// nextAdmit[mi] indexes perModel[mi]: the first job not yet admitted.
-	nextAdmit []int
-	// donePerModel[mi] counts completed jobs of model mi (completions
-	// are provably in issue order under the FIFO discipline).
-	donePerModel []int
-	doneTotal    int
-	nextArrival  int // closed loop: next job index to spawn
+	// jobs[j] is job j's state while it is in flight, nil before
+	// admission and after retirement.
+	jobs        []*jobState
+	phase       []jobPhase
+	timelines   bool
+	nextArrival int // closed loop: next job index to spawn
 
 	queue eventq.Queue[payload]
 	seq   int64
+	ctx   context.Context
 
 	res   *Result
 	depth int
 }
+
+// jobPhase is where a job stands in its lifecycle.
+type jobPhase uint8
+
+const (
+	jobPending jobPhase = iota
+	jobArrived
+	jobAdmitted
+	jobRetired
+)
+
+// cancelPoll is the number of events between polls of Options.Context.
+const cancelPoll = 4096
 
 // Run executes the workload and returns the stream result. The run is
 // fully deterministic: identical inputs produce identical timelines.
@@ -271,52 +323,56 @@ func validate(w Workload, opt Options) error {
 
 func newEngine(w Workload, opt Options) *engine {
 	e := &engine{
-		w:            w,
-		gate:         opt.MaxInFlight,
-		disp:         make([]*schedule.Dispatch, len(w.Models)),
-		csr:          make([]*deps.CSR, len(w.Models)),
-		succ:         make([]*deps.SuccView, len(w.Models)),
-		peOff:        make([]int, len(w.Models)+1),
-		grpLayer:     make([][]int32, len(w.Models)),
-		jobs:         make([]*jobState, len(w.Sequence)),
-		arrived:      make([]bool, len(w.Sequence)),
-		perModel:     make([][]int32, len(w.Models)),
-		nextAdmit:    make([]int, len(w.Models)),
-		donePerModel: make([]int, len(w.Models)),
+		w:         w,
+		gate:      opt.MaxInFlight,
+		models:    make([]modelRun, len(w.Models)),
+		jobs:      make([]*jobState, len(w.Sequence)),
+		phase:     make([]jobPhase, len(w.Sequence)),
+		timelines: opt.Debug || !opt.DropTimelines,
+		ctx:       opt.Context,
 		res: &Result{
-			Jobs:      make([]JobStat, len(w.Sequence)),
-			Timelines: make([]*schedule.Timeline, len(w.Sequence)),
-			PEActive:  make([]int64, w.FabricPEs),
+			Jobs:     make([]JobStat, len(w.Sequence)),
+			PEActive: make([]int64, w.FabricPEs),
 		},
 	}
-	for mi, s := range w.Models {
-		e.disp[mi] = schedule.NewDispatch(s.Graph, s.Policy)
-		e.csr[mi] = s.Graph.CSR
-		e.succ[mi] = s.Graph.CSR.Successors()
-		e.peOff[mi+1] = e.peOff[mi] + e.disp[mi].NumReplicas()
-		gl := make([]int32, e.disp[mi].NumReplicas())
-		for li := 0; li < len(s.Graph.Plan.Layers); li++ {
-			for g := e.disp[mi].RepOff[li]; g < e.disp[mi].RepOff[li+1]; g++ {
-				gl[g] = int32(li)
-			}
-		}
-		e.grpLayer[mi] = gl
+	if e.timelines {
+		e.res.Timelines = make([]*schedule.Timeline, len(w.Sequence))
 	}
-	total := e.peOff[len(w.Models)]
-	e.busy = make([]bool, total)
-	e.fifo = make([]fifoQueue, total)
-	e.grpAct = make([]int64, total)
-	e.conflicts = buildConflicts(w.Models, e.peOff, total)
-	for j, mi := range w.Sequence {
-		e.perModel[mi] = append(e.perModel[mi], int32(j))
-	}
+	total := 0
 	span := int64(1)
-	for _, csr := range e.csr {
-		for _, c := range csr.Cycles {
+	for mi, s := range w.Models {
+		m := &e.models[mi]
+		m.disp = schedule.NewDispatch(s.Graph, s.Policy)
+		m.csr = s.Graph.CSR
+		m.succ = m.csr.Successors()
+		m.edge = s.Edge
+		m.base = total
+		total += m.disp.NumReplicas()
+		m.grpLayer = make([]int32, m.disp.NumReplicas())
+		m.layerSets = make([]int32, len(s.Graph.Plan.Layers))
+		for li := range m.layerSets {
+			for g := m.disp.RepOff[li]; g < m.disp.RepOff[li+1]; g++ {
+				m.grpLayer[g] = int32(li)
+			}
+			m.layerSets[li] = int32(s.Graph.Plan.Layers[li].NumSets())
+		}
+		m.preds = make([]int32, m.csr.NumSets())
+		for i := range m.preds {
+			m.preds[i] = m.csr.PredOff[i+1] - m.csr.PredOff[i]
+		}
+		m.window = s.Policy.Window()
+		for _, c := range m.csr.Cycles {
 			if c > span {
 				span = c
 			}
 		}
+	}
+	e.busy = make([]bool, total)
+	e.fifo = make([]fifoQueue, total)
+	e.grpAct = make([]int64, total)
+	e.conflicts = buildConflicts(w.Models, e.models, total)
+	for j, mi := range w.Sequence {
+		e.models[mi].jobs = append(e.models[mi].jobs, int32(j))
 	}
 	e.queue.Init(span, total)
 	return e
@@ -326,10 +382,10 @@ func newEngine(w Workload, opt Options) *engine {
 // onto it and records, per group, the distinct other groups it shares a
 // PE with. Within one (non-virtualized) model the groups are disjoint,
 // so conflicts only arise between models on a shared pool.
-func buildConflicts(specs []ModelSpec, peOff []int, total int) [][]int32 {
+func buildConflicts(specs []ModelSpec, models []modelRun, total int) [][]int32 {
 	owners := map[int][]int32{}
 	for mi, s := range specs {
-		gid := int32(peOff[mi])
+		gid := int32(models[mi].base)
 		for _, g := range s.Mapping.Groups {
 			for r := 0; r < g.Dup; r++ {
 				for _, pe := range g.ReplicaPEs(r) {
@@ -389,27 +445,33 @@ func (e *engine) run() (*Result, error) {
 		e.nextArrival = n
 		e.admitAll(0)
 	}
-	for {
+	for n := 1; ; n++ {
+		if e.ctx != nil && n%cancelPoll == 0 {
+			if err := e.ctx.Err(); err != nil {
+				return nil, fmt.Errorf("stream: run abandoned at cycle %d: %w", now, err)
+			}
+		}
 		ev, ok := e.queue.Pop()
 		if !ok {
 			break
 		}
 		now = ev.Time
+		// Admission can change only when a job arrives or retires.
 		if ev.P.id < 0 {
 			e.arrive(ev.P.job, now)
-		} else {
-			e.complete(ev.P, now)
+			e.admitAll(now)
+		} else if e.complete(ev.P, now) {
+			e.admitAll(now)
 		}
-		e.admitAll(now)
 	}
 	e.bookPEActivity()
-	for j, jb := range e.jobs {
-		if jb == nil {
+	for j, ph := range e.phase {
+		if ph < jobAdmitted {
 			return nil, fmt.Errorf("stream: job %d (model %d) never admitted (deadlock)", j, e.w.Sequence[j])
 		}
-		if jb.remaining > 0 {
+		if ph == jobAdmitted {
 			return nil, fmt.Errorf("stream: job %d (model %d) incomplete, %d sets pending (deadlock)",
-				j, jb.model, jb.remaining)
+				j, e.jobs[j].model, e.jobs[j].remaining)
 		}
 	}
 	e.res.MakespanCycles = now
@@ -418,7 +480,7 @@ func (e *engine) run() (*Result, error) {
 
 // arrive marks job j in the system at time t and samples the queue.
 func (e *engine) arrive(j int32, t int64) {
-	e.arrived[j] = true
+	e.phase[j] = jobArrived
 	e.res.Jobs[j].Arrival = t
 	e.depth++
 	e.sampleQueue(t)
@@ -437,60 +499,64 @@ func (e *engine) sampleQueue(t int64) {
 // admission gate allows another inference in flight. Admission order is
 // per-model issue order.
 func (e *engine) admitAll(now int64) {
-	for mi := range e.perModel {
-		for {
-			k := e.nextAdmit[mi]
-			if k >= len(e.perModel[mi]) {
+	for mi := range e.models {
+		m := &e.models[mi]
+		for m.nextAdmit < len(m.jobs) {
+			j := m.jobs[m.nextAdmit]
+			if e.phase[j] != jobArrived {
 				break
 			}
-			j := e.perModel[mi][k]
-			if !e.arrived[j] {
+			if e.gate > 0 && m.nextAdmit >= e.gate+m.done {
 				break
 			}
-			if e.gate > 0 && k >= e.gate+e.donePerModel[mi] {
-				break
-			}
-			e.nextAdmit[mi]++
-			e.admit(j, now)
+			m.nextAdmit++
+			e.admit(j, mi, now)
 		}
 	}
 }
 
 // admit instantiates job j's execution state, enqueues it on every
 // replica group of its model, and starts whatever the window allows.
-func (e *engine) admit(j int32, now int64) {
-	mi := e.w.Sequence[j]
-	s := e.w.Models[mi]
-	csr := e.csr[mi]
-	ns := csr.NumSets()
-	nl := len(s.Graph.Plan.Layers)
-	jb := &jobState{
-		model:     mi,
-		arrival:   e.res.Jobs[j].Arrival,
-		start:     -1,
-		tl:        schedule.NewTimeline(s.Graph, s.Policy),
-		depsLeft:  make([]int32, ns),
-		readyAt:   make([]int64, ns),
-		pos:       make([]int32, e.disp[mi].NumReplicas()),
-		window:    s.Policy.Window(),
-		gateOpen:  make([]bool, nl),
-		setsLeft:  make([]int32, nl),
-		layerDone: make([]bool, nl),
-		remaining: ns,
+func (e *engine) admit(j int32, mi int, now int64) {
+	m := &e.models[mi]
+	e.jobs[j] = m.newJob(mi)
+	e.phase[j] = jobAdmitted
+	for g := 0; g < m.disp.NumReplicas(); g++ {
+		e.fifo[m.base+g].q = append(e.fifo[m.base+g].q, j)
 	}
-	for li := range s.Graph.Plan.Layers {
-		jb.setsLeft[li] = int32(s.Graph.Plan.Layers[li].NumSets())
-	}
-	for i := 0; i < ns; i++ {
-		jb.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
-	}
-	e.jobs[j] = jb
-	base := e.peOff[mi]
-	for g := 0; g < e.disp[mi].NumReplicas(); g++ {
-		e.fifo[base+g].q = append(e.fifo[base+g].q, j)
-	}
-	e.res.Timelines[j] = jb.tl
 	e.openGates(j, now)
+}
+
+// newJob takes a jobState from the free list, or allocates one when
+// every recycled state is in flight, and resets its counters. readyAt
+// is not cleared: a stale entry is a start time of an earlier job, no
+// later than this admission, so it can never delay a start.
+func (m *modelRun) newJob(mi int) *jobState {
+	var jb *jobState
+	if n := len(m.free); n > 0 {
+		jb = m.free[n-1]
+		m.free = m.free[:n-1]
+		clear(jb.pos)
+		clear(jb.gateOpen)
+		clear(jb.layerDone)
+	} else {
+		nl := len(m.layerSets)
+		jb = &jobState{
+			model:     mi,
+			depsLeft:  make([]int32, len(m.preds)),
+			readyAt:   make([]int64, len(m.preds)),
+			pos:       make([]int32, m.disp.NumReplicas()),
+			gateOpen:  make([]bool, nl),
+			setsLeft:  make([]int32, nl),
+			layerDone: make([]bool, nl),
+		}
+	}
+	copy(jb.depsLeft, m.preds)
+	copy(jb.setsLeft, m.layerSets)
+	jb.start = -1
+	jb.frontier = 0
+	jb.remaining = len(m.preds)
+	return jb
 }
 
 // openGates admits every layer of job j the window allows and tries to
@@ -498,13 +564,12 @@ func (e *engine) admit(j int32, now int64) {
 // advance the frontier further (mirrors sim.openGates, per job).
 func (e *engine) openGates(j int32, now int64) {
 	jb := e.jobs[j]
+	m := &e.models[jb.model]
 	nl := len(jb.gateOpen)
-	base := e.peOff[jb.model]
-	d := e.disp[jb.model]
 	for {
 		limit := nl
-		if jb.window < nl-jb.frontier {
-			limit = jb.frontier + jb.window
+		if m.window < nl-jb.frontier {
+			limit = jb.frontier + m.window
 		}
 		progressed := false
 		for li := 0; li < limit; li++ {
@@ -517,8 +582,8 @@ func (e *engine) openGates(j int32, now int64) {
 				progressed = true
 				continue
 			}
-			for g := d.RepOff[li]; g < d.RepOff[li+1]; g++ {
-				e.tryStart(base+int(g), now)
+			for g := m.disp.RepOff[li]; g < m.disp.RepOff[li+1]; g++ {
+				e.tryStart(m.base+int(g), now)
 			}
 		}
 		for jb.frontier < nl && jb.layerDone[jb.frontier] {
@@ -540,26 +605,25 @@ func (e *engine) tryStart(G int, now int64) {
 		return
 	}
 	f := &e.fifo[G]
-	for {
-		if f.head >= len(f.q) {
-			return
-		}
+	for f.head < len(f.q) {
 		j := f.q[f.head]
 		jb := e.jobs[j]
-		lg := int32(G - e.peOff[jb.model])
-		d := e.disp[jb.model]
-		next := d.OrderOff[lg] + jb.pos[lg]
-		if next >= d.OrderOff[lg+1] {
-			f.head++
+		if jb == nil {
+			f.pop() // retired: done with every group
+			continue
+		}
+		m := &e.models[jb.model]
+		lg := int32(G - m.base)
+		next := m.disp.OrderOff[lg] + jb.pos[lg]
+		if next >= m.disp.OrderOff[lg+1] {
+			f.pop()
 			continue // job done with this group; serve the next one
 		}
-		li := int(e.grpLayer[jb.model][lg])
+		li := int(m.grpLayer[lg])
 		if !jb.gateOpen[li] {
 			return
 		}
-		si := int(d.Order[next])
-		csr := e.csr[jb.model]
-		id := csr.ID(li, si)
+		id := m.csr.ID(li, int(m.disp.Order[next]))
 		if jb.depsLeft[id] > 0 {
 			return
 		}
@@ -572,16 +636,23 @@ func (e *engine) tryStart(G int, now int64) {
 		if jb.readyAt[id] > start {
 			start = jb.readyAt[id]
 		}
-		end := start + csr.Cycles[id]
 		e.busy[G] = true
-		rep := int(lg - d.RepOff[li])
-		jb.tl.Items[id] = schedule.Item{Layer: li, Set: si, Replica: rep, Start: start, End: end}
+		jb.readyAt[id] = start
 		if jb.start < 0 || start < jb.start {
 			jb.start = start
 		}
 		e.seq++
-		e.queue.Push(end, e.seq, payload{job: j, id: id})
+		e.queue.Push(start+m.csr.Cycles[id], e.seq, payload{job: j, id: id})
 		return
+	}
+}
+
+// pop drops the head job, compacting once half the queue is popped so
+// that the queue's length stays within twice the jobs it holds.
+func (f *fifoQueue) pop() {
+	if f.head++; 2*f.head >= len(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		f.q, f.head = f.q[:n], 0
 	}
 }
 
@@ -589,40 +660,34 @@ func (e *engine) tryStart(G int, now int64) {
 // frees the group, releases in-job successors, advances the job's
 // window, and — when the job's last set finishes — retires the job,
 // releases its admission-gate slot, and (closed loop) spawns the next
-// arrival.
-func (e *engine) complete(ev payload, now int64) {
+// arrival. It reports whether the job retired.
+func (e *engine) complete(ev payload, now int64) (retired bool) {
 	jb := e.jobs[ev.job]
-	mi := jb.model
-	s := e.w.Models[mi]
-	csr := e.csr[mi]
-	d := e.disp[mi]
+	m := &e.models[jb.model]
+	csr := m.csr
 	li := int(csr.SetLayer[ev.id])
-	si := int(ev.id - csr.LayerOff[li])
-	lg := d.RepOf[ev.id] // O(1) inverse of the policy's Replica rule
-	rep := int(lg - d.RepOff[li])
-	G := e.peOff[mi] + int(lg)
+	lg := m.disp.RepOf[ev.id] // O(1) inverse of the policy's Replica rule
+	G := m.base + int(lg)
 
-	cycles := csr.Cycles[ev.id]
-	e.grpAct[G] += cycles
-	jb.tl.LayerActive[li] += cycles
-	jb.tl.ReplicaActive[li][rep] += cycles
-
+	e.grpAct[G] += csr.Cycles[ev.id]
 	e.busy[G] = false
 	jb.pos[lg]++
 
-	sv := e.succ[mi]
+	// Without edge costs a successor is ready when its last dependency
+	// completes, so its readyAt is never above the clock and stays
+	// untouched.
+	sv := m.succ
 	for x := sv.Off[ev.id]; x < sv.Off[ev.id+1]; x++ {
 		cid := sv.Succ[x]
-		cl := int(csr.SetLayer[cid])
-		cost := int64(0)
-		if s.Edge != nil {
-			cost = s.Edge(deps.SetRef{Layer: li, Set: si, Vol: int(sv.Vol[x])}, cl)
+		if m.edge != nil {
+			ref := deps.SetRef{Layer: li, Set: int(ev.id - csr.LayerOff[li]), Vol: int(sv.Vol[x])}
+			if t := now + m.edge(ref, int(csr.SetLayer[cid])); t > jb.readyAt[cid] {
+				jb.readyAt[cid] = t
+			}
 		}
-		if t := now + cost; t > jb.readyAt[cid] {
-			jb.readyAt[cid] = t
+		if jb.depsLeft[cid]--; jb.depsLeft[cid] == 0 {
+			e.tryStart(m.base+int(m.disp.RepOf[cid]), now)
 		}
-		jb.depsLeft[cid]--
-		e.tryStart(e.peOff[mi]+int(d.RepOf[cid]), now)
 	}
 
 	jb.setsLeft[li]--
@@ -636,12 +701,14 @@ func (e *engine) complete(ev payload, now int64) {
 	jb.remaining--
 	if jb.remaining == 0 {
 		e.retire(ev.job, now)
+		retired = true
 	}
 
 	e.tryStart(G, now)
 	for _, c := range e.conflicts[G] {
 		e.tryStart(int(c), now)
 	}
+	return retired
 }
 
 // bookPEActivity distributes the accumulated per-group busy cycles onto
@@ -650,15 +717,14 @@ func (e *engine) complete(ev payload, now int64) {
 // commutes with per-event accumulation.
 func (e *engine) bookPEActivity() {
 	for mi, s := range e.w.Models {
-		d := e.disp[mi]
-		base := e.peOff[mi]
+		m := &e.models[mi]
 		for li := range s.Graph.Plan.Layers {
-			for lg := d.RepOff[li]; lg < d.RepOff[li+1]; lg++ {
-				a := e.grpAct[base+int(lg)]
+			for lg := m.disp.RepOff[li]; lg < m.disp.RepOff[li+1]; lg++ {
+				a := e.grpAct[m.base+int(lg)]
 				if a == 0 {
 					continue
 				}
-				rep := int(lg - d.RepOff[li])
+				rep := int(lg - m.disp.RepOff[li])
 				for _, pe := range s.Mapping.Groups[li].ReplicaPEs(rep) {
 					e.res.PEActive[s.PEBase+pe] += a
 				}
@@ -667,25 +733,48 @@ func (e *engine) bookPEActivity() {
 	}
 }
 
-// retire finalizes a completed job: per-job makespan, lifecycle stats,
-// queue sample, admission-gate release, and the closed-loop respawn.
-// The large per-set arrays are dropped; the timeline and the per-group
-// cursors (still consulted by the FIFO pop rule) are kept.
+// retire finalizes a completed job: lifecycle stats, the job's
+// timeline (when kept), queue sample, admission-gate release, and the
+// closed-loop respawn. The job's state goes back to its model's free
+// list; the FIFOs still naming the job skip it from now on.
 func (e *engine) retire(j int32, t int64) {
 	jb := e.jobs[j]
-	jb.end = t
-	jb.tl.Makespan = t
+	m := &e.models[jb.model]
 	e.res.Jobs[j].Model = jb.model
 	e.res.Jobs[j].Start = jb.start
 	e.res.Jobs[j].End = t
+	if e.timelines {
+		e.res.Timelines[j] = e.timeline(jb, t)
+	}
+	e.jobs[j] = nil
+	e.phase[j] = jobRetired
+	m.free = append(m.free, jb)
+	m.done++
 	e.depth--
 	e.sampleQueue(t)
-	e.donePerModel[jb.model]++
-	e.doneTotal++
-	jb.depsLeft, jb.readyAt = nil, nil
-	jb.gateOpen, jb.setsLeft, jb.layerDone = nil, nil, nil
 	if e.w.Arrivals == nil && e.nextArrival < len(e.w.Sequence) {
 		e.arrive(int32(e.nextArrival), t)
 		e.nextArrival++
 	}
+}
+
+// timeline builds a retired job's executed timeline in one pass over
+// its sets: readyAt holds every set's start time by now, and the
+// layer, replica and duration follow from the set id.
+func (e *engine) timeline(jb *jobState, makespan int64) *schedule.Timeline {
+	s := e.w.Models[jb.model]
+	m := &e.models[jb.model]
+	tl := schedule.NewTimeline(s.Graph, s.Policy)
+	tl.Makespan = makespan
+	for li := range s.Graph.Plan.Layers {
+		for id := m.csr.LayerOff[li]; id < m.csr.LayerOff[li+1]; id++ {
+			rep := int(m.disp.RepOf[id] - m.disp.RepOff[li])
+			c := m.csr.Cycles[id]
+			start := jb.readyAt[id]
+			tl.Items[id] = schedule.Item{Layer: li, Set: int(id - m.csr.LayerOff[li]), Replica: rep, Start: start, End: start + c}
+			tl.LayerActive[li] += c
+			tl.ReplicaActive[li][rep] += c
+		}
+	}
+	return tl
 }

@@ -20,8 +20,8 @@ type compiled struct {
 }
 
 // compile runs the shape-only compilation pipeline for one builtin
-// model at coarse granularity.
-func compile(t *testing.T, id models.ID, targetSets int) compiled {
+// model; extra PEs beyond PEmin are spent on weight duplication.
+func compile(t *testing.T, id models.ID, targetSets, extra int) compiled {
 	t.Helper()
 	g := models.MustBuild(id, models.Options{})
 	if _, err := frontend.Canonicalize(g, frontend.Options{}); err != nil {
@@ -31,11 +31,15 @@ func compile(t *testing.T, id models.ID, targetSets int) compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := mapping.Solve(plan, plan.MinPEs, mapping.SolverNone)
+	solver := mapping.SolverNone
+	if extra > 0 {
+		solver = mapping.SolverDP
+	}
+	sol, err := mapping.Solve(plan, plan.MinPEs+extra, solver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mapping.Apply(g, plan, sol, plan.MinPEs)
+	m, err := mapping.Apply(g, plan, sol, plan.MinPEs+extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +80,7 @@ func repeat(mi, n int) []int {
 // translated by the predecessor's completion, and the stream makespan
 // exactly n single makespans. Debug mode runs check.Stream on the way.
 func TestClosedLoopSerialMatchesSchedule(t *testing.T) {
-	c := compile(t, models.TinyYOLOv4, 8)
+	c := compile(t, models.TinyYOLOv4, 8, 0)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(2), schedule.CrossLayer} {
 		single, err := schedule.Schedule(c.dg, p, schedule.Options{})
 		if err != nil {
@@ -114,7 +118,7 @@ func TestClosedLoopSerialMatchesSchedule(t *testing.T) {
 // flight under xinf, the stream must finish strictly faster than the
 // same jobs run serially (throughput > 1/makespan).
 func TestPipelinedBeatsSerial(t *testing.T) {
-	c := compile(t, models.TinyYOLOv4, 8)
+	c := compile(t, models.TinyYOLOv4, 8, 0)
 	single := singleMakespan(t, c, schedule.CrossLayer)
 	const n = 6
 	res, err := stream.Run(stream.Workload{
@@ -135,7 +139,7 @@ func TestPipelinedBeatsSerial(t *testing.T) {
 // the closed loop degenerates to serial execution no matter the
 // concurrency.
 func TestGateSerializes(t *testing.T) {
-	c := compile(t, models.TinyYOLOv4, 8)
+	c := compile(t, models.TinyYOLOv4, 8, 0)
 	single := singleMakespan(t, c, schedule.CrossLayer)
 	const n = 4
 	res, err := stream.Run(stream.Workload{
@@ -155,8 +159,8 @@ func TestGateSerializes(t *testing.T) {
 // Two models on disjoint pools run fully independently: the mixed
 // stream's makespan equals the slower of the two private streams.
 func TestDisjointPoolsAreIndependent(t *testing.T) {
-	a := compile(t, models.TinyYOLOv4, 8)
-	b := compile(t, models.TinyYOLOv3, 8)
+	a := compile(t, models.TinyYOLOv4, 8, 0)
+	b := compile(t, models.TinyYOLOv3, 8, 0)
 	p := schedule.CrossLayer
 	seq := []int{0, 1, 0, 1}
 	arr := []int64{0, 0, 0, 0}
@@ -183,8 +187,8 @@ func TestDisjointPoolsAreIndependent(t *testing.T) {
 // differential test: Debug mode revalidates every timeline through
 // check.Stream, including cross-model exclusivity on the shared pool.
 func TestSharedPoolTwoModelsValidated(t *testing.T) {
-	a := compile(t, models.TinyYOLOv4, 8)
-	b := compile(t, models.TinyYOLOv3, 8)
+	a := compile(t, models.TinyYOLOv4, 8, 0)
+	b := compile(t, models.TinyYOLOv3, 8, 0)
 	p := schedule.CrossLayer
 	fabric := a.m.F
 	if b.m.F > fabric {
@@ -210,7 +214,7 @@ func TestSharedPoolTwoModelsValidated(t *testing.T) {
 
 // Open-loop runs respect arrival times and record the queue trace.
 func TestOpenLoopArrivals(t *testing.T) {
-	c := compile(t, models.TinyYOLOv4, 8)
+	c := compile(t, models.TinyYOLOv4, 8, 0)
 	arr, err := stream.PoissonArrivals(3, 5, 5000)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +255,7 @@ func TestOpenLoopArrivals(t *testing.T) {
 }
 
 func TestRunRejectsBadWorkloads(t *testing.T) {
-	c := compile(t, models.TinyYOLOv4, 8)
+	c := compile(t, models.TinyYOLOv4, 8, 0)
 	good := stream.Workload{
 		FabricPEs:   c.m.F,
 		Models:      []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},

@@ -326,7 +326,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 		return nil, err
 	}
 
-	res, err := stream.Run(w, stream.Options{MaxInFlight: req.MaxInFlight, Debug: e.validate})
+	res, err := stream.Run(w, stream.Options{MaxInFlight: req.MaxInFlight, Debug: e.validate, DropTimelines: !e.validate, Context: ctx})
 	if err != nil {
 		return nil, err
 	}

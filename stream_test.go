@@ -2,6 +2,7 @@ package clsacim
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -270,5 +271,53 @@ func TestEvaluateStreamStatsCountServedJobs(t *testing.T) {
 	}
 	if s3 := e.Stats(); s3.CacheHits != 2 || s3.PartialHits != 1 {
 		t.Errorf("after new-mode stream: hits=%d partial=%d, want 2/1", s3.CacheHits, s3.PartialHits)
+	}
+}
+
+// TestEvaluateStreamAllocationBound is the allocation guard of the lean
+// stream engine: on a warm Engine, per-job state is pooled and
+// timelines are not kept without validation, so a stream allocates a
+// constant per in-flight job plus a small per-inference record, with no
+// per-set term per inference.
+func TestEvaluateStreamAllocationBound(t *testing.T) {
+	e := MustNew()
+	req := StreamRequest{
+		Models:     []StreamModel{{Model: "tinyyolov4", WeightDuplication: true, ExtraPEs: 32}},
+		Inferences: 1,
+		Mode:       ModeCrossLayer,
+		Arrival:    ArrivalProcess{Kind: "closed", Concurrency: 1},
+	}
+	if _, err := e.EvaluateStream(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(inferences, concurrency int) uint64 {
+		r := req
+		r.Inferences = inferences
+		r.Arrival.Concurrency = concurrency
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.EvaluateStream(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	c1x16, c1x64, c4x16 := alloc(16, 1), alloc(64, 1), alloc(16, 4)
+	t.Logf("c1x16 %d B, c1x64 %d B, c4x16 %d B", c1x16, c1x64, c4x16)
+	if c1x16 >= 10<<20 {
+		t.Errorf("16 inferences at c1 allocated %d B, want < 10 MB", c1x16)
+	}
+	if c1x64 > c1x16+48*4096 {
+		t.Errorf("64 inferences allocated %d B, over 16 inferences' %d B plus 4 KB per extra inference", c1x64, c1x16)
+	}
+	// Three more jobs in flight cost three more job states: 12 bytes
+	// per set, plus slack for the per-group and per-layer counters and
+	// for allocation size classes.
+	c, err := e.Compile(context.Background(), Request{Model: "tinyyolov4", WeightDuplication: true, ExtraPEs: 32, Mode: ModeCrossLayer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perJob := uint64(16*c.depGraph.CSR.NumSets() + 16<<10); c4x16 > c1x16+3*perJob {
+		t.Errorf("c4 allocated %d B, over c1's %d B plus 3 in-flight jobs of %d B", c4x16, c1x16, perJob)
 	}
 }
