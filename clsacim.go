@@ -841,29 +841,25 @@ type LayerSpan struct {
 func (r *Report) LayerSpans() []LayerSpan {
 	var out []LayerSpan
 	for li, g := range r.comp.mapped.Groups {
-		items := r.sched.ItemsOf(li)
+		base := len(out)
 		for rep := 0; rep < g.Dup; rep++ {
-			span := LayerSpan{
+			out = append(out, LayerSpan{
 				Name: g.Node.Name, Replica: rep, DupCount: g.Dup,
 				PEs:    g.PEsPerReplica(),
 				Active: r.sched.ReplicaActive[li][rep],
 				Start:  -1,
+			})
+		}
+		for si := range r.sched.ItemsOf(li) {
+			it := r.sched.At(li, si)
+			span := &out[base+it.Replica]
+			if span.Start < 0 || it.Start < span.Start {
+				span.Start = it.Start
 			}
-			for _, it := range items {
-				if it.Replica != rep {
-					continue
-				}
-				if span.Start < 0 || it.Start < span.Start {
-					span.Start = it.Start
-				}
-				if it.End > span.End {
-					span.End = it.End
-				}
-			}
-			if span.Start < 0 {
-				span.Start = 0
-			}
-			out = append(out, span)
+			span.End = max(span.End, it.End)
+		}
+		for i := base; i < len(out); i++ {
+			out[i].Start = max(out[i].Start, 0)
 		}
 	}
 	return out

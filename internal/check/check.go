@@ -5,7 +5,10 @@
 // violation as a typed error.
 //
 // The checker is deliberately separate from the machinery that produces
-// timelines: it shares no code with the Stage IV list scheduler
+// timelines: it reads only the stored start cycles and activity rows,
+// derives every end from the graph's own CSR.Cycles and every replica
+// from the policy it is given, and shares no code with the Stage IV
+// list scheduler
 // (package schedule) or the event-driven simulator (package sim), so a
 // bug in either engine cannot also hide in the oracle that judges it.
 // Both engines run it behind a debug option, the public Engine exposes
@@ -14,9 +17,11 @@
 //
 // The invariant set:
 //
-//   - Shape: one item per Stage I set, carrying its own (layer, set)
-//     coordinates, a replica inside the layer's duplication range, and
-//     non-negative times.
+//   - Shape: the timeline is laid out on the workload's CSR (one start
+//     per Stage I set, the CSR's layer offsets and set cycle counts, so
+//     every set's end is its start plus its Stage I cycles), the
+//     policy dispatches every set to a replica inside the layer's
+//     duplication range, and start times are non-negative.
 //   - Dependency order: every CSR dependency edge is respected — a set
 //     starts only after each predecessor set has completed, plus the
 //     configured edge cost (NoC/GPEU).
@@ -25,10 +30,9 @@
 //     share PEs (weight virtualization) must never overlap in time.
 //   - Window admission: under a window-K policy no set of layer l starts
 //     before every layer up to l-K has fully completed.
-//   - Conservation (Stage III/IV accounting): each set runs for exactly
-//     its Stage I cycle count, per-layer and per-replica active-cycle
-//     totals match the items, and the total active time equals the
-//     plan's total work.
+//   - Conservation (Stage III/IV accounting): the per-layer and
+//     per-replica active-cycle totals recorded on the timeline match
+//     the sets' Stage I cycles under the policy's dispatch.
 //   - Makespan/metrics consistency: the makespan is exactly the latest
 //     item end, and paper Eq. 2 utilization computed from the timeline
 //     is a valid fraction in (0, 1].
@@ -105,77 +109,109 @@ func Timeline(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedul
 		return violation(KindShape, -1, -1,
 			"timeline indexes %d layers, plan has %d", len(tl.Off)-1, nl)
 	}
-	if len(tl.Items) != csr.NumSets() {
-		return violation(KindShape, -1, -1, "%d items, plan has %d sets", len(tl.Items), csr.NumSets())
+	if len(tl.Items) != csr.NumSets() || len(tl.Cycles) != csr.NumSets() {
+		return violation(KindShape, -1, -1, "%d starts and %d durations, plan has %d sets",
+			len(tl.Items), len(tl.Cycles), csr.NumSets())
 	}
-	if err := checkShape(m, dg, tl); err != nil {
+	rep, err := checkShape(m, dg, p, tl)
+	if err != nil {
 		return err
 	}
 	if err := checkDependencies(dg, tl, opt.EdgeCost); err != nil {
 		return err
 	}
-	if err := checkExclusivity(m, dg, tl); err != nil {
+	if err := checkExclusivity(m, dg, tl, rep); err != nil {
 		return err
 	}
 	if err := checkWindow(dg, p, tl); err != nil {
 		return err
 	}
-	if err := checkConservation(dg, tl); err != nil {
+	if err := checkConservation(dg, tl, rep); err != nil {
 		return err
 	}
-	return checkMakespan(m, tl)
+	return checkMakespan(m, dg, tl)
 }
 
-// checkShape verifies that every item sits at its CSR position, names
-// itself correctly, runs on a replica the layer actually has, and keeps
-// sane times.
-func checkShape(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error {
-	csr := dg.CSR
+// replicas returns the policy's Stage III dispatch of every set of dg:
+// rep[id] is the replica executing flat set id. A replica outside its
+// layer's duplication range is a shape violation.
+func replicas(p schedule.Policy, dg *deps.Graph) ([]int32, error) {
+	rep := make([]int32, dg.CSR.NumSets())
 	for li, ls := range dg.Plan.Layers {
-		if int(tl.Off[li]) != int(csr.LayerOff[li]) {
-			return violation(KindShape, li, -1, "layer offset %d != CSR offset %d", tl.Off[li], csr.LayerOff[li])
+		d := ls.Group.Dup
+		base := int(dg.CSR.LayerOff[li])
+		for si := 0; si < ls.NumSets(); si++ {
+			r := p.Replica(si, d)
+			if r < 0 || r >= d {
+				return nil, violation(KindShape, li, si, "replica %d outside [0, %d)", r, d)
+			}
+			rep[base+si] = int32(r)
+		}
+	}
+	return rep, nil
+}
+
+// checkShape verifies that the timeline is laid out on dg's CSR (its
+// layer offsets and set durations are the graph's own), that every set
+// runs on a replica the layer actually has, and that start times are
+// sane. It returns the policy's dispatch (see replicas).
+func checkShape(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedule.Timeline) ([]int32, error) {
+	csr := dg.CSR
+	nl := len(dg.Plan.Layers)
+	if tl.Off[nl] != csr.LayerOff[nl] {
+		return nil, violation(KindShape, -1, -1, "timeline ends at offset %d, CSR at %d", tl.Off[nl], csr.LayerOff[nl])
+	}
+	for li, ls := range dg.Plan.Layers {
+		if tl.Off[li] != csr.LayerOff[li] {
+			return nil, violation(KindShape, li, -1, "layer offset %d != CSR offset %d", tl.Off[li], csr.LayerOff[li])
 		}
 		d := m.Groups[li].Dup
 		if d != ls.Group.Dup {
-			return violation(KindShape, li, -1, "mapping duplication %d != plan duplication %d", d, ls.Group.Dup)
+			return nil, violation(KindShape, li, -1, "mapping duplication %d != plan duplication %d", d, ls.Group.Dup)
 		}
 		if len(tl.ReplicaActive[li]) != d {
-			return violation(KindShape, li, -1,
+			return nil, violation(KindShape, li, -1,
 				"replica accounting has %d rows, layer has %d replicas", len(tl.ReplicaActive[li]), d)
 		}
 		for si := 0; si < ls.NumSets(); si++ {
-			it := tl.Items[int(csr.LayerOff[li])+si]
-			if it.Layer != li || it.Set != si {
-				return violation(KindShape, li, si, "item labeled L%d/S%d", it.Layer, it.Set)
+			id := int(csr.LayerOff[li]) + si
+			if got, want := tl.Cycles[id], csr.Cycles[id]; got != want {
+				return nil, violation(KindShape, li, si, "duration %d != %d Stage I cycles", got, want)
 			}
-			if it.Replica < 0 || it.Replica >= d {
-				return violation(KindShape, li, si, "replica %d outside [0, %d)", it.Replica, d)
-			}
-			if it.Start < 0 || it.End < it.Start {
-				return violation(KindShape, li, si, "times [%d, %d) not ordered", it.Start, it.End)
+			if tl.Items[id] < 0 {
+				return nil, violation(KindShape, li, si, "negative start %d", tl.Items[id])
 			}
 		}
 	}
-	return nil
+	return replicas(p, dg)
+}
+
+// end is the completion time of flat set id: its recorded start plus
+// its Stage I cycles.
+func end(tl *schedule.Timeline, csr *deps.CSR, id int) int64 {
+	return tl.Items[id] + csr.Cycles[id]
 }
 
 // checkDependencies walks every CSR predecessor edge and asserts the
 // consumer starts no earlier than the producer's end plus the edge cost.
 func checkDependencies(dg *deps.Graph, tl *schedule.Timeline, edge schedule.EdgeCostFn) error {
 	csr := dg.CSR
-	for id := 0; id < csr.NumSets(); id++ {
-		it := tl.Items[id]
-		for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
-			pid := csr.Pred[e]
-			need := tl.Items[pid].End
-			if edge != nil {
-				pl, ps := csr.Set(pid)
-				need += edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, it.Layer)
-			}
-			if it.Start < need {
-				pl, ps := csr.Set(pid)
-				return violation(KindDependency, it.Layer, it.Set,
-					"starts %d before predecessor L%d/S%d ready at %d", it.Start, pl, ps, need)
+	for li, ls := range dg.Plan.Layers {
+		for si := 0; si < ls.NumSets(); si++ {
+			id := int(csr.LayerOff[li]) + si
+			start := tl.Items[id]
+			for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
+				pid := csr.Pred[e]
+				need := end(tl, csr, int(pid))
+				if edge != nil {
+					pl, ps := csr.Set(pid)
+					need += edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
+				}
+				if start < need {
+					pl, ps := csr.Set(pid)
+					return violation(KindDependency, li, si,
+						"starts %d before predecessor L%d/S%d ready at %d", start, pl, ps, need)
+				}
 			}
 		}
 	}
@@ -189,20 +225,21 @@ type span struct {
 }
 
 // checkExclusivity asserts that no physical crossbar PE executes two
-// sets at once: the items of one replica PE group must not overlap
+// sets at once: the sets of one replica PE group must not overlap
 // pairwise, and replica groups that share PEs (weight virtualization
 // pools) must not overlap either.
-func checkExclusivity(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error {
-	nl := len(dg.Plan.Layers)
+func checkExclusivity(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline, rep []int32) error {
+	csr := dg.CSR
 	// Busy intervals per (layer, replica).
-	spans := make([][][]span, nl)
-	for li := range dg.Plan.Layers {
+	spans := make([][][]span, len(dg.Plan.Layers))
+	for li, ls := range dg.Plan.Layers {
 		spans[li] = make([][]span, m.Groups[li].Dup)
-	}
-	for _, it := range tl.Items {
-		if it.End > it.Start { // zero-length sets occupy nothing
-			spans[it.Layer][it.Replica] = append(spans[it.Layer][it.Replica],
-				span{start: it.Start, end: it.End, li: it.Layer, si: it.Set})
+		for si := 0; si < ls.NumSets(); si++ {
+			id := int(csr.LayerOff[li]) + si
+			if csr.Cycles[id] > 0 { // zero-length sets occupy nothing
+				spans[li][rep[id]] = append(spans[li][rep[id]],
+					span{start: tl.Items[id], end: end(tl, csr, id), li: li, si: si})
+			}
 		}
 	}
 	for li := range spans {
@@ -270,47 +307,38 @@ func checkWindow(dg *deps.Graph, p schedule.Policy, tl *schedule.Timeline) error
 	if k >= nl {
 		return nil // the gate never engages
 	}
+	csr := dg.CSR
 	layerEnd := make([]int64, nl)
-	for _, it := range tl.Items {
-		if it.End > layerEnd[it.Layer] {
-			layerEnd[it.Layer] = it.End
+	for li := range layerEnd {
+		for id := int(csr.LayerOff[li]); id < int(csr.LayerOff[li+1]); id++ {
+			layerEnd[li] = max(layerEnd[li], end(tl, csr, id))
 		}
 	}
 	var gate int64 // max end over layers [0, li-k]
 	for li := k; li < nl; li++ {
-		if e := layerEnd[li-k]; e > gate {
-			gate = e
-		}
-		for _, it := range tl.ItemsOf(li) {
-			if it.Start < gate {
-				return violation(KindWindow, li, it.Set,
-					"starts %d before layers <= %d complete at %d (window %d)", it.Start, li-k, gate, k)
+		gate = max(gate, layerEnd[li-k])
+		for si, start := range tl.Items[csr.LayerOff[li]:csr.LayerOff[li+1]] {
+			if start < gate {
+				return violation(KindWindow, li, si,
+					"starts %d before layers <= %d complete at %d (window %d)", start, li-k, gate, k)
 			}
 		}
 	}
 	return nil
 }
 
-// checkConservation asserts the Stage III/IV accounting: every set runs
-// for exactly its Stage I cycle count, and the per-layer / per-replica
-// active totals recorded on the timeline match the items.
-func checkConservation(dg *deps.Graph, tl *schedule.Timeline) error {
+// checkConservation asserts the Stage III/IV accounting: the per-layer
+// and per-replica active totals recorded on the timeline match the sets'
+// Stage I cycles under the policy's dispatch.
+func checkConservation(dg *deps.Graph, tl *schedule.Timeline, rep []int32) error {
 	csr := dg.CSR
 	for li, ls := range dg.Plan.Layers {
 		var layerActive int64
 		replica := make([]int64, ls.Group.Dup)
-		for si := 0; si < ls.NumSets(); si++ {
-			id := int(csr.LayerOff[li]) + si
-			it := tl.Items[id]
-			if got, want := it.End-it.Start, csr.Cycles[id]; got != want {
-				return violation(KindConservation, li, si, "duration %d != %d Stage I cycles", got, want)
-			}
-			layerActive += it.End - it.Start
-			replica[it.Replica] += it.End - it.Start
+		for id := int(csr.LayerOff[li]); id < int(csr.LayerOff[li+1]); id++ {
+			layerActive += csr.Cycles[id]
+			replica[rep[id]] += csr.Cycles[id]
 		}
-		// Per-item durations equal the Stage I cycle counts (checked
-		// above), so layerActive is also the layer's total work; the
-		// recorded accounting must match it.
 		if tl.LayerActive[li] != layerActive {
 			return violation(KindConservation, li, -1,
 				"recorded layer active %d != item total %d", tl.LayerActive[li], layerActive)
@@ -325,17 +353,20 @@ func checkConservation(dg *deps.Graph, tl *schedule.Timeline) error {
 	return nil
 }
 
-// checkMakespan asserts that the recorded makespan is exactly the latest
-// item end and that paper Eq. 2 utilization derived from the timeline is
-// a valid fraction.
-func checkMakespan(m *mapping.Mapping, tl *schedule.Timeline) error {
+// lastEnd returns the latest set end of tl, a timeline over csr.
+func lastEnd(tl *schedule.Timeline, csr *deps.CSR) int64 {
 	var last int64
-	for _, it := range tl.Items {
-		if it.End > last {
-			last = it.End
-		}
+	for id := range tl.Items {
+		last = max(last, end(tl, csr, id))
 	}
-	if tl.Makespan != last {
+	return last
+}
+
+// checkMakespan asserts that the recorded makespan is exactly the latest
+// set end and that paper Eq. 2 utilization derived from the timeline is
+// a valid fraction.
+func checkMakespan(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error {
+	if last := lastEnd(tl, dg.CSR); tl.Makespan != last {
 		return violation(KindMakespan, -1, -1, "makespan %d != latest item end %d", tl.Makespan, last)
 	}
 	ut, err := metrics.Utilization(tl, m)

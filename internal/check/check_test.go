@@ -72,7 +72,7 @@ func policies() []schedule.Policy {
 // corruption tests do not alias the original.
 func copyTimeline(tl *schedule.Timeline) *schedule.Timeline {
 	c := *tl
-	c.Items = append([]schedule.Item(nil), tl.Items...)
+	c.Items = append([]int64(nil), tl.Items...)
 	c.LayerActive = append([]int64(nil), tl.LayerActive...)
 	c.ReplicaActive = make([][]int64, len(tl.ReplicaActive))
 	for i, r := range tl.ReplicaActive {
@@ -172,16 +172,14 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 		for id := 0; id < csr.NumSets(); id++ {
 			var need int64 = -1
 			for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
-				if end := tl.Items[csr.Pred[e]].End; end > need {
+				if end := tl.End(int(csr.Pred[e])); end > need {
 					need = end
 				}
 			}
 			if need <= 0 {
 				continue
 			}
-			d := tl.Items[id].End - tl.Items[id].Start
-			tl.Items[id].Start = need - 1
-			tl.Items[id].End = need - 1 + d
+			tl.Items[id] = need - 1
 			assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindDependency)
 			return
 		}
@@ -193,16 +191,12 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 		// Overlap the first layer's second set onto its first on the
 		// same replica (layer 0 has no dependencies and no window gate,
 		// so exclusivity is the first invariant to break).
-		items := tl.ItemsOf(0)
-		for si := 1; si < len(items); si++ {
-			first := tl.At(0, 0)
-			it := tl.At(0, si)
-			if it.Replica != first.Replica {
+		starts := tl.ItemsOf(0)
+		for si := 1; si < len(starts); si++ {
+			if tl.At(0, si).Replica != tl.At(0, 0).Replica {
 				continue
 			}
-			d := it.End - it.Start
-			it.Start = first.Start
-			it.End = first.Start + d
+			starts[si] = starts[0]
 			assertKind(t, check.Timeline(c.m, c.dg, schedule.LayerByLayer, tl, check.Options{}), check.KindExclusivity)
 			return
 		}
@@ -214,32 +208,18 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 		// Find a set whose dependencies finished strictly before its
 		// layer's admission gate, and start it inside that gap: legal by
 		// data dependencies, illegal under the window-1 admission rule.
-		layerEnd := make([]int64, tl.NumLayers())
-		for _, it := range tl.Items {
-			if it.End > layerEnd[it.Layer] {
-				layerEnd[it.Layer] = it.End
-			}
-		}
 		var gate int64
 		for li := 1; li < tl.NumLayers(); li++ {
-			if e := layerEnd[li-1]; e > gate {
-				gate = e
+			gate = max(gate, tl.EndOf(li-1))
+			id := csr.ID(li, 0)
+			var need int64
+			for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
+				if end := tl.End(int(csr.Pred[e])); end > need {
+					need = end
+				}
 			}
-			for _, it := range tl.ItemsOf(li) {
-				id := csr.ID(li, it.Set)
-				var need int64
-				for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
-					if end := tl.Items[csr.Pred[e]].End; end > need {
-						need = end
-					}
-				}
-				if need >= gate || it.Start != gate || it.Set != 0 {
-					continue
-				}
-				d := it.End - it.Start
-				mut := tl.At(li, it.Set)
-				mut.Start = gate - 1
-				mut.End = gate - 1 + d
+			if need < gate && tl.Items[id] == gate {
+				tl.Items[id] = gate - 1
 				assertKind(t, check.Timeline(c.m, c.dg, schedule.LayerByLayer, tl, check.Options{}), check.KindWindow)
 				return
 			}
@@ -261,16 +241,22 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 
 	t.Run("duration stretched", func(t *testing.T) {
 		tl := copyTimeline(schedOf(schedule.CrossLayer))
-		// Stretch the very last set: no successors, nothing after it on
-		// its replica, so only the Stage I cycle count gives it away.
-		last := 0
-		for id := range tl.Items {
-			if tl.Items[id].End > tl.Items[last].End {
-				last = id
-			}
-		}
-		tl.Items[last].End++
-		assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindConservation)
+		// A timeline's durations come from the CSR arrays it aliases.
+		// Point it at another graph's arrays in which the last set runs
+		// one cycle longer: no successors, nothing after it on its
+		// replica, so only the comparison with the workload's own Stage I
+		// cycles gives it away.
+		tl.Cycles = append([]int64(nil), csr.Cycles...)
+		tl.Cycles[len(tl.Cycles)-1]++
+		tl.Off = append([]int32(nil), csr.LayerOff...)
+		assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindShape)
+	})
+
+	t.Run("foreign layer offsets", func(t *testing.T) {
+		tl := copyTimeline(schedOf(schedule.CrossLayer))
+		tl.Off = append([]int32(nil), csr.LayerOff...)
+		tl.Off[1]++
+		assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindShape)
 	})
 
 	t.Run("makespan tampered", func(t *testing.T) {
@@ -281,14 +267,7 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 
 	t.Run("replica out of range", func(t *testing.T) {
 		tl := copyTimeline(schedOf(schedule.CrossLayer))
-		tl.Items[0].Replica = c.dg.Plan.Layers[0].Group.Dup
-		assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindShape)
-	})
-
-	t.Run("item mislabeled", func(t *testing.T) {
-		tl := copyTimeline(schedOf(schedule.CrossLayer))
-		tl.Items[0].Set = 1
-		assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindShape)
+		assertKind(t, check.Timeline(c.m, c.dg, outOfRange{schedule.CrossLayer}, tl, check.Options{}), check.KindShape)
 	})
 
 	t.Run("nil policy", func(t *testing.T) {
@@ -296,6 +275,12 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 		assertKind(t, check.Timeline(c.m, c.dg, nil, tl, check.Options{}), check.KindShape)
 	})
 }
+
+// outOfRange is a policy whose Stage III dispatch names a replica one
+// past the layer's last.
+type outOfRange struct{ schedule.Policy }
+
+func (outOfRange) Replica(si, d int) int { return d }
 
 // TestViolationMessage: violations carry their location and read as one
 // line.

@@ -97,10 +97,11 @@ func Stream(models []StreamModel, infs []StreamInference, opt StreamOptions) err
 		if err := Timeline(m.Mapping, m.Graph, m.Policy, inf.Timeline, Options{EdgeCost: m.Edge}); err != nil {
 			return fmt.Errorf("check: inference %d (model %d): %w", ji, inf.Model, err)
 		}
-		for _, it := range inf.Timeline.Items {
-			if it.Start < inf.Arrival {
-				return &Violation{Kind: KindArrival, Layer: it.Layer, Set: it.Set,
-					Msg: fmt.Sprintf("inference %d starts %d before its arrival %d", ji, it.Start, inf.Arrival)}
+		for id, start := range inf.Timeline.Items {
+			if start < inf.Arrival {
+				li, si := m.Graph.CSR.Set(int32(id))
+				return &Violation{Kind: KindArrival, Layer: li, Set: si,
+					Msg: fmt.Sprintf("inference %d starts %d before its arrival %d", ji, start, inf.Arrival)}
 			}
 		}
 	}
@@ -118,28 +119,36 @@ func Stream(models []StreamModel, infs []StreamInference, opt StreamOptions) err
 func checkStreamExclusivity(models []StreamModel, infs []StreamInference) error {
 	// Number the replica PE groups globally: group id = grpBase[model]
 	// + local replica index (layer-major, as in the single-timeline
-	// checker).
+	// checker). grp[mi][id] is the global group executing flat set id of
+	// model mi under the model's dispatch.
 	grpBase := make([]int, len(models)+1)
+	grp := make([][]int32, len(models))
 	for mi, m := range models {
-		n := 0
-		for _, g := range m.Mapping.Groups {
-			n += g.Dup
+		rep, err := replicas(m.Policy, m.Graph)
+		if err != nil {
+			return err
 		}
-		grpBase[mi+1] = grpBase[mi] + n
-	}
-	total := grpBase[len(models)]
-	spans := make([][]span, total)
-	for _, inf := range infs {
-		m := models[inf.Model]
-		gid := grpBase[inf.Model]
+		csr := m.Graph.CSR
+		gid := grpBase[mi]
 		for li, g := range m.Mapping.Groups {
-			for r := 0; r < g.Dup; r++ {
-				for _, it := range inf.Timeline.ItemsOf(li) {
-					if it.Replica == r && it.End > it.Start {
-						spans[gid] = append(spans[gid], span{start: it.Start, end: it.End, li: li, si: it.Set})
-					}
+			for id := csr.LayerOff[li]; id < csr.LayerOff[li+1]; id++ {
+				rep[id] += int32(gid)
+			}
+			gid += g.Dup
+		}
+		grp[mi] = rep
+		grpBase[mi+1] = gid
+	}
+	spans := make([][]span, grpBase[len(models)])
+	for _, inf := range infs {
+		csr := models[inf.Model].Graph.CSR
+		g := grp[inf.Model]
+		for li := 0; li < csr.NumLayers(); li++ {
+			for id := int(csr.LayerOff[li]); id < int(csr.LayerOff[li+1]); id++ {
+				if csr.Cycles[id] > 0 {
+					spans[g[id]] = append(spans[g[id]], span{start: inf.Timeline.Items[id],
+						end: end(inf.Timeline, csr, id), li: li, si: id - int(csr.LayerOff[li])})
 				}
-				gid++
 			}
 		}
 	}
@@ -207,18 +216,14 @@ func checkStreamGate(models []StreamModel, infs []StreamInference, gate int) err
 			if jm < gate {
 				continue
 			}
-			prev := infs[jobs[jm-gate]].Timeline
-			var prevEnd int64
-			for _, it := range prev.Items {
-				if it.End > prevEnd {
-					prevEnd = it.End
-				}
-			}
-			for _, it := range infs[ji].Timeline.Items {
-				if it.Start < prevEnd {
-					return &Violation{Kind: KindGate, Layer: it.Layer, Set: it.Set,
+			csr := models[infs[ji].Model].Graph.CSR
+			prevEnd := lastEnd(infs[jobs[jm-gate]].Timeline, csr)
+			for id, start := range infs[ji].Timeline.Items {
+				if start < prevEnd {
+					li, si := csr.Set(int32(id))
+					return &Violation{Kind: KindGate, Layer: li, Set: si,
 						Msg: fmt.Sprintf("inference %d starts %d before inference %d complete at %d (gate %d)",
-							ji, it.Start, jobs[jm-gate], prevEnd, gate)}
+							ji, start, jobs[jm-gate], prevEnd, gate)}
 				}
 			}
 		}

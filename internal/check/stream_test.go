@@ -15,8 +15,7 @@ import (
 func shiftTimeline(tl *schedule.Timeline, dt int64) *schedule.Timeline {
 	c := copyTimeline(tl)
 	for i := range c.Items {
-		c.Items[i].Start += dt
-		c.Items[i].End += dt
+		c.Items[i] += dt
 	}
 	c.Makespan += dt
 	return c

@@ -32,7 +32,8 @@ func FromSchedule(dg *deps.Graph, s *schedule.Timeline) []Row {
 	for li, ls := range dg.Plan.Layers {
 		d := ls.Group.Dup
 		perRep := make([][]Span, d)
-		for _, it := range s.ItemsOf(li) {
+		for si := range s.ItemsOf(li) {
+			it := s.At(li, si)
 			sp := Span{it.Start, it.End}
 			reps := perRep[it.Replica]
 			if n := len(reps); n > 0 && reps[n-1].End == sp.Start {

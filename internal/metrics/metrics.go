@@ -66,9 +66,10 @@ func PeakLiveElems(s *schedule.Timeline, dg *deps.Graph) int64 {
 	csr := dg.CSR
 	release := make([]int64, len(s.Items))
 	for id := range s.Items {
-		release[id] = max(release[id], s.Items[id].End)
+		end := s.End(id)
+		release[id] = max(release[id], end)
 		for _, p := range csr.Pred[csr.PredOff[id]:csr.PredOff[id+1]] {
-			release[p] = max(release[p], s.Items[id].End)
+			release[p] = max(release[p], end)
 		}
 	}
 	type event struct{ at, delta int64 }
@@ -78,7 +79,7 @@ func PeakLiveElems(s *schedule.Timeline, dg *deps.Graph) int64 {
 		off := int(csr.LayerOff[li])
 		for si := 0; si < ls.NumSets(); si++ {
 			vol := int64(ls.Box(si).Volume())
-			events = append(events, event{s.Items[off+si].End, vol}, event{release[off+si], -vol})
+			events = append(events, event{s.End(off + si), vol}, event{release[off+si], -vol})
 		}
 	}
 	// At equal times allocations apply before releases (closed intervals).

@@ -264,16 +264,12 @@ func TestPeakLiveElemsClosedIntervals(t *testing.T) {
 			PredVol:  []int32{10},
 		},
 	}
-	s := &schedule.Timeline{Items: []schedule.Item{
-		{Layer: 0, Start: 0, End: 1},
-		{Layer: 1, Start: 0, End: 2},
-		{Layer: 2, Start: 1, End: 2},
-	}}
+	s := &schedule.Timeline{Items: []int64{0, 0, 1}, Off: dg.CSR.LayerOff, Cycles: dg.CSR.Cycles}
 	if got := PeakLiveElems(s, dg); got != 35 {
 		t.Errorf("peak = %d, want 35 (A, B and C all live at t = 2)", got)
 	}
 	// Moving B one cycle later separates the peaks: A+C at 2, B at 3.
-	s.Items[1].Start, s.Items[1].End = 1, 3
+	s.Items[1] = 1
 	if got := PeakLiveElems(s, dg); got != 20 {
 		t.Errorf("peak = %d, want 20 (B alone at t = 3)", got)
 	}

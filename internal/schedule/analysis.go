@@ -32,9 +32,9 @@ func (t *Timeline) CriticalPath(dg *deps.Graph, opt Options) ([]PathStep, error)
 	// Locate the finishing set.
 	var cur Item
 	found := false
-	for _, it := range t.Items {
-		if it.End == t.Makespan {
-			cur = it
+	for id := range t.Items {
+		if t.End(id) == t.Makespan {
+			cur = t.Item(id)
 			found = true
 			break
 		}
@@ -50,9 +50,9 @@ func (t *Timeline) CriticalPath(dg *deps.Graph, opt Options) ([]PathStep, error)
 	var rev []PathStep
 	for {
 		step := PathStep{Item: cur, Cause: "start"}
-		// Previous set on the same replica, read off the timeline's own
-		// replica assignments so any Policy dispatch rule works
-		// (cur.Set - d under the built-in raster round-robin).
+		// Previous set on the same replica, found through the timeline's
+		// own dispatch rule so any Policy works (cur.Set - d under the
+		// built-in raster round-robin).
 		prevSet := -1
 		for sj := cur.Set - 1; sj >= 0; sj-- {
 			if t.At(cur.Layer, sj).Replica == cur.Replica {
@@ -62,7 +62,7 @@ func (t *Timeline) CriticalPath(dg *deps.Graph, opt Options) ([]PathStep, error)
 		}
 		var next Item
 		if prevSet >= 0 {
-			prev := *t.At(cur.Layer, prevSet)
+			prev := t.At(cur.Layer, prevSet)
 			if prev.End == cur.Start {
 				step.Cause = "resource"
 				next = prev
@@ -72,14 +72,14 @@ func (t *Timeline) CriticalPath(dg *deps.Graph, opt Options) ([]PathStep, error)
 			id := csr.ID(cur.Layer, cur.Set)
 			for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
 				pid := csr.Pred[e]
-				end := t.Items[pid].End
+				end := t.End(int(pid))
 				if opt.EdgeCost != nil {
 					pl, ps := csr.Set(pid)
 					end += opt.EdgeCost(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, cur.Layer)
 				}
 				if end == cur.Start {
 					step.Cause = "dep"
-					next = t.Items[pid]
+					next = t.Item(int(pid))
 					break
 				}
 			}
@@ -88,8 +88,8 @@ func (t *Timeline) CriticalPath(dg *deps.Graph, opt Options) ([]PathStep, error)
 			// The admission window: some layer up to cur.Layer-k finished
 			// exactly at cur.Start.
 			for lj := cur.Layer - k; lj >= 0 && step.Cause == "start"; lj-- {
-				for _, it := range t.ItemsOf(lj) {
-					if it.End == cur.Start {
+				for si := range t.ItemsOf(lj) {
+					if it := t.At(lj, si); it.End == cur.Start {
 						step.Cause = "window"
 						next = it
 						break

@@ -52,7 +52,8 @@ func (t *Timeline) BuildExport(dg *deps.Graph) Export {
 			PEs:      ls.Group.PEsPerReplica(),
 			Active:   t.LayerActive[li],
 		}
-		for si, it := range t.ItemsOf(li) {
+		for si := range t.ItemsOf(li) {
+			it := t.At(li, si)
 			b := ls.Box(si)
 			el.Items = append(el.Items, ExportItem{
 				Set: si, Replica: it.Replica, Start: it.Start, End: it.End,

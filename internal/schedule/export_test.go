@@ -37,7 +37,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 			t.Fatalf("layer %d items = %d, want %d", li, len(el.Items), ls.NumSets())
 		}
 		for si, it := range el.Items {
-			want := *s.At(li, si)
+			want := s.At(li, si)
 			if it.Start != want.Start || it.End != want.End || it.Replica != want.Replica {
 				t.Fatalf("layer %d set %d timing mismatch", li, si)
 			}

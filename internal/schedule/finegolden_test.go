@@ -33,7 +33,8 @@ func timelineDigest(t *Timeline) string {
 	h := fnv.New64a()
 	var buf [40]byte
 	for li := 0; li < t.NumLayers(); li++ {
-		for _, it := range t.ItemsOf(li) {
+		for si := range t.ItemsOf(li) {
+			it := t.At(li, si)
 			binary.LittleEndian.PutUint64(buf[0:], uint64(it.Layer))
 			binary.LittleEndian.PutUint64(buf[8:], uint64(it.Set))
 			binary.LittleEndian.PutUint64(buf[16:], uint64(it.Replica))

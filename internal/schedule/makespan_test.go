@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"runtime"
 	"testing"
 
 	"clsacim/internal/deps"
@@ -36,6 +37,38 @@ func TestMakespanAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%v edge=%t: warm makespan pass allocates %v objects per run, want 0", p, e != nil, allocs)
 			}
+		}
+	}
+}
+
+// TestScheduleBytesPerSet pins the compact timeline: a warm Schedule
+// allocates one 8-byte start cycle per set, plus per-layer activity rows
+// and a constant (page rounding of the start array, the Timeline
+// header). A per-set Item would cost five times as much.
+func TestScheduleBytesPerSet(t *testing.T) {
+	_, _, dg := compileDeps(t, models.TinyYOLOv4, 416, 32, sets.FineGranularity)
+	ns, nl, reps := dg.CSR.NumSets(), len(dg.Plan.Layers), 0
+	for _, ls := range dg.Plan.Layers {
+		reps += ls.Group.Dup
+	}
+	limit := uint64(8*ns + 64*(nl+reps) + 16<<10)
+	for _, p := range []Policy{LayerByLayer, Windowed(4), CrossLayer} {
+		// The least of several runs: sync.Pool may drop the scheduler's
+		// scratch (always possible across a GC, randomly under -race),
+		// and a run that regrows it is not the steady state.
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < 5; i++ {
+			runtime.ReadMemStats(&before)
+			if _, err := Schedule(dg, p, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > limit {
+			t.Errorf("%v: Schedule allocates %d B for %d sets in %d layers (%.1f B/set), want at most %d",
+				p, least, ns, nl, float64(least)/float64(ns), limit)
 		}
 	}
 }

@@ -125,8 +125,8 @@ func checkInputs(dg *deps.Graph, p Policy) error {
 
 // run is the Stage IV recursion shared by Schedule and Makespan. Layer
 // li has dup[li] replicas (the plan's Group.Dup when dup is nil). When
-// t is non-nil every set's Item and the activity counters are recorded
-// into it; the makespan is returned either way.
+// t is non-nil every set's start and the activity counters are
+// recorded into it; the makespan is returned either way.
 func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *Timeline) int64 {
 	csr := dg.CSR
 	k := p.Window()
@@ -185,7 +185,7 @@ func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *T
 			}
 			ready[r] = fin
 			if t != nil {
-				t.Items[id] = Item{Layer: li, Set: si, Replica: r, Start: start, End: fin}
+				t.Items[id] = start
 				active[r] += c
 				layerActive += c
 			}
@@ -237,10 +237,10 @@ func LayerByLayerVirtual(dg *deps.Graph, reload []int64) (*Timeline, error) {
 		base := int(csr.LayerOff[li])
 		for si := 0; si < ls.NumSets(); si++ {
 			c := csr.Cycles[base+si]
-			t.Items[base+si] = Item{Layer: li, Set: si, Replica: 0, Start: cur, End: cur + c}
+			t.Items[base+si] = cur
 			cur += c
 			t.LayerActive[li] += c
-			t.ReplicaActive[li][0] += c
+			t.ReplicaActive[li][LayerByLayer.Replica(si, ls.Group.Dup)] += c
 		}
 	}
 	t.Makespan = cur

@@ -2,11 +2,15 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"clsacim/internal/deps"
 )
 
-// Item is one scheduled set execution on one replica PE group.
+// Item is one scheduled set execution on one replica PE group: the
+// derived view of one Timeline entry, returned by value from Item, At
+// and CriticalPath.
 type Item struct {
 	Layer, Set int
 	// Replica is the PE group (0 <= Replica < d_i) executing the set.
@@ -15,21 +19,33 @@ type Item struct {
 }
 
 // Timeline is the executed set-level timetable shared by the analytic
-// scheduler (Schedule) and the event-driven simulator (sim.Run): one
-// flat Item per set in CSR order, with a per-layer index. Gantt
-// rendering, JSON export, critical-path analysis, and the
-// schedule-vs-sim equality check all operate on this one
-// representation.
+// scheduler (Schedule), the event-driven engines (sim, stream) and the
+// weight-virtualized baseline. Stage IV decides one thing per set, its
+// start cycle, so that is all a timeline stores: one int64 per set in
+// flat CSR order. Everything else follows from the plan:
+//
+//   - the layer and the layer-local set index from the position and Off;
+//   - the replica from the Stage III rule, Policy.Replica(si, d), with
+//     d = len(ReplicaActive[layer]);
+//   - the end from Start + Cycles[id].
+//
+// Gantt rendering, JSON export, critical-path analysis and the
+// schedule-vs-sim equality check all read this one representation
+// through Item, At and End.
 type Timeline struct {
-	// Policy is the scheduling strategy that produced the timeline.
+	// Policy is the scheduling strategy that produced the timeline; its
+	// Replica rule assigns every set to its replica PE group.
 	Policy Policy
-	// Items holds every set execution in flat CSR order (layer-major,
-	// raster within a layer): layer l's items are
-	// Items[Off[l]:Off[l+1]], and set s of layer l is Items[Off[l]+s].
-	Items []Item
+	// Items holds every set's start cycle in flat CSR order (layer-major,
+	// raster within a layer): layer l's starts are Items[Off[l]:Off[l+1]],
+	// and set s of layer l starts at Items[Off[l]+s].
+	Items []int64
 	// Off is the per-layer index into Items (length NumLayers+1); it
 	// aliases the dependency graph's CSR.LayerOff.
 	Off []int32
+	// Cycles[id] is set id's Stage I duration; it aliases the dependency
+	// graph's CSR.Cycles.
+	Cycles []int64
 	// Makespan is the total inference time t_NN in cycles.
 	Makespan int64
 	// LayerActive[l] is the summed busy time of all replicas of layer l.
@@ -47,8 +63,9 @@ func NewTimeline(dg *deps.Graph, p Policy) *Timeline {
 	nl := len(dg.Plan.Layers)
 	t := &Timeline{
 		Policy:        p,
-		Items:         make([]Item, dg.CSR.NumSets()),
+		Items:         make([]int64, dg.CSR.NumSets()),
 		Off:           dg.CSR.LayerOff,
+		Cycles:        dg.CSR.Cycles,
 		LayerActive:   make([]int64, nl),
 		ReplicaActive: make([][]int64, nl),
 	}
@@ -69,129 +86,126 @@ func NewTimeline(dg *deps.Graph, p Policy) *Timeline {
 // NumLayers returns the layer count.
 func (t *Timeline) NumLayers() int { return len(t.Off) - 1 }
 
-// ItemsOf returns layer li's items (set raster order).
-func (t *Timeline) ItemsOf(li int) []Item { return t.Items[t.Off[li]:t.Off[li+1]] }
+// ItemsOf returns the start cycles of layer li's sets (set raster order).
+func (t *Timeline) ItemsOf(li int) []int64 { return t.Items[t.Off[li]:t.Off[li+1]] }
 
-// At returns the item of set si of layer li.
-func (t *Timeline) At(li, si int) *Item { return &t.Items[int(t.Off[li])+si] }
+// End returns the end cycle of flat set id.
+func (t *Timeline) End(id int) int64 { return t.Items[id] + t.Cycles[id] }
+
+// At returns the execution of set si of layer li.
+func (t *Timeline) At(li, si int) Item {
+	id := int(t.Off[li]) + si
+	start := t.Items[id]
+	return Item{
+		Layer: li, Set: si,
+		Replica: t.Policy.Replica(si, len(t.ReplicaActive[li])),
+		Start:   start, End: start + t.Cycles[id],
+	}
+}
+
+// Item returns the execution of flat set id, locating its layer by a
+// binary search over Off.
+func (t *Timeline) Item(id int) Item {
+	li := sort.Search(t.NumLayers(), func(l int) bool { return int(t.Off[l+1]) > id })
+	return t.At(li, id-int(t.Off[li]))
+}
 
 // StartOf returns the earliest start time of layer li's sets.
 func (t *Timeline) StartOf(li int) int64 {
-	items := t.ItemsOf(li)
-	if len(items) == 0 {
+	starts := t.ItemsOf(li)
+	if len(starts) == 0 {
 		return 0
 	}
-	min := items[0].Start
-	for _, it := range items {
-		if it.Start < min {
-			min = it.Start
-		}
-	}
-	return min
+	return slices.Min(starts)
 }
 
 // EndOf returns the latest end time of layer li's sets.
 func (t *Timeline) EndOf(li int) int64 {
 	var max int64
-	for _, it := range t.ItemsOf(li) {
-		if it.End > max {
-			max = it.End
+	for id := int(t.Off[li]); id < int(t.Off[li+1]); id++ {
+		if e := t.End(id); e > max {
+			max = e
 		}
 	}
 	return max
 }
 
 // Equal reports whether two timelines describe the same execution:
-// identical makespan, items, and activity accounting. The policies
-// that produced them are not compared.
+// identical makespan, start cycles, layer offsets, set durations and
+// activity accounting. The policies that produced them are not
+// compared.
 func (t *Timeline) Equal(o *Timeline) bool {
-	if t.Makespan != o.Makespan || len(t.Items) != len(o.Items) || len(t.Off) != len(o.Off) {
+	if t.Makespan != o.Makespan || !slices.Equal(t.Items, o.Items) || !slices.Equal(t.Off, o.Off) ||
+		!slices.Equal(t.Cycles, o.Cycles) || !slices.Equal(t.LayerActive, o.LayerActive) ||
+		len(t.ReplicaActive) != len(o.ReplicaActive) {
 		return false
 	}
-	for i := range t.Items {
-		if t.Items[i] != o.Items[i] {
+	for li := range t.ReplicaActive {
+		if !slices.Equal(t.ReplicaActive[li], o.ReplicaActive[li]) {
 			return false
-		}
-	}
-	for i := range t.Off {
-		if t.Off[i] != o.Off[i] {
-			return false
-		}
-	}
-	for li := range t.LayerActive {
-		if t.LayerActive[li] != o.LayerActive[li] {
-			return false
-		}
-		if len(t.ReplicaActive[li]) != len(o.ReplicaActive[li]) {
-			return false
-		}
-		for r := range t.ReplicaActive[li] {
-			if t.ReplicaActive[li][r] != o.ReplicaActive[li][r] {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// Validate checks that the timeline is executable: sets follow the
-// policy's Stage III dispatch per replica without overlapping their PE
-// group, durations match the set sizes, every data dependency (plus
-// edge cost) is respected, and the policy's admission window holds (no
-// layer starts before every layer Window positions back has
-// completed).
+// Validate checks that the timeline is executable: it is shaped after
+// dg's CSR (so every derived end is start + the set's Stage I cycles),
+// the policy's Stage III dispatch names a replica the layer has, sets
+// on one replica do not overlap their PE group, every data dependency
+// (plus edge cost) is respected, the activity accounting matches, and
+// the policy's admission window holds (no layer starts before every
+// layer Window positions back has completed).
 func (t *Timeline) Validate(dg *deps.Graph, opt Options) error {
 	if t.Policy == nil {
 		return fmt.Errorf("schedule: timeline has no policy")
 	}
 	csr := dg.CSR
-	if t.NumLayers() != len(dg.Plan.Layers) {
+	if t.NumLayers() != len(dg.Plan.Layers) || len(t.ReplicaActive) != len(dg.Plan.Layers) {
 		return fmt.Errorf("schedule: %d layers, plan has %d", t.NumLayers(), len(dg.Plan.Layers))
 	}
 	if len(t.Items) != csr.NumSets() {
 		return fmt.Errorf("schedule: %d items, plan has %d sets", len(t.Items), csr.NumSets())
 	}
+	if !slices.Equal(t.Off, csr.LayerOff) || !slices.Equal(t.Cycles, csr.Cycles) {
+		return fmt.Errorf("schedule: timeline offsets or cycles differ from the dependency graph's CSR")
+	}
 	for li, ls := range dg.Plan.Layers {
-		items := t.ItemsOf(li)
-		if len(items) != ls.NumSets() {
-			return fmt.Errorf("schedule: layer %d has %d items, plan has %d sets",
-				li, len(items), ls.NumSets())
-		}
 		d := ls.Group.Dup
+		if len(t.ReplicaActive[li]) != d {
+			return fmt.Errorf("schedule: layer %d has %d replica rows, plan has %d replicas",
+				li, len(t.ReplicaActive[li]), d)
+		}
 		prevEnd := make([]int64, d)
 		var active int64
-		for si := range items {
-			it := items[si]
-			id := csr.ID(li, si)
-			if want := t.Policy.Replica(si, d); it.Replica != want {
-				return fmt.Errorf("schedule: layer %d set %d on replica %d, want %d (dispatch rule)",
-					li, si, it.Replica, want)
+		for si := 0; si < ls.NumSets(); si++ {
+			id := int(csr.LayerOff[li]) + si
+			start, end := t.Items[id], t.End(id)
+			r := t.Policy.Replica(si, d)
+			if r < 0 || r >= d {
+				return fmt.Errorf("schedule: layer %d set %d on replica %d outside [0, %d) (dispatch rule)",
+					li, si, r, d)
 			}
-			if it.Start < 0 || it.End > t.Makespan {
+			if start < 0 || end > t.Makespan {
 				return fmt.Errorf("schedule: layer %d set %d [%d,%d) outside makespan %d",
-					li, si, it.Start, it.End, t.Makespan)
+					li, si, start, end, t.Makespan)
 			}
-			if it.End-it.Start != csr.Cycles[id] {
-				return fmt.Errorf("schedule: layer %d set %d duration %d != %d cycles",
-					li, si, it.End-it.Start, csr.Cycles[id])
-			}
-			if it.Start < prevEnd[it.Replica] {
+			if start < prevEnd[r] {
 				return fmt.Errorf("schedule: layer %d set %d starts %d before replica %d free at %d (resource conflict)",
-					li, si, it.Start, it.Replica, prevEnd[it.Replica])
+					li, si, start, r, prevEnd[r])
 			}
-			prevEnd[it.Replica] = it.End
-			active += it.End - it.Start
+			prevEnd[r] = end
+			active += csr.Cycles[id]
 			for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
 				pid := csr.Pred[e]
-				need := t.Items[pid].End
+				need := t.End(int(pid))
 				if opt.EdgeCost != nil {
 					pl, ps := csr.Set(pid)
 					need += opt.EdgeCost(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
 				}
-				if it.Start < need {
+				if start < need {
 					pl, ps := csr.Set(pid)
 					return fmt.Errorf("schedule: layer %d set %d starts %d before dependency L%d/S%d ready at %d",
-						li, si, it.Start, pl, ps, need)
+						li, si, start, pl, ps, need)
 				}
 			}
 		}
@@ -199,12 +213,12 @@ func (t *Timeline) Validate(dg *deps.Graph, opt Options) error {
 			return fmt.Errorf("schedule: layer %d active %d != recorded %d", li, active, t.LayerActive[li])
 		}
 	}
-	return t.validateWindow(dg)
+	return t.validateWindow()
 }
 
 // validateWindow checks the admission rule: no set of layer li starts
 // before every layer up to li-K has fully completed.
-func (t *Timeline) validateWindow(dg *deps.Graph) error {
+func (t *Timeline) validateWindow() error {
 	k := t.Policy.Window()
 	nl := t.NumLayers()
 	if k >= nl {
@@ -216,10 +230,10 @@ func (t *Timeline) validateWindow(dg *deps.Graph) error {
 		if e := t.EndOf(li - k); e > prefixEnd {
 			prefixEnd = e
 		}
-		for _, it := range t.ItemsOf(li) {
-			if it.Start < prefixEnd {
+		for si, start := range t.ItemsOf(li) {
+			if start < prefixEnd {
 				return fmt.Errorf("schedule: window violation: layer %d set %d starts %d before layer <=%d complete at %d (window %d)",
-					li, it.Set, it.Start, li-k, prefixEnd, k)
+					li, si, start, li-k, prefixEnd, k)
 			}
 		}
 	}

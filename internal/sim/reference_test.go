@@ -152,6 +152,7 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 	}
 	for i := 0; i < ns; i++ {
 		st.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
+		st.res.Items[i] = -1 // not started yet
 	}
 	return st
 }
@@ -225,7 +226,7 @@ func (st *refState) tryStart(li, rep int, now int64) {
 	}
 	end := start + st.csr.Cycles[id]
 	st.busy[g] = true
-	st.res.Items[id] = schedule.Item{Layer: li, Set: int(si), Replica: rep, Start: start, End: end}
+	st.res.Items[id] = start
 	st.seq++
 	st.queue.push(refEvent{time: end, id: id, seq: st.seq})
 }
@@ -267,7 +268,7 @@ func (st *refState) complete(e refEvent) {
 func (st *refState) finish(makespan int64) (*Result, error) {
 	st.res.Makespan = makespan
 	for id := range st.res.Items {
-		if st.res.Items[id].End == 0 && st.csr.Cycles[id] > 0 {
+		if st.res.Items[id] < 0 {
 			li, si := st.csr.Set(int32(id))
 			return nil, fmt.Errorf("sim: set L%d/S%d never executed (deadlock)", li, si)
 		}
@@ -354,7 +355,7 @@ func TestSimMatchesReference(t *testing.T) {
 						for i := range want.Items {
 							if got.Items[i] != want.Items[i] {
 								t.Fatalf("%s: item %d: calendar %+v != reference %+v",
-									name, i, got.Items[i], want.Items[i])
+									name, i, got.Item(i), want.Item(i))
 							}
 						}
 						t.Fatalf("%s: timelines differ outside items (makespan %d vs %d)",

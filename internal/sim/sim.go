@@ -120,7 +120,7 @@ type State struct {
 	m        *mapping.Mapping
 	p        schedule.Policy
 	edge     schedule.EdgeCostFn
-	items    []schedule.Item // nil on the coarse path
+	starts   []int64 // per-set start cycles; nil on the coarse path
 	window   int
 	frontier int
 	seq      int64
@@ -138,7 +138,7 @@ func (st *State) Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p sche
 		return nil, err
 	}
 	res := &Result{Timeline: schedule.NewTimeline(dg, p)}
-	st.items = res.Items
+	st.starts = res.Items
 	makespan, err := st.loop()
 	if err != nil {
 		return nil, err
@@ -176,7 +176,7 @@ func (st *State) RunCoarse(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, 
 	if err := st.prepare(arch, dg, m, p, opt); err != nil {
 		return Coarse{}, err
 	}
-	st.items = nil
+	st.starts = nil
 	makespan, err := st.loop()
 	if err != nil {
 		return Coarse{}, err
@@ -359,8 +359,8 @@ func (st *State) tryStart(li int, g int32, now int64) {
 	}
 	end := start + st.csr.Cycles[id]
 	st.busy[g] = true
-	if st.items != nil {
-		st.items[id] = schedule.Item{Layer: li, Set: int(si), Replica: int(g - st.disp.RepOff[li]), Start: start, End: end}
+	if st.starts != nil {
+		st.starts[id] = start
 	}
 	st.seq++
 	st.queue.Push(end, st.seq, id)

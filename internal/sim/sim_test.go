@@ -189,7 +189,7 @@ func TestSimMatchesAnalytic(t *testing.T) {
 				for i := range want.Items {
 					if got.Items[i] != want.Items[i] {
 						t.Fatalf("%s %v: item %d: sim %+v != analytic %+v",
-							c.id, p, i, got.Items[i], want.Items[i])
+							c.id, p, i, got.Item(i), want.Item(i))
 					}
 				}
 				t.Fatalf("%s %v: timelines differ outside items", c.id, p)

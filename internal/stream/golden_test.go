@@ -101,8 +101,8 @@ func TestGoldenJobTimings(t *testing.T) {
 		h := fnv.New64a()
 		var buf [8]byte
 		for _, tl := range res.Timelines {
-			for _, it := range tl.Items {
-				binary.LittleEndian.PutUint64(buf[:], uint64(it.Start))
+			for _, start := range tl.Items {
+				binary.LittleEndian.PutUint64(buf[:], uint64(start))
 				h.Write(buf[:])
 			}
 		}

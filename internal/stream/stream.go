@@ -758,22 +758,20 @@ func (e *engine) retire(j int32, t int64) {
 	}
 }
 
-// timeline builds a retired job's executed timeline in one pass over
-// its sets: readyAt holds every set's start time by now, and the
-// layer, replica and duration follow from the set id.
+// timeline builds a retired job's executed timeline: readyAt holds
+// every set's start time by now, so the starts are a copy of it, and
+// the activity rows follow from each set's replica and duration.
 func (e *engine) timeline(jb *jobState, makespan int64) *schedule.Timeline {
 	s := e.w.Models[jb.model]
 	m := &e.models[jb.model]
 	tl := schedule.NewTimeline(s.Graph, s.Policy)
 	tl.Makespan = makespan
+	copy(tl.Items, jb.readyAt)
 	for li := range s.Graph.Plan.Layers {
 		for id := m.csr.LayerOff[li]; id < m.csr.LayerOff[li+1]; id++ {
-			rep := int(m.disp.RepOf[id] - m.disp.RepOff[li])
 			c := m.csr.Cycles[id]
-			start := jb.readyAt[id]
-			tl.Items[id] = schedule.Item{Layer: li, Set: int(id - m.csr.LayerOff[li]), Replica: rep, Start: start, End: start + c}
 			tl.LayerActive[li] += c
-			tl.ReplicaActive[li][rep] += c
+			tl.ReplicaActive[li][m.disp.RepOf[id]-m.disp.RepOff[li]] += c
 		}
 	}
 	return tl

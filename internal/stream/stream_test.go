@@ -101,8 +101,8 @@ func TestClosedLoopSerialMatchesSchedule(t *testing.T) {
 		}
 		for j, tl := range res.Timelines {
 			dt := int64(j) * single.Makespan
-			for i, it := range tl.Items {
-				ref := single.Items[i]
+			for i := range tl.Items {
+				it, ref := tl.Item(i), single.Item(i)
 				if it.Start != ref.Start+dt || it.End != ref.End+dt || it.Replica != ref.Replica {
 					t.Fatalf("%s: job %d item %d = %+v, want %+v shifted by %d", p.Name(), j, i, it, ref, dt)
 				}
