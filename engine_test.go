@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clsacim/internal/schedule"
 )
 
 // sweepRequests builds the canonical (x, wdup) sweep used by the cache
@@ -450,6 +452,42 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// modeCases covers every mode spelling the parsers accept: each alias
+// with case and whitespace variants, x1 (distinct from lbl), and xK
+// windows at and beyond the int32 range.
+var modeCases = []struct {
+	in        string
+	name, str string
+	window    int
+}{
+	{in: "lbl", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: "LBL", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: " lbl ", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: "layer-by-layer", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: "Layer-By-Layer", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: "\tlayer-by-layer\n", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: "layerbylayer", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: "LAYERBYLAYER ", name: "lbl", str: "layer-by-layer", window: 1},
+	{in: "xinf", name: "xinf", str: "xinf", window: schedule.Unbounded},
+	{in: "XINF", name: "xinf", str: "xinf", window: schedule.Unbounded},
+	{in: " XInf\t", name: "xinf", str: "xinf", window: schedule.Unbounded},
+	{in: "crosslayer", name: "xinf", str: "xinf", window: schedule.Unbounded},
+	{in: "CrossLayer", name: "xinf", str: "xinf", window: schedule.Unbounded},
+	{in: "cross-layer", name: "xinf", str: "xinf", window: schedule.Unbounded},
+	{in: " Cross-Layer", name: "xinf", str: "xinf", window: schedule.Unbounded},
+	{in: "x1", name: "x1", str: "x1", window: 1},
+	{in: " X1 ", name: "x1", str: "x1", window: 1},
+	{in: "x2", name: "x2", str: "x2", window: 2},
+	{in: "X8", name: "x8", str: "x8", window: 8},
+	{in: "x007", name: "x7", str: "x7", window: 7},
+	{in: "x2147483647", name: "x2147483647", str: "x2147483647", window: 2147483647},
+	{in: "x99999999999", name: "x99999999999", str: "x99999999999", window: 99999999999},
+}
+
+// badModes are rejected by both parsers with ErrUnknownMode.
+var badModes = []string{"", "bogus", "warp", "x", "x0", "x-3", "x2.5", "xK", "x 4", "x-inf",
+	"x99999999999999999999", "ｘ4"}
+
 func TestScheduleModeJSON(t *testing.T) {
 	var m ScheduleMode
 	for _, tc := range []struct {
@@ -486,21 +524,75 @@ func TestScheduleModeJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(`7`), &m); !errors.Is(err, ErrUnknownMode) {
 		t.Errorf("unknown numeric mode error = %v, want ErrUnknownMode", err)
 	}
+
+	// Every accepted spelling decodes from a JSON string and its
+	// Request round-trips under the canonical name.
+	for _, tc := range modeCases {
+		in, _ := json.Marshal(tc.in)
+		var got ScheduleMode
+		if err := json.Unmarshal(in, &got); err != nil {
+			t.Errorf("%s: %v", in, err)
+			continue
+		}
+		if got.Name() != tc.name || got.Window() != tc.window {
+			t.Errorf("%s decodes to %s (window %d), want %s (window %d)", in, got.Name(), got.Window(), tc.name, tc.window)
+		}
+		b, err := json.Marshal(Request{Model: "tinyconvnet", Mode: got})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `"mode":"` + tc.name + `"`; !strings.Contains(string(b), want) {
+			t.Errorf("%q: request encodes as %s, want %s", tc.in, b, want)
+		}
+		var back Request
+		if err := json.Unmarshal(b, &back); err != nil || back.Mode != got {
+			t.Errorf("%q: request round trip = %v, %v; want %v", tc.in, back.Mode, err, got)
+		}
+	}
+	// The historical numeric encoding: 0 is lbl and 1 is xinf (not x1).
+	for in, want := range map[string]string{`{"mode":0}`: "lbl", `{"mode":1}`: "xinf"} {
+		var r Request
+		if err := json.Unmarshal([]byte(in), &r); err != nil || r.Mode.Name() != want {
+			t.Errorf("%s decodes to %v, %v; want %s", in, r.Mode.Name(), err, want)
+		}
+	}
 }
 
 func TestParseMode(t *testing.T) {
-	for in, want := range map[string]ScheduleMode{
-		"xinf": ModeCrossLayer, "lbl": ModeLayerByLayer,
-		"cross-layer": ModeCrossLayer, "Layer-By-Layer": ModeLayerByLayer,
-		"x1": ModeWindow(1), "x2": ModeWindow(2), "X8": ModeWindow(8),
-	} {
-		got, err := ParseMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
+	for _, tc := range modeCases {
+		got, err := ParseMode(tc.in)
+		if err != nil {
+			t.Errorf("ParseMode(%q): %v", tc.in, err)
+			continue
+		}
+		if got.Name() != tc.name || got.String() != tc.str || got.Window() != tc.window {
+			t.Errorf("ParseMode(%q) = (name %q, string %q, window %d), want (%q, %q, %d)",
+				tc.in, got.Name(), got.String(), got.Window(), tc.name, tc.str, tc.window)
+		}
+		if (got == ModeLayerByLayer) != (tc.name == "lbl") || (got == ModeCrossLayer) != (tc.name == "xinf") {
+			t.Errorf("ParseMode(%q) = %v: identity with lbl/xinf wrong", tc.in, got)
+		}
+		p, err := schedule.ParseMode(tc.in)
+		if err != nil {
+			t.Errorf("schedule.ParseMode(%q): %v", tc.in, err)
+		} else if p.Name() != got.Name() || p.Window() != got.Window() {
+			t.Errorf("schedule.ParseMode(%q) = (%s, window %d), clsacim.ParseMode = (%s, window %d)",
+				tc.in, p.Name(), p.Window(), got.Name(), got.Window())
 		}
 	}
-	if _, err := ParseMode("bogus"); !errors.Is(err, ErrUnknownMode) {
-		t.Errorf("ParseMode(bogus) = %v, want ErrUnknownMode", err)
+	if x1, _ := ParseMode("x1"); x1 == ModeLayerByLayer || x1 != ModeWindow(1) {
+		t.Errorf("x1 = %v: want ModeWindow(1), distinct from lbl", x1)
+	}
+	if big, _ := ParseMode("x2147483647"); big == ModeCrossLayer {
+		t.Error("x2147483647 parses to xinf")
+	}
+	for _, bad := range badModes {
+		if _, err := ParseMode(bad); !errors.Is(err, ErrUnknownMode) {
+			t.Errorf("ParseMode(%q) = %v, want ErrUnknownMode", bad, err)
+		}
+		if _, err := schedule.ParseMode(bad); !errors.Is(err, schedule.ErrUnknownMode) {
+			t.Errorf("schedule.ParseMode(%q) = %v, want ErrUnknownMode", bad, err)
+		}
 	}
 }
 
