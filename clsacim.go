@@ -67,17 +67,14 @@ import (
 // inference, and ModeWindow(K) is the bounded family in between.
 // Values are comparable (==) and round-trip through JSON.
 type ScheduleMode struct {
-	// w encodes the admission window: 0 = layer-by-layer (the default),
-	// -1 = unbounded cross-layer ("xinf"), K > 0 = at most K layers
-	// concurrently active ("xK").
-	w int
+	p schedule.Policy
 }
 
 // Scheduling strategies: the paper's layer-by-layer baseline (§II-B) and
 // CLSA-CIM cross-layer inference ("xinf", §IV).
 var (
 	ModeLayerByLayer = ScheduleMode{}
-	ModeCrossLayer   = ScheduleMode{w: -1}
+	ModeCrossLayer   = ScheduleMode{schedule.CrossLayer}
 )
 
 // ModeWindow returns the bounded cross-layer mode xK: at most k layers
@@ -89,49 +86,24 @@ func ModeWindow(k int) ScheduleMode {
 	if k <= 0 {
 		return ModeLayerByLayer
 	}
-	return ScheduleMode{w: k}
+	return ScheduleMode{schedule.Windowed(k)}
 }
 
 // Window returns the mode's admission bound: the maximum number of
 // layers concurrently active (schedule.Unbounded for ModeCrossLayer).
-func (m ScheduleMode) Window() int {
-	switch {
-	case m.w < 0:
-		return schedule.Unbounded
-	case m.w == 0:
-		return 1
-	default:
-		return m.w
-	}
-}
-
-// policy resolves the mode to its scheduling policy.
-func (m ScheduleMode) policy() schedule.Policy {
-	switch {
-	case m.w < 0:
-		return schedule.CrossLayer
-	case m.w == 0:
-		return schedule.LayerByLayer
-	default:
-		return schedule.Windowed(m.w)
-	}
-}
+func (m ScheduleMode) Window() int { return m.p.Window() }
 
 // String names the mode as in the paper's plots.
 func (m ScheduleMode) String() string {
-	switch {
-	case m.w < 0:
-		return "xinf"
-	case m.w == 0:
+	if m == ModeLayerByLayer {
 		return "layer-by-layer"
-	default:
-		return fmt.Sprintf("x%d", m.w)
 	}
+	return m.Name()
 }
 
 // Name returns the canonical short mode name accepted by ParseMode:
 // "lbl", "xinf", or "x<K>".
-func (m ScheduleMode) Name() string { return m.wireName() }
+func (m ScheduleMode) Name() string { return m.p.Name() }
 
 // Config controls compilation. The zero value reproduces the paper's
 // case-study architecture: 256x256 crossbars, tMVM = 1400 ns, F = PEmin,
@@ -339,19 +311,24 @@ type Compiled struct {
 // schedState caches what scheduling derives from a compilation's
 // immutable Stage I-III artifacts.
 //
-// timelines caches validated schedules per canonical mode wire name. A
+// timelines caches validated schedules per canonical mode (foldMode). A
 // Compiled is immutable and shared through the Engine's compile cache,
 // so the schedule of a (compile key, mode) pair is computed once;
-// sweeps that rescore the same baseline hit this cache. checked (same
-// key space, same lock) marks timelines that already passed the full
-// internal/check invariant set, so WithValidation sweeps validate each
-// cached timeline once instead of per request. Per-PE activity and the
-// buffer peak are derived from a cached timeline on demand
-// (Report.PEActive, Report.PeakLiveElems).
+// sweeps that rescore the same baseline hit this cache. Each entry also
+// marks whether its timeline already passed the full internal/check
+// invariant set, so WithValidation sweeps validate each cached timeline
+// once instead of per request. Per-PE activity and the buffer peak are
+// derived from a cached timeline on demand (Report.PEActive,
+// Report.PeakLiveElems).
 type schedState struct {
 	mu        sync.Mutex
-	timelines map[string]*schedule.Timeline
-	checked   map[string]bool
+	timelines map[ScheduleMode]cachedTimeline
+}
+
+// cachedTimeline is one schedState entry.
+type cachedTimeline struct {
+	*schedule.Timeline
+	checked bool
 }
 
 // Virtualized reports whether the compilation uses weight reloading
@@ -486,8 +463,7 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 	c := &Compiled{
 		ModelName: model.Name,
 		sched: &schedState{
-			timelines: make(map[string]*schedule.Timeline),
-			checked:   make(map[string]bool),
+			timelines: make(map[ScheduleMode]cachedTimeline),
 		},
 		cfg:      cfg,
 		arch:     arch,
@@ -633,7 +609,7 @@ func newCandidateScorer(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch
 	return &candidateScorer{
 		g: g, plan: plan, f: f, arch: arch,
 		targetSets: cfg.TargetSets,
-		policy:     mode.policy(),
+		policy:     mode.p,
 		edges:      mode.Window() > 1,
 		targets:    make([]int, len(plan.Layers)),
 	}, nil
@@ -741,13 +717,13 @@ func (c *Compiled) normalizeMode(mode ScheduleMode) ScheduleMode {
 // evaluation — reuse it).
 func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 	mode = c.normalizeMode(mode)
-	key := mode.wireName()
 	c.sched.mu.Lock()
-	t, ok := c.sched.timelines[key]
+	cached, ok := c.sched.timelines[mode]
 	c.sched.mu.Unlock()
 	if ok {
-		return t, nil
+		return cached.Timeline, nil
 	}
+	var t *schedule.Timeline
 	var err error
 	opt := c.schedOptions(mode)
 	if c.virtual != nil {
@@ -757,7 +733,7 @@ func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 		}
 		t, err = schedule.LayerByLayerVirtual(c.depGraph, c.virtual.ReloadCycles)
 	} else {
-		t, err = schedule.Schedule(c.depGraph, mode.policy(), opt)
+		t, err = schedule.Schedule(c.depGraph, mode.p, opt)
 	}
 	if err != nil {
 		return nil, err
@@ -766,10 +742,10 @@ func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 		return nil, fmt.Errorf("clsacim: schedule validation: %w", err)
 	}
 	c.sched.mu.Lock()
-	if prev, ok := c.sched.timelines[key]; ok {
-		t = prev // a concurrent builder won the race; both are identical
+	if prev, ok := c.sched.timelines[mode]; ok {
+		t = prev.Timeline // a concurrent builder won the race; both are identical
 	} else {
-		c.sched.timelines[key] = t
+		c.sched.timelines[mode] = cachedTimeline{Timeline: t}
 	}
 	c.sched.mu.Unlock()
 	return t, nil
@@ -779,9 +755,8 @@ func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 // cached — the Engine's partial-hit accounting asks this before
 // scheduling on a cache-hit compilation.
 func (c *Compiled) hasTimeline(mode ScheduleMode) bool {
-	key := c.normalizeMode(mode).wireName()
 	c.sched.mu.Lock()
-	_, ok := c.sched.timelines[key]
+	_, ok := c.sched.timelines[c.normalizeMode(mode)]
 	c.sched.mu.Unlock()
 	return ok
 }

@@ -180,9 +180,9 @@ func normalizeCfg(cfg Config) (Config, int) {
 	// "xinf") so aliases share an entry.
 	if cfg.WeightDuplication && mapping.IsScored(cfg.Solver) {
 		if cfg.SolverMode == "" {
-			cfg.SolverMode = ModeCrossLayer.wireName()
+			cfg.SolverMode = ModeCrossLayer.Name()
 		} else if m, err := ParseMode(cfg.SolverMode); err == nil {
-			cfg.SolverMode = m.wireName()
+			cfg.SolverMode = m.Name()
 		}
 	} else {
 		cfg.SolverBudget, cfg.SolverSeed, cfg.SolverMode = 0, 0, ""
@@ -403,9 +403,9 @@ func (e *Engine) checkReport(rep *Report) error {
 		return nil
 	}
 	comp := rep.comp
-	key := comp.normalizeMode(rep.Mode).wireName()
+	key := comp.normalizeMode(rep.Mode)
 	comp.sched.mu.Lock()
-	done := comp.sched.checked[key]
+	done := comp.sched.timelines[key].checked
 	comp.sched.mu.Unlock()
 	if done {
 		return nil
@@ -416,7 +416,7 @@ func (e *Engine) checkReport(rep *Report) error {
 		return fmt.Errorf("clsacim: %q %s timeline failed validation: %w", rep.Model, rep.Mode, err)
 	}
 	comp.sched.mu.Lock()
-	comp.sched.checked[key] = true
+	comp.sched.timelines[key] = cachedTimeline{Timeline: tl, checked: true}
 	comp.sched.mu.Unlock()
 	return nil
 }

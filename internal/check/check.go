@@ -7,12 +7,12 @@
 // The checker is deliberately separate from the machinery that produces
 // timelines: it reads only the stored start cycles and activity rows,
 // derives every end from the graph's own CSR.Cycles and every replica
-// from the policy it is given, and shares no code with the Stage IV
-// list scheduler
-// (package schedule) or the event-driven simulator (package sim), so a
-// bug in either engine cannot also hide in the oracle that judges it.
-// Both engines run it behind a debug option, the public Engine exposes
-// it through clsacim.WithValidation, and the differential fuzz harness
+// from the paper's round-robin rule (schedule.Replica), and shares no
+// other code with the Stage IV list scheduler (package schedule) or the
+// event-driven simulator (package sim), so a bug in either engine
+// cannot also hide in the oracle that judges it. The engines' tests run
+// it on their timelines, the public Engine exposes it through
+// clsacim.WithValidation, and the differential fuzz harness
 // (FuzzScheduleVsSim) drives it over randomized models.
 //
 // The invariant set:
@@ -20,8 +20,8 @@
 //   - Shape: the timeline is laid out on the workload's CSR (one start
 //     per Stage I set, the CSR's layer offsets and set cycle counts, so
 //     every set's end is its start plus its Stage I cycles), the
-//     policy dispatches every set to a replica inside the layer's
-//     duplication range, and start times are non-negative.
+//     replica accounting has one row per replica, and start times are
+//     non-negative.
 //   - Dependency order: every CSR dependency edge is respected — a set
 //     starts only after each predecessor set has completed, plus the
 //     configured edge cost (NoC/GPEU).
@@ -32,7 +32,7 @@
 //     before every layer up to l-K has fully completed.
 //   - Conservation (Stage III/IV accounting): the per-layer and
 //     per-replica active-cycle totals recorded on the timeline match
-//     the sets' Stage I cycles under the policy's dispatch.
+//     the sets' Stage I cycles under the round-robin dispatch.
 //   - Makespan/metrics consistency: the makespan is exactly the latest
 //     item end, and paper Eq. 2 utilization computed from the timeline
 //     is a valid fraction in (0, 1].
@@ -97,9 +97,6 @@ func Timeline(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedul
 	if m == nil || dg == nil || dg.CSR == nil || tl == nil {
 		return violation(KindShape, -1, -1, "nil mapping, dependency graph, CSR, or timeline")
 	}
-	if p == nil {
-		return violation(KindShape, -1, -1, "nil policy")
-	}
 	csr := dg.CSR
 	nl := len(dg.Plan.Layers)
 	if len(m.Groups) != nl {
@@ -113,10 +110,10 @@ func Timeline(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedul
 		return violation(KindShape, -1, -1, "%d starts and %d durations, plan has %d sets",
 			len(tl.Items), len(tl.Cycles), csr.NumSets())
 	}
-	rep, err := checkShape(m, dg, p, tl)
-	if err != nil {
+	if err := checkShape(m, dg, tl); err != nil {
 		return err
 	}
+	rep := replicas(dg)
 	if err := checkDependencies(dg, tl, opt.EdgeCost); err != nil {
 		return err
 	}
@@ -132,58 +129,52 @@ func Timeline(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedul
 	return checkMakespan(m, dg, tl)
 }
 
-// replicas returns the policy's Stage III dispatch of every set of dg:
-// rep[id] is the replica executing flat set id. A replica outside its
-// layer's duplication range is a shape violation.
-func replicas(p schedule.Policy, dg *deps.Graph) ([]int32, error) {
+// replicas returns the Stage III dispatch of every set of dg: rep[id]
+// is the replica executing flat set id.
+func replicas(dg *deps.Graph) []int32 {
 	rep := make([]int32, dg.CSR.NumSets())
 	for li, ls := range dg.Plan.Layers {
-		d := ls.Group.Dup
 		base := int(dg.CSR.LayerOff[li])
 		for si := 0; si < ls.NumSets(); si++ {
-			r := p.Replica(si, d)
-			if r < 0 || r >= d {
-				return nil, violation(KindShape, li, si, "replica %d outside [0, %d)", r, d)
-			}
-			rep[base+si] = int32(r)
+			rep[base+si] = int32(schedule.Replica(si, ls.Group.Dup))
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // checkShape verifies that the timeline is laid out on dg's CSR (its
-// layer offsets and set durations are the graph's own), that every set
-// runs on a replica the layer actually has, and that start times are
-// sane. It returns the policy's dispatch (see replicas).
-func checkShape(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedule.Timeline) ([]int32, error) {
+// layer offsets and set durations are the graph's own), that each layer
+// has one replica accounting row per replica, and that start times are
+// sane.
+func checkShape(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error {
 	csr := dg.CSR
 	nl := len(dg.Plan.Layers)
 	if tl.Off[nl] != csr.LayerOff[nl] {
-		return nil, violation(KindShape, -1, -1, "timeline ends at offset %d, CSR at %d", tl.Off[nl], csr.LayerOff[nl])
+		return violation(KindShape, -1, -1, "timeline ends at offset %d, CSR at %d", tl.Off[nl], csr.LayerOff[nl])
 	}
 	for li, ls := range dg.Plan.Layers {
 		if tl.Off[li] != csr.LayerOff[li] {
-			return nil, violation(KindShape, li, -1, "layer offset %d != CSR offset %d", tl.Off[li], csr.LayerOff[li])
+			return violation(KindShape, li, -1, "layer offset %d != CSR offset %d", tl.Off[li], csr.LayerOff[li])
 		}
 		d := m.Groups[li].Dup
 		if d != ls.Group.Dup {
-			return nil, violation(KindShape, li, -1, "mapping duplication %d != plan duplication %d", d, ls.Group.Dup)
+			return violation(KindShape, li, -1, "mapping duplication %d != plan duplication %d", d, ls.Group.Dup)
 		}
 		if len(tl.ReplicaActive[li]) != d {
-			return nil, violation(KindShape, li, -1,
+			return violation(KindShape, li, -1,
 				"replica accounting has %d rows, layer has %d replicas", len(tl.ReplicaActive[li]), d)
 		}
 		for si := 0; si < ls.NumSets(); si++ {
 			id := int(csr.LayerOff[li]) + si
 			if got, want := tl.Cycles[id], csr.Cycles[id]; got != want {
-				return nil, violation(KindShape, li, si, "duration %d != %d Stage I cycles", got, want)
+				return violation(KindShape, li, si, "duration %d != %d Stage I cycles", got, want)
 			}
 			if tl.Items[id] < 0 {
-				return nil, violation(KindShape, li, si, "negative start %d", tl.Items[id])
+				return violation(KindShape, li, si, "negative start %d", tl.Items[id])
 			}
 		}
 	}
-	return replicas(p, dg)
+	return nil
 }
 
 // end is the completion time of flat set id: its recorded start plus
@@ -329,7 +320,7 @@ func checkWindow(dg *deps.Graph, p schedule.Policy, tl *schedule.Timeline) error
 
 // checkConservation asserts the Stage III/IV accounting: the per-layer
 // and per-replica active totals recorded on the timeline match the sets'
-// Stage I cycles under the policy's dispatch.
+// Stage I cycles under the round-robin dispatch.
 func checkConservation(dg *deps.Graph, tl *schedule.Timeline, rep []int32) error {
 	csr := dg.CSR
 	for li, ls := range dg.Plan.Layers {

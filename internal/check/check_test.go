@@ -264,23 +264,7 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 		tl.Makespan++
 		assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindMakespan)
 	})
-
-	t.Run("replica out of range", func(t *testing.T) {
-		tl := copyTimeline(schedOf(schedule.CrossLayer))
-		assertKind(t, check.Timeline(c.m, c.dg, outOfRange{schedule.CrossLayer}, tl, check.Options{}), check.KindShape)
-	})
-
-	t.Run("nil policy", func(t *testing.T) {
-		tl := copyTimeline(schedOf(schedule.CrossLayer))
-		assertKind(t, check.Timeline(c.m, c.dg, nil, tl, check.Options{}), check.KindShape)
-	})
 }
-
-// outOfRange is a policy whose Stage III dispatch names a replica one
-// past the layer's last.
-type outOfRange struct{ schedule.Policy }
-
-func (outOfRange) Replica(si, d int) int { return d }
 
 // TestViolationMessage: violations carry their location and read as one
 // line.

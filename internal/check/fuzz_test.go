@@ -76,7 +76,7 @@ func FuzzScheduleVsSim(f *testing.F) {
 			t.Fatalf("stage II: %v", err)
 		}
 
-		p := schedule.Policy(schedule.CrossLayer)
+		p := schedule.CrossLayer
 		if k > 0 {
 			p = schedule.Windowed(k)
 		}
@@ -91,7 +91,7 @@ func FuzzScheduleVsSim(f *testing.F) {
 		arch := cim.Default()
 		arch.PE = pe
 		arch.NumPEs = plan.MinPEs + extraPEs
-		res, err := sim.RunOpt(arch, dg, m, p, sim.Options{})
+		res, err := sim.Run(arch, dg, m, p, nil)
 		if err != nil {
 			t.Fatalf("sim: %v", err)
 		}

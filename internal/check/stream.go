@@ -76,8 +76,8 @@ func Stream(models []StreamModel, infs []StreamInference, opt StreamOptions) err
 		return violation(KindShape, -1, -1, "stream has no models")
 	}
 	for mi, m := range models {
-		if m.Graph == nil || m.Graph.CSR == nil || m.Mapping == nil || m.Policy == nil {
-			return violation(KindShape, -1, -1, "model %d has a nil graph, CSR, mapping, or policy", mi)
+		if m.Graph == nil || m.Graph.CSR == nil || m.Mapping == nil {
+			return violation(KindShape, -1, -1, "model %d has a nil graph, CSR, or mapping", mi)
 		}
 		if m.PEBase < 0 {
 			return violation(KindShape, -1, -1, "model %d has negative PE base %d", mi, m.PEBase)
@@ -124,10 +124,7 @@ func checkStreamExclusivity(models []StreamModel, infs []StreamInference) error 
 	grpBase := make([]int, len(models)+1)
 	grp := make([][]int32, len(models))
 	for mi, m := range models {
-		rep, err := replicas(m.Policy, m.Graph)
-		if err != nil {
-			return err
-		}
+		rep := replicas(m.Graph)
 		csr := m.Graph.CSR
 		gid := grpBase[mi]
 		for li, g := range m.Mapping.Groups {

@@ -43,23 +43,13 @@ func (t *Timeline) CriticalPath(dg *deps.Graph, opt Options) ([]PathStep, error)
 		return nil, fmt.Errorf("schedule: no item ends at makespan %d", t.Makespan)
 	}
 
-	k := Unbounded
-	if t.Policy != nil {
-		k = t.Policy.Window()
-	}
+	k := t.Policy.Window()
 	var rev []PathStep
 	for {
 		step := PathStep{Item: cur, Cause: "start"}
-		// Previous set on the same replica, found through the timeline's
-		// own dispatch rule so any Policy works (cur.Set - d under the
-		// built-in raster round-robin).
-		prevSet := -1
-		for sj := cur.Set - 1; sj >= 0; sj-- {
-			if t.At(cur.Layer, sj).Replica == cur.Replica {
-				prevSet = sj
-				break
-			}
-		}
+		// The previous set on the same replica: round-robin dispatch puts
+		// it d sets back.
+		prevSet := cur.Set - len(t.ReplicaActive[cur.Layer])
 		var next Item
 		if prevSet >= 0 {
 			prev := t.At(cur.Layer, prevSet)

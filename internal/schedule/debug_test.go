@@ -1,26 +1,28 @@
-package schedule
+package schedule_test
 
 import (
 	"testing"
 
+	"clsacim/internal/check"
 	"clsacim/internal/models"
+	"clsacim/internal/schedule"
 )
 
-// TestScheduleDebugOption: with Options.Debug the scheduler validates
-// its own output before returning it; legal workloads pass unchanged.
+// TestScheduleDebugOption: the scheduler's own timelines pass both its
+// Validate and the engine-independent invariant checker
+// (internal/check) under every policy.
 func TestScheduleDebugOption(t *testing.T) {
-	_, _, dg := compileDeps(t, models.TinyBranchNet, 0, 4, 9)
-	for _, p := range []Policy{LayerByLayer, Windowed(2), CrossLayer} {
-		plain, err := Schedule(dg, p, Options{})
+	_, m, dg := schedule.CompileDeps(t, models.TinyBranchNet, 0, 4, 9)
+	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(2), schedule.CrossLayer} {
+		tl, err := schedule.Schedule(dg, p, schedule.Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", p, err)
 		}
-		debug, err := Schedule(dg, p, Options{Debug: true})
-		if err != nil {
-			t.Fatalf("%s: debug validation rejected the scheduler's own timeline: %v", p.Name(), err)
+		if err := tl.Validate(dg, schedule.Options{}); err != nil {
+			t.Fatalf("%s: Validate rejected the scheduler's own timeline: %v", p, err)
 		}
-		if !plain.Equal(debug) {
-			t.Fatalf("%s: Debug changed the timeline", p.Name())
+		if err := check.Timeline(m, dg, p, tl, check.Options{}); err != nil {
+			t.Fatalf("%s: the checker rejected the scheduler's own timeline: %v", p, err)
 		}
 	}
 }

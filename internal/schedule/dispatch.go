@@ -3,25 +3,23 @@ package schedule
 import "clsacim/internal/deps"
 
 // Dispatch is the immutable Stage III dispatch plan of one compiled
-// workload under one policy: which sets each replica PE group executes,
+// workload: which sets each replica PE group executes,
 // in raster order, laid out flat in the CSR's offset-indexed style.
 // Replicas are numbered globally (layer li owns the replica ids
 // [RepOff[li], RepOff[li+1])); replica g executes the layer-local set
 // indices Order[OrderOff[g]:OrderOff[g+1]] in dispatch order.
 //
-// The plan depends only on the dependency graph's set plan and the
-// policy's Replica rule, so event engines executing many concurrent
-// inferences of one compilation (internal/stream) share a single
-// Dispatch and keep only per-inference cursors. Every built-in policy
-// shares the raster Replica rule, so one plan also serves every
-// scheduling mode of one compilation — the incremental re-simulation
-// path on a cached compile reuses it across modes.
+// The plan depends only on the dependency graph's set plan (Stage III
+// dispatch is the fixed Replica rule), so event engines executing many
+// concurrent inferences of one compilation (internal/stream) share a
+// single Dispatch and keep only per-inference cursors, and one plan
+// serves every scheduling mode of the compilation.
 type Dispatch struct {
 	RepOff   []int32
 	OrderOff []int32
 	Order    []int32
 	// RepOf[id] is the global replica group executing flat CSR set id —
-	// the event engines' O(1) inverse of the policy's Replica rule.
+	// the event engines' O(1) inverse of the Replica rule.
 	RepOf []int32
 }
 
@@ -34,7 +32,7 @@ func (d *Dispatch) Replicas(li int) int { return int(d.RepOff[li+1] - d.RepOff[l
 // NewDispatch builds the dispatch plan: count the sets each global
 // replica serves, prefix-sum into OrderOff, then place each set at its
 // replica's cursor (raster order within a replica, matching Stage III).
-func NewDispatch(dg *deps.Graph, p Policy) *Dispatch {
+func NewDispatch(dg *deps.Graph) *Dispatch {
 	nl := len(dg.Plan.Layers)
 	ns := dg.CSR.NumSets()
 	totalReps := 0
@@ -58,7 +56,7 @@ func NewDispatch(dg *deps.Graph, p Policy) *Dispatch {
 		base := d.RepOff[li]
 		dup := ls.Group.Dup
 		for si := 0; si < ls.NumSets(); si++ {
-			cnt[base+int32(p.Replica(si, dup))]++
+			cnt[base+int32(Replica(si, dup))]++
 		}
 	}
 	var off int32
@@ -73,7 +71,7 @@ func NewDispatch(dg *deps.Graph, p Policy) *Dispatch {
 		base := d.RepOff[li]
 		dup := ls.Group.Dup
 		for si := 0; si < ls.NumSets(); si++ {
-			g := base + int32(p.Replica(si, dup))
+			g := base + int32(Replica(si, dup))
 			d.Order[cnt[g]] = int32(si)
 			cnt[g]++
 			d.RepOf[id] = g

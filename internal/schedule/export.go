@@ -40,11 +40,7 @@ type ExportItem struct {
 // graph. Mode carries the producing policy's canonical name ("lbl",
 // "x4", "xinf").
 func (t *Timeline) BuildExport(dg *deps.Graph) Export {
-	mode := ""
-	if t.Policy != nil {
-		mode = t.Policy.Name()
-	}
-	out := Export{Mode: mode, Makespan: t.Makespan}
+	out := Export{Mode: t.Policy.Name(), Makespan: t.Makespan}
 	for li, ls := range dg.Plan.Layers {
 		el := ExportLayer{
 			Name:     ls.Group.Node.Name,

@@ -76,9 +76,6 @@ func TestScheduleBytesPerSet(t *testing.T) {
 func TestMakespanRejectsBadInput(t *testing.T) {
 	_, m, dg := compileDeps(t, models.TinyBranchNet, 16, 0, 4)
 	var s Scratch
-	if _, err := s.Makespan(dg, m.Dup, nil, nil); err == nil {
-		t.Error("nil policy accepted")
-	}
 	if _, err := s.Makespan(&deps.Graph{}, m.Dup, CrossLayer, nil); err == nil {
 		t.Error("graph without CSR accepted")
 	}

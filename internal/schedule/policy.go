@@ -10,76 +10,76 @@ import (
 // Unbounded is the Window of policies that never gate layer admission.
 const Unbounded = math.MaxInt32
 
-// Policy is a pluggable scheduling strategy: the Stage III dispatch
-// rule assigning a layer's sets to its replica PE groups, plus the
-// admission rule bounding how many layers may execute concurrently.
+// Policy is a scheduling mode. Stage III dispatch is fixed (Replica),
+// so modes differ only in their admission window: a sliding window over
+// the plan's topological layer order, where layer l may not start
+// before every layer up to l-Window has completed, so at most Window
+// layers are ever concurrently active. Window 1 is the paper's
+// layer-by-layer baseline (strictly sequential layers), Unbounded is
+// full cross-layer inference ("xinf"), and the intermediate xK family
+// trades scheduling freedom (and buffer pressure) against pipeline
+// depth.
 //
-// The admission rule is a sliding window over the plan's topological
-// layer order: layer l may not start before every layer up to l-Window
-// has completed, so at most Window layers are ever concurrently active.
-// Window 1 is the paper's layer-by-layer baseline (strictly sequential
-// layers), Unbounded is full cross-layer inference ("xinf"), and the
-// intermediate xK family trades scheduling freedom (and buffer
-// pressure) against pipeline depth.
-type Policy interface {
-	// Name is the canonical mode name understood by ParseMode:
-	// "lbl", "x<K>", or "xinf".
-	Name() string
-	// Window is the admission bound: the maximum number of layers
-	// concurrently active (1 = layer-by-layer, Unbounded = xinf).
-	Window() int
-	// Replica is the Stage III dispatch rule: the replica PE group
-	// (0 <= r < d) executing set si of a layer with d replicas.
-	Replica(si, d int) int
+// Policies are comparable values. The zero value is LayerByLayer.
+type Policy struct {
+	// w encodes the mode: 0 = layer-by-layer, -1 = unbounded
+	// cross-layer ("xinf"), K > 0 = at most K layers concurrently
+	// active ("xK"). Windowed(1) is distinct from LayerByLayer in name
+	// only.
+	w int
 }
 
-// raster is the shared Stage III dispatch of every built-in policy:
-// sets go to the d replicas round-robin in raster order ("the input
-// vectors are evenly distributed among the duplicates", paper §III-C).
-type raster struct{}
-
-func (raster) Replica(si, d int) int { return si % d }
-
-type lblPolicy struct{ raster }
-
-func (lblPolicy) Name() string   { return "lbl" }
-func (lblPolicy) Window() int    { return 1 }
-func (lblPolicy) String() string { return "lbl" }
-
-type xinfPolicy struct{ raster }
-
-func (xinfPolicy) Name() string   { return "xinf" }
-func (xinfPolicy) Window() int    { return Unbounded }
-func (xinfPolicy) String() string { return "xinf" }
-
-type windowPolicy struct {
-	raster
-	k int
-}
-
-func (p windowPolicy) Name() string   { return "x" + strconv.Itoa(p.k) }
-func (p windowPolicy) Window() int    { return p.k }
-func (p windowPolicy) String() string { return p.Name() }
+// Replica is the Stage III dispatch rule of every policy: set si of a
+// layer with d replica PE groups runs on replica si % d, so sets go to
+// the replicas round-robin in raster order ("the input vectors are
+// evenly distributed among the duplicates", paper §III-C).
+func Replica(si, d int) int { return si % d }
 
 // LayerByLayer is the paper's §II-B baseline: layers execute strictly
 // sequentially; only the replicas of the current layer overlap.
-var LayerByLayer Policy = lblPolicy{}
+var LayerByLayer = Policy{}
 
 // CrossLayer is CLSA-CIM cross-layer inference (paper §IV, "xinf"):
 // a set starts as soon as its replica and its Stage II dependencies
 // allow, with no admission bound.
-var CrossLayer Policy = xinfPolicy{}
+var CrossLayer = Policy{w: -1}
 
 // Windowed returns the bounded cross-layer policy xK: at most k layers
 // concurrently active. k = 1 behaves exactly like LayerByLayer and
 // k >= the layer count exactly like CrossLayer; values in between
 // interpolate. Non-positive k is clamped to 1.
 func Windowed(k int) Policy {
-	if k < 1 {
-		k = 1
-	}
-	return windowPolicy{k: k}
+	return Policy{w: max(k, 1)}
 }
+
+// Window is the admission bound: the maximum number of layers
+// concurrently active (1 = layer-by-layer, Unbounded = xinf).
+func (p Policy) Window() int {
+	switch {
+	case p.w < 0:
+		return Unbounded
+	case p.w == 0:
+		return 1
+	default:
+		return p.w
+	}
+}
+
+// Name is the canonical mode name understood by ParseMode: "lbl",
+// "x<K>", or "xinf".
+func (p Policy) Name() string {
+	switch {
+	case p.w < 0:
+		return "xinf"
+	case p.w == 0:
+		return "lbl"
+	default:
+		return "x" + strconv.Itoa(p.w)
+	}
+}
+
+// String is Name.
+func (p Policy) String() string { return p.Name() }
 
 // ErrUnknownMode reports a mode name ParseMode does not recognize.
 var ErrUnknownMode = fmt.Errorf("schedule: unknown mode")
@@ -102,5 +102,5 @@ func ParseMode(name string) (Policy, error) {
 			return Windowed(k), nil
 		}
 	}
-	return nil, fmt.Errorf("%w %q (want lbl, xinf, or xK)", ErrUnknownMode, name)
+	return Policy{}, fmt.Errorf("%w %q (want lbl, xinf, or xK)", ErrUnknownMode, name)
 }

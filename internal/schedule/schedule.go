@@ -19,11 +19,12 @@
 // successor layers before the full OFM exists, which is what raises PE
 // utilization.
 //
-// All strategies are instances of one Policy interface (see policy.go):
-// "lbl" (window 1, strictly sequential layers, paper Fig. 1(c) and
-// Fig. 6a), "xinf" (unbounded window, Fig. 6b), and the bounded "xK"
-// family in between. One scheduler loop over the dependency graph's CSR
-// arrays serves them all.
+// Every strategy is one Policy value, which is one admission window
+// (see policy.go): "lbl" (window 1, strictly sequential layers, paper
+// Fig. 1(c) and Fig. 6a), "xinf" (unbounded window, Fig. 6b), and the
+// bounded "xK" family in between. Stage III dispatch is the same for
+// all of them (Replica). One scheduler loop over the dependency
+// graph's CSR arrays serves them all.
 package schedule
 
 import (
@@ -42,13 +43,6 @@ type EdgeCostFn func(pred deps.SetRef, toLayer int) int64
 // Options configures scheduling.
 type Options struct {
 	EdgeCost EdgeCostFn
-	// Debug validates the timeline against the full Stage III/IV
-	// invariant set before Schedule returns it, turning scheduler bugs
-	// into errors at the source instead of silently wrong metrics
-	// downstream. It roughly doubles scheduling cost; leave it off on
-	// hot paths and let the caller validate (see internal/check for the
-	// engine-independent checker).
-	Debug bool
 }
 
 // Schedule computes the execution timeline of dg under policy p: list
@@ -59,18 +53,13 @@ type Options struct {
 // serializes layers entirely at window 1 and imposes nothing at
 // Unbounded.
 func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
-	if err := checkInputs(dg, p); err != nil {
+	if err := checkInputs(dg); err != nil {
 		return nil, err
 	}
 	t := NewTimeline(dg, p)
 	s := scratchPool.Get().(*Scratch)
 	t.Makespan = s.run(dg, nil, p, opt.EdgeCost, t)
 	scratchPool.Put(s)
-	if opt.Debug {
-		if err := t.Validate(dg, opt); err != nil {
-			return nil, fmt.Errorf("schedule: debug validation: %w", err)
-		}
-	}
 	return t, nil
 }
 
@@ -99,7 +88,7 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // duplication solver's cost model. Once s has scheduled a workload of
 // this size, Makespan does not allocate.
 func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn) (int64, error) {
-	if err := checkInputs(dg, p); err != nil {
+	if err := checkInputs(dg); err != nil {
 		return 0, err
 	}
 	if len(dup) != len(dg.Plan.Layers) {
@@ -113,10 +102,7 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 	return s.run(dg, dup, p, edge, nil), nil
 }
 
-func checkInputs(dg *deps.Graph, p Policy) error {
-	if p == nil {
-		return fmt.Errorf("schedule: nil policy")
-	}
+func checkInputs(dg *deps.Graph) error {
 	if dg == nil || dg.CSR == nil {
 		return fmt.Errorf("schedule: dependency graph has no CSR (build it with deps.Build)")
 	}
@@ -165,7 +151,7 @@ func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *T
 		var layerEnd, layerActive int64
 		for si := 0; si < ls.NumSets(); si++ {
 			id := base + si
-			r := p.Replica(si, d)
+			r := Replica(si, d)
 			start := ready[r]
 			for e := csr.PredOff[id]; !skipDeps && e < csr.PredOff[id+1]; e++ {
 				pid := csr.Pred[e]
@@ -240,7 +226,7 @@ func LayerByLayerVirtual(dg *deps.Graph, reload []int64) (*Timeline, error) {
 			t.Items[base+si] = cur
 			cur += c
 			t.LayerActive[li] += c
-			t.ReplicaActive[li][LayerByLayer.Replica(si, ls.Group.Dup)] += c
+			t.ReplicaActive[li][Replica(si, ls.Group.Dup)] += c
 		}
 	}
 	t.Makespan = cur

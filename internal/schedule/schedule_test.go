@@ -12,6 +12,10 @@ import (
 	"clsacim/internal/sets"
 )
 
+// CompileDeps exposes compileDeps to the external schedule_test
+// package, which may import internal/check.
+var CompileDeps = compileDeps
+
 // compileDeps lowers a model to its dependency graph.
 func compileDeps(t *testing.T, id models.ID, inputSize, extra, targetSets int) (*nn.Graph, *mapping.Mapping, *deps.Graph) {
 	t.Helper()
@@ -304,11 +308,19 @@ func TestPolicyNames(t *testing.T) {
 	if CrossLayer.Window() != Unbounded || LayerByLayer.Window() != 1 || Windowed(3).Window() != 3 {
 		t.Error("policy windows wrong")
 	}
-	if Windowed(0).Window() != 1 {
+	if Windowed(0) != Windowed(1) {
 		t.Error("non-positive window not clamped")
 	}
-	if _, err := Schedule(nil, nil, Options{}); err == nil {
-		t.Error("nil policy accepted")
+	if (Policy{}) != LayerByLayer || Windowed(1) == LayerByLayer || Windowed(Unbounded) == CrossLayer {
+		t.Error("x1 or x2147483647 conflated with lbl or xinf")
+	}
+	for si, want := range []int{0, 1, 2, 0, 1, 2, 0} {
+		if got := Replica(si, 3); got != want {
+			t.Errorf("Replica(%d, 3) = %d, want %d (round-robin)", si, got, want)
+		}
+	}
+	if _, err := Schedule(nil, CrossLayer, Options{}); err == nil {
+		t.Error("nil graph accepted")
 	}
 }
 

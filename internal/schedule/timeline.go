@@ -25,7 +25,7 @@ type Item struct {
 // flat CSR order. Everything else follows from the plan:
 //
 //   - the layer and the layer-local set index from the position and Off;
-//   - the replica from the Stage III rule, Policy.Replica(si, d), with
+//   - the replica from the Stage III rule, Replica(si, d), with
 //     d = len(ReplicaActive[layer]);
 //   - the end from Start + Cycles[id].
 //
@@ -33,8 +33,8 @@ type Item struct {
 // schedule-vs-sim equality check all read this one representation
 // through Item, At and End.
 type Timeline struct {
-	// Policy is the scheduling strategy that produced the timeline; its
-	// Replica rule assigns every set to its replica PE group.
+	// Policy is the scheduling mode that produced the timeline; its
+	// admission window is what Validate and CriticalPath check against.
 	Policy Policy
 	// Items holds every set's start cycle in flat CSR order (layer-major,
 	// raster within a layer): layer l's starts are Items[Off[l]:Off[l+1]],
@@ -98,7 +98,7 @@ func (t *Timeline) At(li, si int) Item {
 	start := t.Items[id]
 	return Item{
 		Layer: li, Set: si,
-		Replica: t.Policy.Replica(si, len(t.ReplicaActive[li])),
+		Replica: Replica(si, len(t.ReplicaActive[li])),
 		Start:   start, End: start + t.Cycles[id],
 	}
 }
@@ -150,15 +150,11 @@ func (t *Timeline) Equal(o *Timeline) bool {
 
 // Validate checks that the timeline is executable: it is shaped after
 // dg's CSR (so every derived end is start + the set's Stage I cycles),
-// the policy's Stage III dispatch names a replica the layer has, sets
-// on one replica do not overlap their PE group, every data dependency
+// sets on one replica do not overlap their PE group, every data dependency
 // (plus edge cost) is respected, the activity accounting matches, and
 // the policy's admission window holds (no layer starts before every
 // layer Window positions back has completed).
 func (t *Timeline) Validate(dg *deps.Graph, opt Options) error {
-	if t.Policy == nil {
-		return fmt.Errorf("schedule: timeline has no policy")
-	}
 	csr := dg.CSR
 	if t.NumLayers() != len(dg.Plan.Layers) || len(t.ReplicaActive) != len(dg.Plan.Layers) {
 		return fmt.Errorf("schedule: %d layers, plan has %d", t.NumLayers(), len(dg.Plan.Layers))
@@ -180,11 +176,7 @@ func (t *Timeline) Validate(dg *deps.Graph, opt Options) error {
 		for si := 0; si < ls.NumSets(); si++ {
 			id := int(csr.LayerOff[li]) + si
 			start, end := t.Items[id], t.End(id)
-			r := t.Policy.Replica(si, d)
-			if r < 0 || r >= d {
-				return fmt.Errorf("schedule: layer %d set %d on replica %d outside [0, %d) (dispatch rule)",
-					li, si, r, d)
-			}
+			r := Replica(si, d)
 			if start < 0 || end > t.Makespan {
 				return fmt.Errorf("schedule: layer %d set %d [%d,%d) outside makespan %d",
 					li, si, start, end, t.Makespan)

@@ -3,37 +3,38 @@ package sim
 import (
 	"testing"
 
+	"clsacim/internal/check"
 	"clsacim/internal/deps"
 	"clsacim/internal/models"
 	"clsacim/internal/schedule"
 )
 
-// TestRunOptDebug: with Options.Debug the simulator runs the
-// engine-independent invariant checker (internal/check) on its own
-// timeline; legal workloads pass unchanged.
+// TestRunOptDebug: the engine-independent invariant checker
+// (internal/check) accepts the simulator's own timelines under every
+// policy.
 func TestRunOptDebug(t *testing.T) {
 	c := compile(t, models.TinyBranchNet, 0, 4, 9)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(2), schedule.CrossLayer} {
-		plain, err := Run(c.arch, c.dg, c.m, p, nil)
+		res, err := Run(c.arch, c.dg, c.m, p, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", p, err)
 		}
-		debug, err := RunOpt(c.arch, c.dg, c.m, p, Options{Debug: true})
-		if err != nil {
-			t.Fatalf("%s: debug validation rejected the simulator's own timeline: %v", p.Name(), err)
-		}
-		if !plain.Timeline.Equal(debug.Timeline) {
-			t.Fatalf("%s: Debug changed the timeline", p.Name())
+		if err := check.Timeline(c.m, c.dg, p, res.Timeline, check.Options{}); err != nil {
+			t.Fatalf("%s: the checker rejected the simulator's own timeline: %v", p, err)
 		}
 	}
 }
 
-// TestRunOptDebugEdgeCost: debug validation replays the run's own edge
-// cost, so charged data movement still passes.
+// TestRunOptDebugEdgeCost: checked against the run's own edge cost,
+// timelines with charged data movement still pass.
 func TestRunOptDebugEdgeCost(t *testing.T) {
 	c := compile(t, models.TinyBranchNet, 0, 0, 9)
 	cost := func(pred deps.SetRef, toLayer int) int64 { return 2 }
-	if _, err := RunOpt(c.arch, c.dg, c.m, schedule.CrossLayer, Options{Edge: cost, Debug: true}); err != nil {
+	res, err := Run(c.arch, c.dg, c.m, schedule.CrossLayer, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := check.Timeline(c.m, c.dg, schedule.CrossLayer, res.Timeline, check.Options{EdgeCost: cost}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clsacim/internal/check"
 	"clsacim/internal/cim"
 	"clsacim/internal/deps"
 	"clsacim/internal/frontend"
@@ -84,7 +85,6 @@ type refState struct {
 	dg   *deps.Graph
 	csr  *deps.CSR
 	m    *mapping.Mapping
-	p    schedule.Policy
 	edge schedule.EdgeCostFn
 
 	depsLeft []int32
@@ -112,9 +112,6 @@ func referenceRun(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedul
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
-	if p == nil {
-		return nil, fmt.Errorf("sim: nil policy")
-	}
 	if dg == nil || dg.CSR == nil {
 		return nil, fmt.Errorf("sim: dependency graph has no CSR (build it with deps.Build)")
 	}
@@ -134,10 +131,10 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 		totalReps += dg.Plan.Layers[li].Group.Dup
 	}
 	st := &refState{
-		arch: arch, dg: dg, csr: csr, m: m, p: p, edge: edge,
+		arch: arch, dg: dg, csr: csr, m: m, edge: edge,
 		depsLeft:  make([]int32, ns),
 		readyAt:   make([]int64, ns),
-		disp:      schedule.NewDispatch(dg, p),
+		disp:      schedule.NewDispatch(dg),
 		pos:       make([]int32, totalReps),
 		busy:      make([]bool, totalReps),
 		window:    p.Window(),
@@ -234,7 +231,7 @@ func (st *refState) tryStart(li, rep int, now int64) {
 func (st *refState) complete(e refEvent) {
 	li, si := st.csr.Set(e.id)
 	ls := st.dg.Plan.Layers[li]
-	rep := st.p.Replica(si, ls.Group.Dup)
+	rep := schedule.Replica(si, ls.Group.Dup)
 	g := st.disp.RepOff[li] + int32(rep)
 	st.chargePEs(li, rep, st.csr.Cycles[e.id])
 	st.busy[g] = false
@@ -252,7 +249,7 @@ func (st *refState) complete(e refEvent) {
 			st.readyAt[cid] = t
 		}
 		st.depsLeft[cid]--
-		st.tryStart(cl, st.p.Replica(cs, st.dg.Plan.Layers[cl].Group.Dup), e.time)
+		st.tryStart(cl, schedule.Replica(cs, st.dg.Plan.Layers[cl].Group.Dup), e.time)
 	}
 
 	st.setsLeft[li]--
@@ -347,9 +344,12 @@ func TestSimMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: reference: %v", name, err)
 					}
-					got, err := st.Run(cp.arch, cp.dg, cp.m, p, Options{Edge: ec, Debug: true})
+					got, err := st.Run(cp.arch, cp.dg, cp.m, p, Options{Edge: ec})
 					if err != nil {
 						t.Fatalf("%s: calendar: %v", name, err)
+					}
+					if err := check.Timeline(cp.m, cp.dg, p, got.Timeline, check.Options{EdgeCost: ec}); err != nil {
+						t.Fatalf("%s: calendar timeline fails the invariant checker: %v", name, err)
 					}
 					if !got.Timeline.Equal(want.Timeline) {
 						for i := range want.Items {

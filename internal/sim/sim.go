@@ -18,19 +18,18 @@
 //
 // A State holds every scratch array plus a bucketed calendar queue
 // (internal/eventq) and is reset, not reallocated, across runs. It keeps
-// the Stage III dispatch plan (schedule.Dispatch) of its last run and
-// reuses it while the graph and the policy name stay the same, so
-// re-running one workload allocates only the returned Timeline, and
-// RunCoarse, which skips per-set Timeline materialization, allocates
-// nothing beyond the name of a bounded-window policy (the plan key). The previous binary-heap loop survives as the reference
-// implementation in reference_test.go, with a differential test pinning
-// byte-identical timelines.
+// the Stage III dispatch plan (schedule.Dispatch) of its last graph,
+// which serves every policy, so re-running one workload under any mode
+// allocates only the returned Timeline, and RunCoarse, which skips
+// per-set Timeline materialization, allocates nothing. The previous
+// binary-heap loop survives as the reference implementation in
+// reference_test.go, with a differential test pinning byte-identical
+// timelines.
 package sim
 
 import (
 	"fmt"
 
-	"clsacim/internal/check"
 	"clsacim/internal/cim"
 	"clsacim/internal/deps"
 	"clsacim/internal/eventq"
@@ -60,26 +59,15 @@ type Options struct {
 	// Edge is the optional dependency-edge cost (NoC hops, GPEU
 	// processing); nil means the paper's idealized zero-cost movement.
 	Edge schedule.EdgeCostFn
-	// Debug runs the engine-independent invariant checker
-	// (check.Timeline) on the simulated timeline before it is returned:
-	// dependency order, crossbar exclusivity, window admission,
-	// conservation, and makespan consistency. A violation means a
-	// simulator bug and is returned as the run's error.
-	Debug bool
 }
 
 // Run simulates the workload dg on architecture arch with mapping m
 // under scheduling policy p. edge is the optional dependency-edge cost
-// (NoC hops, GPEU processing); nil means idealized.
+// (NoC hops, GPEU processing); nil means idealized. It allocates a
+// fresh State per call; callers simulating one compilation repeatedly
+// should hold a State and call State.Run.
 func Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, edge schedule.EdgeCostFn) (*Result, error) {
-	return RunOpt(arch, dg, m, p, Options{Edge: edge})
-}
-
-// RunOpt is Run with full Options (edge cost plus debug validation). It
-// allocates a fresh State per call; callers simulating one compilation
-// repeatedly should hold a State and call State.Run.
-func RunOpt(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, opt Options) (*Result, error) {
-	return NewState().Run(arch, dg, m, p, opt)
+	return NewState().Run(arch, dg, m, p, Options{Edge: edge})
 }
 
 // State holds the simulator's reusable scratch: per-set counters,
@@ -89,13 +77,12 @@ func RunOpt(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Poli
 // returned Timeline (and nothing at all on the coarse path). A State is
 // not safe for concurrent use.
 type State struct {
-	// Per-workload cache, keyed by dependency-graph identity and policy
-	// name: the Stage III dispatch plan and the longest set duration
-	// (the calendar queue's increment bound).
-	planFor    *deps.Graph
-	planPolicy string
-	disp       *schedule.Dispatch
-	maxCycles  int64
+	// Per-workload cache, keyed by dependency-graph identity: the Stage
+	// III dispatch plan and the longest set duration (the calendar
+	// queue's increment bound).
+	planFor   *deps.Graph
+	disp      *schedule.Dispatch
+	maxCycles int64
 
 	depsLeft []int32 // unmet dependency count per flat set
 	readyAt  []int64 // max dependency completion (+edge cost) per flat set
@@ -114,11 +101,8 @@ type State struct {
 
 	// Per-run fields.
 	arch     cim.Config
-	dg       *deps.Graph
 	csr      *deps.CSR
 	succ     *deps.SuccView // csr.Successors(), fetched once per run
-	m        *mapping.Mapping
-	p        schedule.Policy
 	edge     schedule.EdgeCostFn
 	starts   []int64 // per-set start cycles; nil on the coarse path
 	window   int
@@ -157,22 +141,13 @@ func (st *State) Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p sche
 		sum += int64(g.PEsPerReplica()) * layer
 	}
 	res.Utilization = st.utilization(sum, makespan)
-	if opt.Debug {
-		if err := check.Timeline(m, dg, p, res.Timeline, check.Options{EdgeCost: opt.Edge}); err != nil {
-			return nil, fmt.Errorf("sim: debug validation: %w", err)
-		}
-	}
 	return res, nil
 }
 
 // RunCoarse simulates the workload without materializing per-set
 // timeline items: only the makespan and the Eq. 2 utilization are
-// computed. On a warm State this path performs no allocations. Options.Debug is rejected: the invariant checker needs
-// the full timeline.
+// computed. On a warm State this path performs no allocations.
 func (st *State) RunCoarse(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, opt Options) (Coarse, error) {
-	if opt.Debug {
-		return Coarse{}, fmt.Errorf("sim: coarse run cannot validate (no timeline); use Run")
-	}
 	if err := st.prepare(arch, dg, m, p, opt); err != nil {
 		return Coarse{}, err
 	}
@@ -204,9 +179,6 @@ func (st *State) prepare(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p 
 	if err := arch.Validate(); err != nil {
 		return err
 	}
-	if p == nil {
-		return fmt.Errorf("sim: nil policy")
-	}
 	if dg == nil || dg.CSR == nil {
 		return fmt.Errorf("sim: dependency graph has no CSR (build it with deps.Build)")
 	}
@@ -216,17 +188,17 @@ func (st *State) prepare(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p 
 	csr := dg.CSR
 	nl := len(dg.Plan.Layers)
 	ns := csr.NumSets()
-	st.arch, st.dg, st.csr, st.m, st.p, st.edge = arch, dg, csr, m, p, opt.Edge
+	st.arch, st.csr, st.edge = arch, csr, opt.Edge
 	st.succ = csr.Successors()
-	if st.planFor != dg || st.planPolicy != p.Name() {
-		st.disp = schedule.NewDispatch(dg, p)
+	if st.planFor != dg {
+		st.disp = schedule.NewDispatch(dg)
 		st.maxCycles = 1
 		for _, c := range csr.Cycles {
 			if c > st.maxCycles {
 				st.maxCycles = c
 			}
 		}
-		st.planFor, st.planPolicy = dg, p.Name()
+		st.planFor = dg
 	}
 	totalReps := st.disp.NumReplicas()
 	st.depsLeft = grow(st.depsLeft, ns)

@@ -228,9 +228,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad, cp.dg, cp.m, schedule.CrossLayer, nil); err == nil {
 		t.Error("invalid arch accepted")
 	}
-	if _, err := Run(cp.arch, cp.dg, cp.m, nil, nil); err == nil {
-		t.Error("nil policy accepted")
-	}
 	// Mismatched mapping.
 	other := compile(t, models.TinyConvNet, 16, 0, 4)
 	if _, err := Run(cp.arch, cp.dg, other.m, schedule.CrossLayer, nil); err == nil {

@@ -12,7 +12,8 @@
 // generalized across inferences ("jobs") and models:
 //
 //   - Every job instantiates the shared, immutable Stage III dispatch
-//     plan (schedule.Dispatch) of its model and keeps only per-job
+//     plan (schedule.Dispatch) of its model — round-robin in raster
+//     order, the same for every policy — and keeps only per-job
 //     cursors, dependency counters, and window state: 12 bytes per set
 //     (an unmet-dependency count, and a ready time that becomes the
 //     set's start time once it starts). The state is taken from a
@@ -26,9 +27,10 @@
 //     order (which the admission gate relies on) and is deadlock-free —
 //     a blocked group only ever waits on a *busy* resource, and busy
 //     resources always complete.
-//   - Within a job, the policy's xK admission window applies unchanged;
-//     across jobs of one model an admission gate bounds the number in
-//     flight (Options.MaxInFlight).
+//   - Within a job, the policy's admission window (1 for lbl, K for
+//     xK, unbounded for xinf) applies unchanged; across jobs of one
+//     model an admission gate bounds the number in flight
+//     (Options.MaxInFlight).
 //   - Models co-scheduled on a shared crossbar pool (overlapping PE
 //     ranges) conflict wherever their replica groups share a physical
 //     PE: a group may not start while a conflicting group is busy.
@@ -284,8 +286,8 @@ func validate(w Workload, opt Options) error {
 		return fmt.Errorf("stream: no models")
 	}
 	for mi, s := range w.Models {
-		if s.Graph == nil || s.Graph.CSR == nil || s.Mapping == nil || s.Policy == nil {
-			return fmt.Errorf("stream: model %d has a nil graph, CSR, mapping, or policy", mi)
+		if s.Graph == nil || s.Graph.CSR == nil || s.Mapping == nil {
+			return fmt.Errorf("stream: model %d has a nil graph, CSR, or mapping", mi)
 		}
 		if s.PEBase < 0 || s.PEBase+s.Mapping.F > w.FabricPEs {
 			return fmt.Errorf("stream: model %d PE range [%d, %d) outside fabric of %d",
@@ -342,7 +344,7 @@ func newEngine(w Workload, opt Options) *engine {
 	span := int64(1)
 	for mi, s := range w.Models {
 		m := &e.models[mi]
-		m.disp = schedule.NewDispatch(s.Graph, s.Policy)
+		m.disp = schedule.NewDispatch(s.Graph)
 		m.csr = s.Graph.CSR
 		m.succ = m.csr.Successors()
 		m.edge = s.Edge

@@ -125,32 +125,13 @@ func ParseMode(name string) (ScheduleMode, error) {
 	if err != nil {
 		return ScheduleMode{}, fmt.Errorf("%w %q (want lbl, xinf, or xK)", ErrUnknownMode, name)
 	}
-	switch {
-	case p == schedule.CrossLayer:
-		return ModeCrossLayer, nil
-	case p == schedule.LayerByLayer:
-		return ModeLayerByLayer, nil
-	default:
-		return ModeWindow(p.Window()), nil
-	}
-}
-
-// wireName is the compact mode encoding used on the wire.
-func (m ScheduleMode) wireName() string {
-	switch {
-	case m.w < 0:
-		return "xinf"
-	case m.w == 0:
-		return "lbl"
-	default:
-		return fmt.Sprintf("x%d", m.w)
-	}
+	return ScheduleMode{p}, nil
 }
 
 // MarshalJSON encodes the mode by its wire name: "lbl", "xinf", or
 // "x<K>" for bounded windows.
 func (m ScheduleMode) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.wireName())
+	return json.Marshal(m.Name())
 }
 
 // UnmarshalJSON accepts the wire names understood by ParseMode ("lbl",

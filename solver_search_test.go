@@ -217,7 +217,7 @@ func rebuildScore(c *Compiled, d []int) (int64, error) {
 	if mode.Window() > 1 {
 		edge = edgeCostFn(c.arch, mapped)
 	}
-	res, err := sim.NewState().RunCoarse(c.arch, dg, mapped, mode.policy(), sim.Options{Edge: edge})
+	res, err := sim.NewState().RunCoarse(c.arch, dg, mapped, mode.p, sim.Options{Edge: edge})
 	if err != nil {
 		return 0, err
 	}

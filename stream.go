@@ -291,7 +291,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 			Name:    c.ModelName,
 			Graph:   c.depGraph,
 			Mapping: c.mapped,
-			Policy:  mode.policy(),
+			Policy:  mode.p,
 			Edge:    c.schedOptions(mode).EdgeCost,
 			PEBase:  base,
 		}
