@@ -3,8 +3,8 @@ package schedule
 import "clsacim/internal/deps"
 
 // Dispatch is the immutable Stage III dispatch plan of one compiled
-// workload: which sets each replica PE group executes,
-// in raster order, laid out flat in the CSR's offset-indexed style.
+// workload: which sets each replica PE group executes, in raster
+// order, laid out flat in the CSR's offset-indexed style.
 // Replicas are numbered globally (layer li owns the replica ids
 // [RepOff[li], RepOff[li+1])); replica g executes the layer-local set
 // indices Order[OrderOff[g]:OrderOff[g+1]] in dispatch order.

@@ -150,10 +150,10 @@ func (t *Timeline) Equal(o *Timeline) bool {
 
 // Validate checks that the timeline is executable: it is shaped after
 // dg's CSR (so every derived end is start + the set's Stage I cycles),
-// sets on one replica do not overlap their PE group, every data dependency
-// (plus edge cost) is respected, the activity accounting matches, and
-// the policy's admission window holds (no layer starts before every
-// layer Window positions back has completed).
+// sets on one replica do not overlap their PE group, every data
+// dependency (plus edge cost) is respected, the activity accounting
+// matches, and the policy's admission window holds (no layer starts
+// before every layer Window positions back has completed).
 func (t *Timeline) Validate(dg *deps.Graph, opt Options) error {
 	csr := dg.CSR
 	if t.NumLayers() != len(dg.Plan.Layers) || len(t.ReplicaActive) != len(dg.Plan.Layers) {

@@ -46,7 +46,7 @@ func TestRunAllocs(t *testing.T) {
 	}
 
 	// A bounded window costs nothing extra: the plan is keyed by the
-	// graph alone, and naming the policy is never needed.
+	// graph alone.
 	x4 := schedule.Windowed(4)
 	if _, err := st.RunCoarse(cp.arch, cp.dg, cp.m, x4, opt); err != nil {
 		t.Fatal(err)
