@@ -375,6 +375,28 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return compile(model, cfg, buildCSR)
+}
+
+// csrSource returns the Stage II dependency CSR of a Stage I plan over
+// g: buildCSR runs Stage II, an Engine's graph tier shares one CSR per
+// model and set grid (Engine.sharedCSR).
+type csrSource func(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error)
+
+// buildCSR is the csrSource of the one-shot Compile.
+func buildCSR(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
+	dg, err := deps.Build(g, sp)
+	if err != nil {
+		return nil, err
+	}
+	return dg.CSR, nil
+}
+
+// compile is Compile on a validated cfg, taking Stage II from csrOf.
+// The CSR holds no mapping pointers, so a shared one serves every
+// compilation with the same grid; the deps.Graph pairs it with this
+// compilation's own Stage I plan, whose groups carry its Dup.
+func compile(model *Model, cfg Config, csrOf csrSource) (*Compiled, error) {
 	cfg = cfg.withDefaults()
 	scored := cfg.WeightDuplication && mapping.IsScored(cfg.Solver)
 	var solve mapping.Func
@@ -440,7 +462,7 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 		sol = mapping.Solution{D: mapped.Dup, PEsNeeded: mapped.PEsUsed}
 	} else {
 		if scored {
-			sol, err = solveScored(cfg, g, plan, f, arch)
+			sol, err = solveScored(cfg, g, plan, f, arch, csrOf)
 		} else {
 			sol, err = solve(plan, f)
 		}
@@ -456,10 +478,11 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clsacim: stage I for %q: %w", model.Name, err)
 	}
-	depGraph, err := deps.Build(g, setsPlan)
+	csr, err := csrOf(g, setsPlan)
 	if err != nil {
 		return nil, fmt.Errorf("clsacim: stage II for %q: %w", model.Name, err)
 	}
+	depGraph := &deps.Graph{Plan: setsPlan, CSR: csr}
 	c := &Compiled{
 		ModelName: model.Name,
 		sched: &schedState{
@@ -560,12 +583,12 @@ func foldMode(mode ScheduleMode, layers int) ScheduleMode {
 
 // solveScored runs a schedule-aware duplication solver, pricing each
 // candidate vector with a candidateScorer.
-func solveScored(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config) (mapping.Solution, error) {
+func solveScored(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config, csrOf csrSource) (mapping.Solution, error) {
 	fn, ok := mapping.LookupScored(cfg.Solver)
 	if !ok {
 		return mapping.Solution{}, fmt.Errorf("%w %q", ErrUnknownSolver, cfg.Solver)
 	}
-	sc, err := newCandidateScorer(cfg, g, plan, f, arch)
+	sc, err := newCandidateScorer(cfg, g, plan, f, arch, csrOf)
 	if err != nil {
 		return mapping.Solution{}, err
 	}
@@ -582,7 +605,9 @@ func solveScored(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Co
 // pass takes the candidate's own d (the reused graph's Group.Dup
 // belongs to whichever vector built it) and reuses one Scratch, so a
 // candidate that keeps the signature costs its mapping.Apply plus one
-// allocation-free scheduling pass.
+// allocation-free scheduling pass. The first graph comes from firstCSR,
+// so under an Engine a model whose grid is already in the graph tier
+// runs no Stage II at all.
 type candidateScorer struct {
 	g          *nn.Graph
 	plan       *mapping.Plan
@@ -595,13 +620,14 @@ type candidateScorer struct {
 	// final schedule will be charged.
 	edges bool
 
-	targets []int       // per-layer sets.LayerTarget signature of dg
-	dg      *deps.Graph // nil until the first candidate, or after a failed build
-	builds  int         // Stage I/II builds so far
-	scratch schedule.Scratch
+	targets  []int       // per-layer sets.LayerTarget signature of dg
+	dg       *deps.Graph // nil until the first candidate, or after a failed build
+	builds   int         // Stage I/II graphs taken so far
+	firstCSR csrSource   // source of the first graph; later ones run buildCSR
+	scratch  schedule.Scratch
 }
 
-func newCandidateScorer(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config) (*candidateScorer, error) {
+func newCandidateScorer(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config, firstCSR csrSource) (*candidateScorer, error) {
 	mode, err := scoringMode(cfg, len(plan.Layers))
 	if err != nil {
 		return nil, err
@@ -612,6 +638,7 @@ func newCandidateScorer(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch
 		policy:     mode.p,
 		edges:      mode.Window() > 1,
 		targets:    make([]int, len(plan.Layers)),
+		firstCSR:   firstCSR,
 	}, nil
 }
 
@@ -639,9 +666,15 @@ func (s *candidateScorer) score(d []int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if s.dg, err = deps.Build(s.g, setsPlan); err != nil {
+		csrOf := buildCSR
+		if s.builds == 0 {
+			csrOf = s.firstCSR
+		}
+		csr, err := csrOf(s.g, setsPlan)
+		if err != nil {
 			return 0, err
 		}
+		s.dg = &deps.Graph{Plan: setsPlan, CSR: csr}
 		s.builds++
 	}
 	var edge schedule.EdgeCostFn

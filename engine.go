@@ -3,17 +3,22 @@ package clsacim
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"clsacim/internal/check"
+	"clsacim/internal/deps"
 	"clsacim/internal/mapping"
 	"clsacim/internal/metrics"
+	"clsacim/internal/nn"
+	"clsacim/internal/sets"
 )
 
 // Engine is the concurrency-safe entry point of the package: it holds
@@ -28,6 +33,17 @@ import (
 // (model, architecture, mapping) key exactly once and shares the
 // immutable *Compiled across all subsequent requests; Stats exposes the
 // hit accounting. All methods are safe for concurrent use.
+//
+// Under the compile cache sits a graph tier. Stage II reads a mapping
+// only through its Stage I set grid, and at the default fine
+// granularity that grid ignores the duplication vector, so a model's
+// baseline and all its wdup variants depend identically. The tier keeps
+// one Stage II dependency CSR per (model, WeightBits, crossbar dims,
+// exact set grid), built once with the same single-flight as a compile
+// and shared by every cache entry with that grid; each compilation
+// still keeps its own Stage I plan. A graph lives only as long as a
+// cached or in-flight compilation holds it, so the cache bound also
+// bounds the tier (Stats.GraphBuilds and GraphHits count its use).
 //
 // Two properties make the cache safe under sustained multi-tenant
 // traffic (e.g. behind the serve package's HTTP daemon):
@@ -48,9 +64,10 @@ type Engine struct {
 	validate   bool
 	cacheLimit int // 0 = unbounded
 
-	mu    sync.Mutex
-	cache map[string]*compileEntry
-	lru   *list.List // *compileEntry values; front = most recently used
+	mu     sync.Mutex
+	cache  map[string]*compileEntry
+	lru    *list.List             // *compileEntry values; front = most recently used
+	graphs map[string]*graphEntry // the graph tier, keyed by graphKey
 
 	compiles    atomic.Int64
 	hits        atomic.Int64
@@ -58,6 +75,8 @@ type Engine struct {
 	misses      atomic.Int64
 	evictions   atomic.Int64
 	evaluations atomic.Int64
+	graphBuilds atomic.Int64
+	graphHits   atomic.Int64
 	streamEvals atomic.Int64
 	streamInfs  atomic.Int64
 }
@@ -76,6 +95,23 @@ type compileEntry struct {
 	// elem is the entry's LRU position, nil once evicted. Guarded by
 	// Engine.mu.
 	elem *list.Element
+	// graphs are the tier graphs the entry holds: while in flight,
+	// every one its compilation took; once done, only the one its
+	// Compiled uses. Guarded by Engine.mu.
+	graphs []*graphEntry
+}
+
+// graphEntry is one shared Stage II CSR of the graph tier, filled with
+// the same single-flight as compileEntry: the first compilation that
+// needs it builds it, later ones wait on ready.
+type graphEntry struct {
+	key   string
+	ready chan struct{}
+	csr   *deps.CSR
+	err   error
+	// refs counts the cache entries holding the graph; the tier drops
+	// it with the last one. Guarded by Engine.mu.
+	refs int
 }
 
 // New builds an Engine from functional options. The zero option set
@@ -86,6 +122,7 @@ func New(opts ...Option) (*Engine, error) {
 		workers: runtime.GOMAXPROCS(0),
 		cache:   make(map[string]*compileEntry),
 		lru:     list.New(),
+		graphs:  make(map[string]*graphEntry),
 	}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
@@ -126,6 +163,11 @@ type Stats struct {
 	Evictions int64
 	// Evaluations counts completed Evaluate calls.
 	Evaluations int64
+	// GraphBuilds counts the Stage II dependency graphs the graph tier
+	// built, and GraphHits the compilations (or first scored-solver
+	// candidates) that took an existing graph instead.
+	GraphBuilds int64
+	GraphHits   int64
 	// StreamEvaluations counts completed EvaluateStream calls, and
 	// StreamInferences the total inferences they served.
 	StreamEvaluations int64
@@ -149,6 +191,8 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:       e.misses.Load(),
 		Evictions:         e.evictions.Load(),
 		Evaluations:       e.evaluations.Load(),
+		GraphBuilds:       e.graphBuilds.Load(),
+		GraphHits:         e.graphHits.Load(),
 		StreamEvaluations: e.streamEvals.Load(),
 		StreamInferences:  e.streamInfs.Load(),
 		CachedEntries:     entries,
@@ -262,6 +306,11 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 		}
 		e.mu.Lock()
 		ent.done = true
+		var keep *deps.CSR
+		if ent.c != nil {
+			keep = ent.c.depGraph.CSR
+		}
+		e.releaseGraphsLocked(ent, keep)
 		// The in-flight guard may have held the cache over its bound
 		// while this key compiled; re-run the scan now that the entry
 		// is evictable.
@@ -269,8 +318,92 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 		e.mu.Unlock()
 		close(ent.ready)
 	}()
-	ent.c, ent.err = Compile(m, norm)
+	ent.c, ent.err = compile(m, norm, func(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
+		return e.sharedCSR(ent, graphKey(m.Name, norm, sp), g, sp)
+	})
 	return view(ent.c), false, ent.err
+}
+
+// graphKey encodes everything a Stage II CSR depends on: the model, the
+// weight width and crossbar dims that fix its canonical graph and base
+// layers, and every layer's exact Stage I grid (channel depth, row and
+// column bounds). Each part is length-prefixed, so distinct inputs give
+// distinct keys, and the tier's map compares keys in full.
+func graphKey(model string, cfg Config, sp *sets.Plan) string {
+	b := binary.AppendUvarint(nil, uint64(len(model)))
+	b = append(b, model...)
+	for _, v := range []int{cfg.WeightBits, cfg.PERows, cfg.PECols, len(sp.Layers)} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	for i := range sp.Layers {
+		ls := &sp.Layers[i]
+		b = binary.AppendVarint(b, int64(ls.C))
+		for _, bounds := range [2][]int{ls.RowBounds, ls.ColBounds} {
+			b = binary.AppendUvarint(b, uint64(len(bounds)))
+			for _, v := range bounds {
+				b = binary.AppendVarint(b, int64(v))
+			}
+		}
+	}
+	return string(b)
+}
+
+// sharedCSR returns the graph tier's CSR for key, building it from
+// (g, sp) at most once (single-flight), and records that ent holds it.
+// A build that fails or panics leaves the tier, so a later compilation
+// retries it; its waiters see the error.
+func (e *Engine) sharedCSR(ent *compileEntry, key string, g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
+	e.mu.Lock()
+	ge, ok := e.graphs[key]
+	if !ok {
+		ge = &graphEntry{key: key, ready: make(chan struct{})}
+		e.graphs[key] = ge
+	}
+	if !slices.Contains(ent.graphs, ge) {
+		ent.graphs = append(ent.graphs, ge)
+		ge.refs++
+	}
+	e.mu.Unlock()
+	if ok {
+		e.graphHits.Add(1)
+		<-ge.ready
+		return ge.csr, ge.err
+	}
+	e.graphBuilds.Add(1)
+	defer func() {
+		if ge.err == nil && ge.csr == nil {
+			ge.err = fmt.Errorf("clsacim: stage II panicked")
+		}
+		if ge.err != nil {
+			e.mu.Lock()
+			if e.graphs[key] == ge {
+				delete(e.graphs, key)
+			}
+			e.mu.Unlock()
+		}
+		close(ge.ready)
+	}()
+	ge.csr, ge.err = buildCSR(g, sp)
+	return ge.csr, ge.err
+}
+
+// releaseGraphsLocked drops ent's hold on every tier graph but the one
+// whose CSR is keep (nil releases all), and removes a graph from the
+// tier with its last holder. Callers hold e.mu; keep is read only by
+// the goroutine that compiled ent, after every graph it took is ready.
+func (e *Engine) releaseGraphsLocked(ent *compileEntry, keep *deps.CSR) {
+	held := ent.graphs[:0]
+	for _, ge := range ent.graphs {
+		if keep != nil && ge.csr == keep {
+			held = append(held, ge)
+			continue
+		}
+		if ge.refs--; ge.refs == 0 && e.graphs[ge.key] == ge {
+			delete(e.graphs, ge.key)
+		}
+	}
+	clear(ent.graphs[len(held):]) // let released graphs be collected
+	ent.graphs = held
 }
 
 // evictLocked drops least-recently-used finished entries until the
@@ -288,6 +421,7 @@ func (e *Engine) evictLocked() {
 			delete(e.cache, ent.key)
 			e.lru.Remove(el)
 			ent.elem = nil
+			e.releaseGraphsLocked(ent, nil)
 			e.evictions.Add(1)
 		}
 		el = prev

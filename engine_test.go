@@ -857,9 +857,11 @@ func BenchmarkEngineSweep(b *testing.B) {
 		}
 		// Distinct keys: the shared baseline (which also serves every
 		// no-duplication x point as an F-view) plus the 5 wdup points.
-		if s := eng.Stats(); s.Compiles != sweepPoints/2+1 {
-			b.Fatalf("engine compiled %d times, want %d (one per distinct key)",
-				s.Compiles, sweepPoints/2+1)
+		// Every key shares one fine-granularity set grid, so the graph
+		// tier builds Stage II once.
+		if s := eng.Stats(); s.Compiles != sweepPoints/2+1 || s.GraphBuilds != 1 {
+			b.Fatalf("engine compiled %d times with %d Stage II builds, want %d (one per distinct key) and 1",
+				s.Compiles, s.GraphBuilds, sweepPoints/2+1)
 		}
 	}
 }

@@ -1,0 +1,231 @@
+package clsacim
+
+import (
+	"context"
+	"encoding/binary"
+	"testing"
+
+	"clsacim/internal/deps"
+)
+
+// tierSweep is the zoo sweep of the graph-tier tests: every model at
+// the baseline and at wdup +4, +8, +16 and +32 extra PEs.
+func tierSweep() []Request {
+	var reqs []Request
+	for _, model := range Models() {
+		reqs = append(reqs, Request{Model: model})
+		for _, x := range []int{4, 8, 16, 32} {
+			reqs = append(reqs, Request{
+				Model: model, Mode: ModeCrossLayer, ExtraPEs: x, WeightDuplication: true,
+			})
+		}
+	}
+	return reqs
+}
+
+// graphModel decodes the model name that prefixes a graph-tier key.
+func graphModel(key string) string {
+	n, k := binary.Uvarint([]byte(key))
+	return key[k : k+int(n)]
+}
+
+// checkGraphTier asserts the tier's lifetime invariants on an idle
+// Engine: every graph is held by a cached entry and its count of
+// holders is exact, each entry holds only the graph its compilation
+// uses, and so the tier never holds more graphs than there are entries.
+// It returns the number of graphs per model.
+func checkGraphTier(t *testing.T, e *Engine) map[string]int {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	holders := make(map[*graphEntry]int)
+	for key, ent := range e.cache {
+		if len(ent.graphs) > 1 {
+			t.Errorf("entry %q holds %d graphs", key, len(ent.graphs))
+		}
+		for _, ge := range ent.graphs {
+			if ent.c == nil || ent.c.depGraph.CSR != ge.csr {
+				t.Errorf("entry %q holds a graph its compilation does not use", key)
+			}
+			holders[ge]++
+		}
+	}
+	perModel := make(map[string]int)
+	for key, ge := range e.graphs {
+		if ge.refs < 1 || holders[ge] != ge.refs {
+			t.Errorf("graph of %q: refs %d, held by %d entries", graphModel(key), ge.refs, holders[ge])
+		}
+		perModel[graphModel(key)]++
+	}
+	if len(e.graphs) > len(e.cache) {
+		t.Errorf("tier holds %d graphs for %d cache entries", len(e.graphs), len(e.cache))
+	}
+	return perModel
+}
+
+// TestEngineGraphTierSweep: at fine granularity a model's baseline and
+// wdup variants share one Stage I grid, so the 35 compilations of the
+// zoo sweep build 7 Stage II graphs, one per model, and take the rest
+// from the tier.
+func TestEngineGraphTierSweep(t *testing.T) {
+	eng := MustNew()
+	results, err := eng.EvaluateBatch(context.Background(), tierSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if res.Err != nil {
+			t.Fatalf("%+v: %v", res.Request, res.Err)
+		}
+	}
+	n := int64(len(Models()))
+	s := eng.Stats()
+	if s.Compiles != 5*n || s.GraphBuilds != n || s.GraphHits != 4*n {
+		t.Errorf("compiles %d, graph builds %d, graph hits %d; want %d, %d, %d",
+			s.Compiles, s.GraphBuilds, s.GraphHits, 5*n, n, 4*n)
+	}
+	for model, graphs := range checkGraphTier(t, eng) {
+		if graphs != 1 {
+			t.Errorf("%s: %d graphs in the tier, want 1", model, graphs)
+		}
+	}
+}
+
+// TestGraphTierMatchesFreshBuild is the tier's equivalence oracle: every
+// compilation's shared CSR must equal a fresh Stage II build over that
+// compilation's own Stage I plan. At fine granularity the baseline and
+// wdup+8/+32 share one CSR; at 26 sets duplication rounds the set
+// targets, the grids differ, and the two must not share.
+func TestGraphTierMatchesFreshBuild(t *testing.T) {
+	ctx := context.Background()
+	compileFresh := func(t *testing.T, eng *Engine, req Request) *Compiled {
+		t.Helper()
+		c, err := eng.Compile(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := deps.Build(c.graph, c.setsPlan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.depGraph.CSR.Equal(fresh.CSR) {
+			t.Errorf("%s x=%d wdup=%v: tier CSR differs from a fresh build",
+				req.Model, req.ExtraPEs, req.WeightDuplication)
+		}
+		return c
+	}
+	for _, model := range Models() {
+		t.Run(model, func(t *testing.T) {
+			eng := MustNew()
+			base := compileFresh(t, eng, Request{Model: model})
+			for _, x := range []int{8, 32} {
+				c := compileFresh(t, eng, Request{Model: model, ExtraPEs: x, WeightDuplication: true})
+				if c.depGraph.CSR != base.depGraph.CSR {
+					t.Errorf("wdup+%d does not share the baseline's CSR", x)
+				}
+				if c.depGraph.Plan != c.setsPlan || c.setsPlan == base.setsPlan {
+					t.Errorf("wdup+%d does not keep its own Stage I plan", x)
+				}
+			}
+			if s := eng.Stats(); s.GraphBuilds != 1 || s.GraphHits != 2 {
+				t.Errorf("graph builds %d, hits %d; want 1, 2", s.GraphBuilds, s.GraphHits)
+			}
+		})
+	}
+	t.Run("coarse", func(t *testing.T) {
+		eng := MustNew(WithConfig(Config{TargetSets: 26}))
+		base := compileFresh(t, eng, Request{Model: "tinyyolov4"})
+		dup := compileFresh(t, eng, Request{Model: "tinyyolov4", ExtraPEs: 8, WeightDuplication: true})
+		if base.depGraph.CSR == dup.depGraph.CSR || base.depGraph.CSR.Equal(dup.depGraph.CSR) {
+			t.Error("baseline and wdup+8 at 26 sets share a CSR, but their grids differ")
+		}
+		if s := eng.Stats(); s.GraphBuilds != 2 || s.GraphHits != 0 {
+			t.Errorf("graph builds %d, hits %d; want 2, 0", s.GraphBuilds, s.GraphHits)
+		}
+	})
+}
+
+// TestEngineGraphTierEviction: the tier keeps a graph only while a
+// cached entry holds it, so evicting every entry of a model drops its
+// graph and the tier never outgrows the cache.
+func TestEngineGraphTierEviction(t *testing.T) {
+	eng := MustNew(WithCacheLimit(2))
+	ctx := context.Background()
+	models := []string{"tinyconvnet", "tinybranchnet", "tinydwnet"}
+	for round := 0; round < 2; round++ {
+		for _, model := range models {
+			for _, req := range []Request{
+				{Model: model},
+				{Model: model, Mode: ModeCrossLayer, ExtraPEs: 2, WeightDuplication: true},
+			} {
+				if _, err := eng.Evaluate(ctx, req); err != nil {
+					t.Fatalf("%+v: %v", req, err)
+				}
+				checkGraphTier(t, eng)
+			}
+			// The limit of 2 now keeps only this model's baseline and
+			// wdup entries, so every other model's graph has left the
+			// tier with its last entry.
+			graphs := checkGraphTier(t, eng)
+			for _, other := range models {
+				if want := btoi(other == model); graphs[other] != want {
+					t.Errorf("round %d, after %s: %d graphs of %s, want %d",
+						round, model, graphs[other], other, want)
+				}
+			}
+		}
+	}
+	s := eng.Stats()
+	if s.Evictions == 0 || s.GraphBuilds != int64(2*len(models)) {
+		t.Errorf("evictions %d, graph builds %d; want > 0 and %d (one per model per round)",
+			s.Evictions, s.GraphBuilds, 2*len(models))
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestEngineGraphTierConcurrent drives the tier from many goroutines at
+// once while a small cache limit evicts entries mid-batch: every result
+// must match a serial, unbounded engine's, and the tier's holder counts
+// must come out exact.
+func TestEngineGraphTierConcurrent(t *testing.T) {
+	var reqs []Request
+	for _, model := range []string{"tinyconvnet", "tinybranchnet"} {
+		for x := 1; x <= 6; x++ {
+			reqs = append(reqs, Request{Model: model, Mode: ModeCrossLayer, ExtraPEs: x, WeightDuplication: true})
+		}
+	}
+	reqs = append(reqs, reqs...)
+	ctx := context.Background()
+	serial := MustNew()
+	want := make([]int64, len(reqs))
+	for i, req := range reqs {
+		ev, err := serial.Evaluate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ev.Result.MakespanCycles
+	}
+	eng := MustNew(WithCacheLimit(3), WithWorkers(8))
+	results, err := eng.EvaluateBatch(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("%+v: %v", res.Request, res.Err)
+		}
+		if got := res.Evaluation.Result.MakespanCycles; got != want[i] {
+			t.Errorf("%+v: makespan %d, serial %d", res.Request, got, want[i])
+		}
+	}
+	checkGraphTier(t, eng)
+	if s := eng.Stats(); s.GraphBuilds+s.GraphHits != s.Compiles {
+		t.Errorf("graph builds %d + hits %d != compiles %d", s.GraphBuilds, s.GraphHits, s.Compiles)
+	}
+}

@@ -130,10 +130,18 @@ func solveGreedy(plan *Plan, F int) Solution {
 
 // solveDP solves Optimization Problem 1 exactly by dynamic programming
 // over the extra-PE budget B = F - MinPEs: dp[i][b] is the minimum
-// objective of the first i layers using b extra PEs.
+// objective of the first i layers using b extra PEs. B is clamped to
+// dupCap, the PEs that every layer at MaxDup would use: no further PE
+// can hold a replica, every DP state beyond the cap repeats the state at
+// it, so the clamp returns the same solution and keeps the O(n·B)
+// choice table bounded by the plan instead of by F.
 func solveDP(plan *Plan, F int) Solution {
+	return solveDPBudget(plan, min(F-plan.MinPEs, dupCap(plan)))
+}
+
+// solveDPBudget is solveDP over an explicit extra-PE budget.
+func solveDPBudget(plan *Plan, budget int) Solution {
 	n := len(plan.Layers)
-	budget := F - plan.MinPEs
 	const inf = math.MaxFloat64
 	dp := make([]float64, budget+1)
 	choice := make([][]int, n) // choice[i][b] = extra duplicates of layer i
@@ -179,6 +187,16 @@ func solveDP(plan *Plan, F int) Solution {
 		b -= k * plan.Layers[i].Cost
 	}
 	return finish(plan, d)
+}
+
+// dupCap returns Σ (MaxDup_i − 1)·c_i, the extra PEs that duplicating
+// every layer to its MaxDup takes.
+func dupCap(plan *Plan) int {
+	total := 0
+	for _, info := range plan.Layers {
+		total += max(MaxDup(info)-1, 0) * info.Cost
+	}
+	return total
 }
 
 // solveMinMax greedily duplicates the current bottleneck layer — the one

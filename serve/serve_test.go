@@ -513,12 +513,18 @@ func TestStatsReportsLRUEviction(t *testing.T) {
 	if es.Evictions != wantEvictions {
 		t.Errorf("cache_evictions = %d, want %d", es.Evictions, wantEvictions)
 	}
+	// Every compilation takes one Stage II graph; the baseline stays
+	// cached (each evaluate touches it) and holds the graph every
+	// fine-granularity variant shares, so it was built once.
+	if es.GraphBuilds != 1 || es.GraphHits != wantCompiles-1 {
+		t.Errorf("graph_builds = %d, graph_hits = %d; want 1, %d", es.GraphBuilds, es.GraphHits, wantCompiles-1)
+	}
 	if stats.Server.Requests == 0 || stats.Server.BatchItems != 0 {
 		t.Errorf("server stats = %+v, want requests counted and no batch items", stats.Server)
 	}
 
-	// The baseline (x=0) was evicted during the sweep; re-evaluating
-	// any variant must transparently recompile it.
+	// The first variant (x=1) was evicted during the sweep;
+	// re-evaluating it must transparently recompile it.
 	before := eng.Stats().Compiles
 	if rec := doJSON(t, s, http.MethodPost, "/v1/evaluate",
 		`{"model": "tinyconvnet", "mode": "xinf", "extra_pes": 1, "weight_duplication": true}`, nil); rec.Code != http.StatusOK {

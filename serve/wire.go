@@ -115,6 +115,11 @@ type EngineStats struct {
 	StreamInferences  int64 `json:"stream_inferences"`
 	CachedEntries     int   `json:"cached_entries"`
 	CacheLimit        int   `json:"cache_limit"`
+	// GraphBuilds are the Stage II dependency graphs the engine built;
+	// GraphHits are compilations that shared one already built for the
+	// same model and set grid.
+	GraphBuilds int64 `json:"graph_builds"`
+	GraphHits   int64 `json:"graph_hits"`
 }
 
 // ServerStats counts HTTP-level activity since the server started.
@@ -254,5 +259,7 @@ func wireStats(s clsacim.Stats) EngineStats {
 		StreamInferences:  s.StreamInferences,
 		CachedEntries:     s.CachedEntries,
 		CacheLimit:        s.CacheLimit,
+		GraphBuilds:       s.GraphBuilds,
+		GraphHits:         s.GraphHits,
 	}
 }

@@ -252,7 +252,7 @@ func TestSearchScorerReusesStageIIGraph(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					sc, err := newCandidateScorer(c.cfg, c.graph, c.plan, c.arch.NumPEs, c.arch)
+					sc, err := newCandidateScorer(c.cfg, c.graph, c.plan, c.arch.NumPEs, c.arch, buildCSR)
 					if err != nil {
 						t.Fatal(err)
 					}
