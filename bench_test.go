@@ -18,6 +18,7 @@ import (
 
 	clsacim "clsacim"
 	"clsacim/internal/bench"
+	"clsacim/internal/check"
 	"clsacim/internal/deps"
 	"clsacim/internal/frontend"
 	"clsacim/internal/im2col"
@@ -388,6 +389,28 @@ func BenchmarkStageIV(b *testing.B) {
 				}
 				if s.Makespan <= 0 {
 					b.Fatal("empty schedule")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckTimeline measures the engine-independent invariant
+// checker on the BenchmarkStageIV timelines: the price WithValidation
+// adds, once per timeline, where Compiled.timeline first builds it.
+func BenchmarkCheckTimeline(b *testing.B) {
+	m, dg, _ := stageIVWorkload(b)
+	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
+		b.Run(p.Name(), func(b *testing.B) {
+			tl, err := schedule.Schedule(dg, p, schedule.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := check.Timeline(m, dg, p, tl, check.Options{}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -50,6 +50,7 @@ import (
 	"math"
 	"sync"
 
+	"clsacim/internal/check"
 	"clsacim/internal/cim"
 	"clsacim/internal/deps"
 	"clsacim/internal/frontend"
@@ -184,9 +185,10 @@ type Config struct {
 	EnergyPerWriteNanoJ float64 `json:"energy_per_write_nj,omitempty"`
 }
 
-// ErrInvalidConfig reports a Config field outside its domain: a
-// negative count or cost, or a NaN or infinite float. The message names
-// the field.
+// ErrInvalidConfig reports a Config or request field outside its
+// domain: a negative count, cost or timeout, a NaN or infinite float, a
+// request without a model, or a malformed stream. The message names the
+// field.
 var ErrInvalidConfig = errors.New("clsacim: invalid config")
 
 // Validate checks every field of c without compiling anything. Zero
@@ -300,35 +302,28 @@ type Compiled struct {
 	// virtual is non-nil when the network does not fit (F < PEmin) and
 	// weight virtualization is active.
 	virtual *mapping.VirtualMapping
+	// check runs the internal/check invariant set on every timeline
+	// the compilation builds; an Engine built WithValidation sets it.
+	check bool
 
 	// sched is the compilation's mutable scheduling state, shared by
 	// pointer between a base compilation and its derived F-views (see
-	// withExtraPEs), so all of them reuse one set of timelines and
-	// validation marks.
+	// withExtraPEs), so all of them reuse one set of timelines.
 	sched *schedState
 }
 
 // schedState caches what scheduling derives from a compilation's
 // immutable Stage I-III artifacts.
 //
-// timelines caches validated schedules per canonical mode (foldMode). A
+// timelines caches checked schedules per canonical mode (foldMode). A
 // Compiled is immutable and shared through the Engine's compile cache,
-// so the schedule of a (compile key, mode) pair is computed once;
-// sweeps that rescore the same baseline hit this cache. Each entry also
-// marks whether its timeline already passed the full internal/check
-// invariant set, so WithValidation sweeps validate each cached timeline
-// once instead of per request. Per-PE activity and the buffer peak are
-// derived from a cached timeline on demand (Report.PEActive,
-// Report.PeakLiveElems).
+// so the schedule of a (compile key, mode) pair is computed and checked
+// once; sweeps that rescore the same baseline hit this cache. Per-PE
+// activity and the buffer peak are derived from a cached timeline on
+// demand (Report.PEActive, Report.PeakLiveElems).
 type schedState struct {
 	mu        sync.Mutex
-	timelines map[ScheduleMode]cachedTimeline
-}
-
-// cachedTimeline is one schedState entry.
-type cachedTimeline struct {
-	*schedule.Timeline
-	checked bool
+	timelines map[ScheduleMode]*schedule.Timeline
 }
 
 // Virtualized reports whether the compilation uses weight reloading
@@ -486,7 +481,7 @@ func compile(model *Model, cfg Config, csrOf csrSource) (*Compiled, error) {
 	c := &Compiled{
 		ModelName: model.Name,
 		sched: &schedState{
-			timelines: make(map[ScheduleMode]cachedTimeline),
+			timelines: make(map[ScheduleMode]*schedule.Timeline),
 		},
 		cfg:      cfg,
 		arch:     arch,
@@ -509,9 +504,8 @@ func compile(model *Model, cfg Config, csrOf csrSource) (*Compiled, error) {
 // independent of how many idle extra PEs the architecture provides —
 // only the reported F, the Eq. 2 utilization denominator, and the Eq. 3
 // x differ. The view is a shallow copy with the PE count adjusted; the
-// scheduling state (timelines and validation marks) stays shared with
-// the base, so a no-duplication ExtraPEs sweep compiles and schedules
-// once.
+// scheduling state (the timeline cache) stays shared with the base, so
+// a no-duplication ExtraPEs sweep compiles and schedules once.
 func (c *Compiled) withExtraPEs(x int) *Compiled {
 	v := *c
 	v.cfg.ExtraPEs = x
@@ -743,18 +737,22 @@ func (c *Compiled) normalizeMode(mode ScheduleMode) ScheduleMode {
 	return foldMode(mode, len(c.depGraph.Plan.Layers))
 }
 
-// timeline returns the validated execution timeline of the compilation
-// under mode, computing it at most once per canonical mode (the
-// Compiled is shared through the Engine's compile cache, so repeated
-// requests — in particular the layer-by-layer baseline of every
-// evaluation — reuse it).
+// timeline returns the execution timeline of the compilation under
+// mode, computing it at most once per canonical mode (the Compiled is
+// shared through the Engine's compile cache, so repeated requests — in
+// particular the layer-by-layer baseline of every evaluation — reuse
+// it). It is the one place a single-inference timeline is built,
+// checked and cached: Timeline.Validate always runs, and the
+// engine-independent check.Timeline too when c.check is set, so each
+// timeline is checked once, when first built, and a timeline that fails
+// is never cached.
 func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 	mode = c.normalizeMode(mode)
 	c.sched.mu.Lock()
 	cached, ok := c.sched.timelines[mode]
 	c.sched.mu.Unlock()
 	if ok {
-		return cached.Timeline, nil
+		return cached, nil
 	}
 	var t *schedule.Timeline
 	var err error
@@ -774,11 +772,16 @@ func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 	if err := t.Validate(c.depGraph, opt); err != nil {
 		return nil, fmt.Errorf("clsacim: schedule validation: %w", err)
 	}
+	if c.check {
+		if err := check.Timeline(c.mapped, c.depGraph, t.Policy, t, check.Options{EdgeCost: opt.EdgeCost}); err != nil {
+			return nil, fmt.Errorf("clsacim: %q %s timeline failed validation: %w", c.ModelName, mode, err)
+		}
+	}
 	c.sched.mu.Lock()
 	if prev, ok := c.sched.timelines[mode]; ok {
-		t = prev.Timeline // a concurrent builder won the race; both are identical
+		t = prev // a concurrent builder won the race; both are identical
 	} else {
-		c.sched.timelines[mode] = cachedTimeline{Timeline: t}
+		c.sched.timelines[mode] = t
 	}
 	c.sched.mu.Unlock()
 	return t, nil

@@ -15,14 +15,14 @@
 // document DIR/BENCH_<experiment>.json (schema "clsacim-bench/v1",
 // default DIR is the working directory — the repo root in CI, so the
 // perf trajectory is recorded next to the code it measures): an
-// envelope with the experiment name, wall-clock elapsed_ms, and engine
-// compile-cache stats, plus one payload section matching the experiment
-// kind — table1/table2 rows, measurement points (model, mapping, x,
-// sched, speedup, utilization, makespan_cycles, ut_gain), ablation
-// points, or streaming points (scenario, throughput_per_sec,
-// single_rate_per_sec, gain, latency percentiles). Bench-trajectory
-// tooling consumes these files instead of scraping the text tables; see
-// the README "Verification & fuzzing" section for the full format.
+// envelope with the experiment name and wall-clock elapsed_ms, plus
+// one payload section matching the experiment kind — table1/table2
+// rows, measurement points (model, mapping, x, sched, speedup,
+// utilization, makespan_cycles, ut_gain), ablation points, or
+// streaming points (scenario, throughput_per_sec, single_rate_per_sec,
+// gain, latency percentiles). Bench-trajectory tooling consumes these
+// files instead of scraping the text tables; see the README
+// "Verification & fuzzing" section for the full format.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the
 // README "Performance" section shows the full profiling recipe).
@@ -119,8 +119,6 @@ func main() {
 				doc.Schema = bench.Schema
 				doc.Experiment = name
 				doc.ElapsedMS = time.Since(start).Milliseconds()
-				st := h.Engine().Stats()
-				doc.Engine = &st
 				if err := bench.WriteDocFile(*jsonDir, doc); err != nil {
 					die("paperbench: %s: writing %s: %v\n",
 						name, bench.DocFilename(name), err)

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clsacim/internal/check"
 	"clsacim/internal/deps"
 	"clsacim/internal/mapping"
 	"clsacim/internal/metrics"
@@ -142,41 +141,43 @@ func MustNew(opts ...Option) *Engine {
 	return e
 }
 
-// Stats is a snapshot of the Engine's cache and work accounting.
+// Stats is a snapshot of the Engine's cache and work accounting. Its
+// json tags are the wire form of the engine block of the serve
+// package's /v1/stats.
 type Stats struct {
 	// Compiles counts full pipeline compilations actually executed —
 	// one per distinct (model, architecture, mapping) key requested.
-	Compiles int64
+	Compiles int64 `json:"compiles"`
 	// CacheHits counts compile requests served from the cache
 	// (including requests that waited on an in-flight compilation).
-	CacheHits int64
+	CacheHits int64 `json:"cache_hits"`
 	// PartialHits counts the cache hits that still ran Stage III/IV
 	// because the requested scheduling mode had no cached timeline yet —
 	// the incremental re-simulation path (compile reused, event loop
 	// re-run). CacheHits - PartialHits are full hits serving both the
 	// compilation and the timeline from cache.
-	PartialHits int64
+	PartialHits int64 `json:"partial_hits"`
 	// CacheMisses counts compile requests that had to compile.
-	CacheMisses int64
+	CacheMisses int64 `json:"cache_misses"`
 	// Evictions counts cached compilations dropped by the LRU bound
 	// (see WithCacheLimit). Always 0 on an unbounded engine.
-	Evictions int64
+	Evictions int64 `json:"cache_evictions"`
 	// Evaluations counts completed Evaluate calls.
-	Evaluations int64
+	Evaluations int64 `json:"evaluations"`
+	// StreamEvaluations counts completed EvaluateStream calls, and
+	// StreamInferences the total inferences they served.
+	StreamEvaluations int64 `json:"stream_evaluations"`
+	StreamInferences  int64 `json:"stream_inferences"`
+	// CachedEntries is the current number of cached compilations.
+	CachedEntries int `json:"cached_entries"`
+	// CacheLimit is the configured bound on CachedEntries (0 =
+	// unbounded).
+	CacheLimit int `json:"cache_limit"`
 	// GraphBuilds counts the Stage II dependency graphs the graph tier
 	// built, and GraphHits the compilations (or first scored-solver
 	// candidates) that took an existing graph instead.
-	GraphBuilds int64
-	GraphHits   int64
-	// StreamEvaluations counts completed EvaluateStream calls, and
-	// StreamInferences the total inferences they served.
-	StreamEvaluations int64
-	StreamInferences  int64
-	// CachedEntries is the current number of cached compilations.
-	CachedEntries int
-	// CacheLimit is the configured bound on CachedEntries (0 =
-	// unbounded).
-	CacheLimit int
+	GraphBuilds int64 `json:"graph_builds"`
+	GraphHits   int64 `json:"graph_hits"`
 }
 
 // Stats returns a consistent-enough snapshot of the Engine counters.
@@ -251,14 +252,12 @@ func normalizeCfg(cfg Config) (Config, int) {
 // compilation may evict the least-recently-used finished entries beyond
 // the bound.
 //
-// cfg is validated first (Config.Validate), so an invalid Config fails
-// before any work, cache hits included. Keys are normalized
-// (normalizeCfg): a no-duplication ExtraPEs request compiles the x = 0
-// base once and returns a derived F-view of it.
+// cfg must have passed the request gate (Request.validate). Keys are
+// normalized (normalizeCfg): a no-duplication ExtraPEs request compiles
+// the x = 0 base once and returns a derived F-view of it. The Engine
+// marks each compilation with its WithValidation setting before
+// publishing it, so Compiled.timeline checks what it builds.
 func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Compiled, bool, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, false, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -321,6 +320,9 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 	ent.c, ent.err = compile(m, norm, func(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
 		return e.sharedCSR(ent, graphKey(m.Name, norm, sp), g, sp)
 	})
+	if ent.c != nil {
+		ent.c.check = e.validate
+	}
 	return view(ent.c), false, ent.err
 }
 
@@ -459,13 +461,13 @@ func deadlineErr(ctx context.Context) error {
 	return nil
 }
 
-// compileRequest resolves the request's model and compiles it (cached)
-// under the request's effective configuration and deadline. hit reports
-// whether the compilation came from the cache. The returned context
-// carries the deadline for the caller's later steps; cancel must always
-// be called.
+// compileRequest passes the request through the gate and compiles its
+// model (cached) under the request's effective configuration and
+// deadline. hit reports whether the compilation came from the cache.
+// The returned context carries the deadline for the caller's later
+// steps; cancel must always be called.
 func (e *Engine) compileRequest(ctx context.Context, req Request) (*Compiled, bool, context.Context, context.CancelFunc, error) {
-	m, err := lookupModel(req.Model)
+	m, err := req.validate(e.base, nil)
 	if err != nil {
 		return nil, false, ctx, func() {}, err
 	}
@@ -491,29 +493,22 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Compiled, error) {
 	return c, nil
 }
 
-// scheduleChecked is the step every request path runs on a compilation
+// scheduleCounted is the step every request path runs on a compilation
 // returned by compileCounted: fail on a blown deadline, count a partial
-// hit, schedule (Stage III/IV, cached per canonical mode), and validate
-// the report under WithValidation.
+// hit, and schedule (Stage III/IV, built, checked and cached per
+// canonical mode by Compiled.timeline).
 //
 // The partial-hit check races benignly with concurrent builders of the
 // same timeline — a request that loses that race did wait on
 // scheduling work, which is exactly what the counter measures.
-func (e *Engine) scheduleChecked(ctx context.Context, comp *Compiled, hit bool, mode ScheduleMode) (*Report, error) {
+func (e *Engine) scheduleCounted(ctx context.Context, comp *Compiled, hit bool, mode ScheduleMode) (*Report, error) {
 	if err := deadlineErr(ctx); err != nil {
 		return nil, err
 	}
 	if hit && !comp.hasTimeline(mode) {
 		e.partialHits.Add(1)
 	}
-	rep, err := comp.Schedule(mode)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.checkReport(rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return comp.Schedule(mode)
 }
 
 // Schedule compiles (cached) and schedules the request, returning the
@@ -524,35 +519,7 @@ func (e *Engine) Schedule(ctx context.Context, req Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.scheduleChecked(ctx, comp, hit, req.Mode)
-}
-
-// checkReport runs the engine-independent invariant checker on a
-// scheduled report when WithValidation is on. Timelines are immutable
-// once cached on the Compiled, so each (compilation, canonical mode)
-// pair is validated at most once even across batch sweeps that rescore
-// the same baseline per point.
-func (e *Engine) checkReport(rep *Report) error {
-	if !e.validate {
-		return nil
-	}
-	comp := rep.comp
-	key := comp.normalizeMode(rep.Mode)
-	comp.sched.mu.Lock()
-	done := comp.sched.timelines[key].checked
-	comp.sched.mu.Unlock()
-	if done {
-		return nil
-	}
-	tl := rep.sched
-	opt := comp.schedOptions(rep.Mode)
-	if err := check.Timeline(comp.mapped, comp.depGraph, tl.Policy, tl, check.Options{EdgeCost: opt.EdgeCost}); err != nil {
-		return fmt.Errorf("clsacim: %q %s timeline failed validation: %w", rep.Model, rep.Mode, err)
-	}
-	comp.sched.mu.Lock()
-	comp.sched.timelines[key] = cachedTimeline{Timeline: tl, checked: true}
-	comp.sched.mu.Unlock()
-	return nil
+	return e.scheduleCounted(ctx, comp, hit, req.Mode)
 }
 
 // Evaluate compiles and schedules the request and measures it against
@@ -560,20 +527,16 @@ func (e *Engine) checkReport(rep *Report) error {
 // Both compilations go through the Engine cache, so a sweep over
 // mapping points compiles the shared baseline once.
 func (e *Engine) Evaluate(ctx context.Context, req Request) (*Evaluation, error) {
-	m, err := lookupModel(req.Model)
-	if err != nil {
-		return nil, err
-	}
-	return e.evaluate(ctx, m, req)
+	return e.evaluate(ctx, nil, req)
 }
 
 // EvaluateModel is Evaluate for a *Model held directly (e.g. built with
-// Builder but not registered). The compile cache is keyed by the
-// model's Name, so distinct models sharing an Engine must carry
-// distinct names.
+// Builder but not registered); req.Model is ignored. The compile cache
+// is keyed by the model's Name, so distinct models sharing an Engine
+// must carry distinct names.
 func (e *Engine) EvaluateModel(ctx context.Context, m *Model, req Request) (*Evaluation, error) {
 	if m == nil {
-		return nil, fmt.Errorf("clsacim: nil model")
+		return nil, fmt.Errorf("%w: nil model", ErrInvalidConfig)
 	}
 	return e.evaluate(ctx, m, req)
 }
@@ -588,15 +551,16 @@ func baselineCfg(cfg Config) Config {
 	return cfg
 }
 
+// evaluate runs Evaluate for the model m, or for the one req names when
+// m is nil.
 func (e *Engine) evaluate(ctx context.Context, m *Model, req Request) (*Evaluation, error) {
+	m, err := req.validate(e.base, m)
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := requestCtx(ctx, req)
 	defer cancel()
 	cfg := req.overlay(e.base)
-	// baselineCfg clears the PE-count fields, so the request's own
-	// Config is checked before the baseline compiles.
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	baseComp, baseHit, err := e.compileCounted(ctx, m, baselineCfg(cfg))
 	if err != nil {
 		return nil, err
@@ -605,11 +569,11 @@ func (e *Engine) evaluate(ctx context.Context, m *Model, req Request) (*Evaluati
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := e.scheduleChecked(ctx, baseComp, baseHit, ModeLayerByLayer)
+	baseline, err := e.scheduleCounted(ctx, baseComp, baseHit, ModeLayerByLayer)
 	if err != nil {
 		return nil, err
 	}
-	result, err := e.scheduleChecked(ctx, comp, hit, req.Mode)
+	result, err := e.scheduleCounted(ctx, comp, hit, req.Mode)
 	if err != nil {
 		return nil, err
 	}

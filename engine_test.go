@@ -1184,3 +1184,83 @@ func TestEvaluateBatchMixedDeadlines(t *testing.T) {
 		t.Errorf("re-run recompiled: %d -> %d", before, after)
 	}
 }
+
+// TestInvalidRequestRejectedAtEveryEntryPoint: every Engine entry point
+// runs the one request gate before any cache lookup, so a malformed
+// request fails the same typed way in process as over HTTP — never
+// served, never compiled, never counted against the cache.
+func TestInvalidRequestRejectedAtEveryEntryPoint(t *testing.T) {
+	eng := MustNew()
+	ctx := context.Background()
+	m, err := LoadModel("tinyconvnet", ModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		run  func(Request) error
+	}{
+		{"Evaluate", func(r Request) error { _, err := eng.Evaluate(ctx, r); return err }},
+		{"EvaluateModel", func(r Request) error {
+			mm := m
+			if r.Model == "" {
+				mm = nil // EvaluateModel's "no model" is a nil *Model
+			}
+			_, err := eng.EvaluateModel(ctx, mm, r)
+			return err
+		}},
+		{"Schedule", func(r Request) error { _, err := eng.Schedule(ctx, r); return err }},
+		{"Compile", func(r Request) error { _, err := eng.Compile(ctx, r); return err }},
+		{"EvaluateBatch", func(r Request) error {
+			out, err := eng.EvaluateBatch(ctx, []Request{r})
+			if err != nil {
+				t.Fatalf("EvaluateBatch: %v", err)
+			}
+			return out[0].Err
+		}},
+		{"EvaluateStream", func(r Request) error {
+			_, err := eng.EvaluateStream(ctx, StreamRequest{
+				Models:     []StreamModel{{Model: r.Model, ExtraPEs: r.ExtraPEs, TotalPEs: r.TotalPEs, Config: r.Config}},
+				Inferences: 1, TimeoutMillis: r.TimeoutMillis,
+			})
+			return err
+		}},
+	}
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"empty model", Request{Mode: ModeCrossLayer}},
+		{"negative TimeoutMillis", Request{Model: "tinyconvnet", TimeoutMillis: -1}},
+		{"negative ExtraPEs", Request{Model: "tinyconvnet", ExtraPEs: -1}},
+		{"negative TotalPEs", Request{Model: "tinyconvnet", TotalPEs: -4}},
+		{"bad Config field", Request{Model: "tinyconvnet", Config: &Config{PERows: -5}}},
+	} {
+		for _, ep := range entries {
+			if err := ep.run(tc.req); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s via %s: err = %v, want ErrInvalidConfig", tc.name, ep.name, err)
+			}
+		}
+	}
+	ok := StreamModel{Model: "tinyconvnet"}
+	for _, tc := range []struct {
+		name string
+		req  StreamRequest
+	}{
+		{"no models", StreamRequest{Inferences: 1}},
+		{"no inferences", StreamRequest{Models: []StreamModel{ok}}},
+		{"negative MaxInFlight", StreamRequest{Models: []StreamModel{ok}, Inferences: 1, MaxInFlight: -1}},
+		{"bad arrival kind", StreamRequest{Models: []StreamModel{ok}, Inferences: 1, Arrival: ArrivalProcess{Kind: "zipf"}}},
+		{"NaN weight", StreamRequest{Models: []StreamModel{{Model: "tinyconvnet", Weight: math.NaN()}}, Inferences: 1}},
+	} {
+		if _, err := eng.EvaluateStream(ctx, tc.req); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("stream %s: err = %v, want ErrInvalidConfig", tc.name, err)
+		}
+		if err := tc.req.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("stream %s: Validate = %v, want ErrInvalidConfig", tc.name, err)
+		}
+	}
+	if st := eng.Stats(); st.Compiles != 0 || st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Errorf("invalid requests reached the cache: %+v", st)
+	}
+}

@@ -259,8 +259,6 @@ func (h *Harness) RunVirtualization(model string, fractions []float64) ([]Ablati
 	return out, nil
 }
 
-// PrintAblations runs and prints the full ablation suite on the case
-// study model.
 // RunAllAblations runs every ablation study on the case-study model and
 // returns the combined point list.
 func (h *Harness) RunAllAblations() ([]AblationPoint, error) {
@@ -301,14 +299,6 @@ func (h *Harness) RunAllAblations() ([]AblationPoint, error) {
 		return nil, err
 	}
 	return append(all, win...), nil
-}
-
-func (h *Harness) PrintAblations(w io.Writer) error {
-	all, err := h.RunAllAblations()
-	if err != nil {
-		return err
-	}
-	return PrintAblationPoints(w, all)
 }
 
 // PrintAblationPoints writes already-measured ablation points.

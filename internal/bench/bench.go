@@ -1,9 +1,11 @@
 // Package bench is the evaluation harness: it regenerates every table
 // and figure of the paper's evaluation section (§V) — Table I, Table II,
-// Fig. 6a/6b/6c, Fig. 7a/7b — plus the ablation studies listed in
-// DESIGN.md. Each experiment has a data-returning Run function (used by
-// tests and the Go benchmarks in bench_test.go) and a printing wrapper
-// (used by cmd/paperbench).
+// Fig. 6a/6b/6c, Fig. 7a/7b — plus the ablation, streaming and solver
+// studies. Each experiment has a data-returning Run function and a
+// Print*Rows or Print*Points function that renders what it returned;
+// cmd/paperbench pairs the two and writes the data as a BENCH_*.json
+// document. The Fig. 6a/6b Gantt charts (PrintFig6) and Table II
+// (PrintTableII, for cmd/netinfo) also have run-and-print wrappers.
 package bench
 
 import (
@@ -30,16 +32,14 @@ type Harness struct {
 	// (use it to pin granularity, NoC costs, and so on).
 	Base clsacim.Config
 
-	eng       *clsacim.Engine
-	baselines map[string]*clsacim.Report
+	eng *clsacim.Engine
 }
 
 // NewHarness returns a harness with the given base configuration.
 func NewHarness(base clsacim.Config) *Harness {
 	return &Harness{
-		Base:      base,
-		eng:       clsacim.MustNew(clsacim.WithConfig(base)),
-		baselines: make(map[string]*clsacim.Report),
+		Base: base,
+		eng:  clsacim.MustNew(clsacim.WithConfig(base)),
 	}
 }
 
@@ -53,24 +53,16 @@ func (h *Harness) compile(model string, cfg clsacim.Config) (*clsacim.Compiled, 
 }
 
 // Baseline returns the layer-by-layer, no-duplication, x=0 reference for
-// a model. The engine caches the compilation; the harness additionally
-// caches the scheduled report per model.
+// a model. The engine caches both the compilation and its timeline, so
+// repeated calls compile and schedule nothing.
 func (h *Harness) Baseline(name string) (*clsacim.Report, error) {
-	if r, ok := h.baselines[name]; ok {
-		return r, nil
-	}
 	cfg := h.Base
 	cfg.ExtraPEs = 0
 	cfg.TotalPEs = 0
 	cfg.WeightDuplication = false
-	rep, err := h.eng.Schedule(context.Background(), clsacim.Request{
+	return h.eng.Schedule(context.Background(), clsacim.Request{
 		Model: name, Mode: clsacim.ModeLayerByLayer, Config: &cfg,
 	})
-	if err != nil {
-		return nil, err
-	}
-	h.baselines[name] = rep
-	return rep, nil
 }
 
 // Point is one measured configuration.

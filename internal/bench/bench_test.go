@@ -57,7 +57,11 @@ func TestTableIIData(t *testing.T) {
 func TestPrintersProduceTables(t *testing.T) {
 	h := coarse()
 	var buf bytes.Buffer
-	if err := h.PrintTableI(&buf); err != nil {
+	rows, peMin, err := h.RunTableI()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PrintTableIRows(&buf, rows, peMin); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "conv2d_20") {
@@ -71,7 +75,11 @@ func TestPrintersProduceTables(t *testing.T) {
 		t.Error("Table II output incomplete")
 	}
 	buf.Reset()
-	if err := h.PrintFig6c(&buf); err != nil {
+	points, err := h.RunFig6c()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PrintFig6cPoints(&buf, points); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -123,18 +131,25 @@ func TestFig6cPoints(t *testing.T) {
 	}
 }
 
+// TestHarnessBaselineCaching: a repeated baseline is served whole from
+// the engine's compile and timeline caches.
 func TestHarnessBaselineCaching(t *testing.T) {
 	h := coarse()
 	a, err := h.Baseline("tinyyolov4")
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := h.Engine().Stats()
 	b, err := h.Baseline("tinyyolov4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("baseline not cached")
+	after := h.Engine().Stats()
+	if after.Compiles != before.Compiles || after.CacheHits != before.CacheHits+1 || after.PartialHits != before.PartialHits {
+		t.Errorf("repeated baseline: stats %+v -> %+v, want one full cache hit", before, after)
+	}
+	if a.MakespanCycles != b.MakespanCycles || a.Utilization != b.Utilization {
+		t.Errorf("baseline changed between calls: %+v vs %+v", a, b)
 	}
 }
 

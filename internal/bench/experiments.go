@@ -29,15 +29,6 @@ func (h *Harness) RunTableI() (rows []TableIRow, peMin int, err error) {
 	return rows, comp.PEmin(), nil
 }
 
-// PrintTableI writes Table I in the paper's layout.
-func (h *Harness) PrintTableI(w io.Writer) error {
-	rows, peMin, err := h.RunTableI()
-	if err != nil {
-		return err
-	}
-	return PrintTableIRows(w, rows, peMin)
-}
-
 // PrintTableIRows writes already-measured Table I rows.
 func PrintTableIRows(w io.Writer, rows []TableIRow, peMin int) error {
 	fmt.Fprintf(w, "Table I: Base layer structure of TinyYOLOv4 (256x256 PEs), PEmin = %d\n", peMin)
@@ -181,15 +172,6 @@ func (h *Harness) RunFig6c() ([]Point, error) {
 	return out, nil
 }
 
-// PrintFig6c writes the Fig. 6c series.
-func (h *Harness) PrintFig6c(w io.Writer) error {
-	points, err := h.RunFig6c()
-	if err != nil {
-		return err
-	}
-	return PrintFig6cPoints(w, points)
-}
-
 // PrintFig6cPoints writes already-measured Fig. 6c points.
 func PrintFig6cPoints(w io.Writer, points []Point) error {
 	fmt.Fprintln(w, "Fig. 6c: TinyYOLOv4 case study — speedup and utilization vs layer-by-layer")
@@ -224,16 +206,6 @@ func (h *Harness) RunFig7() ([]Point, error) {
 		}
 	}
 	return out, nil
-}
-
-// PrintFig7 writes the Fig. 7a (speedup) and Fig. 7b (utilization)
-// series.
-func (h *Harness) PrintFig7(w io.Writer) error {
-	points, err := h.RunFig7()
-	if err != nil {
-		return err
-	}
-	return PrintFig7Points(w, points)
 }
 
 // PrintFig7Points writes already-measured Fig. 7 points.

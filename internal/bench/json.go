@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	clsacim "clsacim"
 )
 
 // Schema identifies the BENCH_*.json document format. Bump the suffix
@@ -37,9 +35,6 @@ type Doc struct {
 	Ablations []AblationPoint `json:"ablations,omitempty"`
 	Stream    []StreamPoint   `json:"stream,omitempty"`
 	Solver    []SolverPoint   `json:"solver,omitempty"`
-	// Engine carries the compile-cache statistics accumulated so far in
-	// the producing run.
-	Engine *clsacim.Stats `json:"engine,omitempty"`
 }
 
 // DocFilename returns the canonical file name of an experiment's doc.

@@ -156,15 +156,6 @@ func serialRate(res *clsacim.StreamResult) float64 {
 	return float64(total) / serialNanos * 1e9
 }
 
-// PrintStream runs and prints the streaming experiment.
-func (h *Harness) PrintStream(w io.Writer) error {
-	points, err := h.RunStream()
-	if err != nil {
-		return err
-	}
-	return PrintStreamPoints(w, points)
-}
-
 // PrintStreamPoints writes already-measured streaming points.
 func PrintStreamPoints(w io.Writer, points []StreamPoint) error {
 	fmt.Fprintln(w, "Stream: multi-inference serving under xinf — throughput vs the serial rate")

@@ -11,9 +11,12 @@
 // other code with the Stage IV list scheduler (package schedule) or the
 // event-driven simulator (package sim), so a bug in either engine
 // cannot also hide in the oracle that judges it. The engines' tests run
-// it on their timelines, the public Engine exposes it through
-// clsacim.WithValidation, and the differential fuzz harness
-// (FuzzScheduleVsSim) drives it over randomized models.
+// it on their timelines, and the differential fuzz harness
+// (FuzzScheduleVsSim) drives it over randomized models. No engine
+// package calls it; the public Engine does, under
+// clsacim.WithValidation, at one site per result: Compiled.timeline
+// runs Timeline on each single-inference timeline when it first builds
+// it, and EvaluateStream runs Stream on each stream.
 //
 // The invariant set:
 //

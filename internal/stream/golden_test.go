@@ -81,9 +81,7 @@ func TestGoldenJobTimings(t *testing.T) {
 	}
 	var got bytes.Buffer
 	for _, tc := range cases {
-		opt := tc.opt
-		opt.Debug = true
-		res, err := stream.Run(tc.w, opt)
+		res, err := runChecked(t, tc.w, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

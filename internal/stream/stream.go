@@ -42,16 +42,17 @@
 // wakes a successor's group only once that successor is ready.
 //
 // The oracle for all of this is check.Stream, which revalidates every
-// per-job timeline plus the cross-inference invariants from scratch;
-// Options.Debug wires it in. A job's timeline is built once, when the
-// job retires, unless Options.DropTimelines is set.
+// per-job timeline plus the cross-inference invariants from scratch.
+// This package does not call it: callers that want the check (the
+// clsacim Engine under WithValidation, and this package's tests) run it
+// on Result.Timelines. A job's timeline is built once, when the job
+// retires, unless Options.DropTimelines is set.
 package stream
 
 import (
 	"context"
 	"fmt"
 
-	"clsacim/internal/check"
 	"clsacim/internal/deps"
 	"clsacim/internal/eventq"
 	"clsacim/internal/mapping"
@@ -97,12 +98,8 @@ type Options struct {
 	// j-MaxInFlight of the same model has fully completed. 0 disables
 	// the gate.
 	MaxInFlight int
-	// Debug revalidates the full stream against check.Stream before
-	// returning; a violation means an engine bug and fails the run.
-	Debug bool
 	// DropTimelines leaves Result.Timelines nil for callers that read
-	// only the lifecycle stats. Debug needs the timelines and overrides
-	// it.
+	// only the lifecycle stats.
 	DropTimelines bool
 	// Context, when non-nil, cancels the run: the event loop polls it
 	// every few thousand events and returns its error.
@@ -256,26 +253,7 @@ func Run(w Workload, opt Options) (*Result, error) {
 		return nil, err
 	}
 	e := newEngine(w, opt)
-	res, err := e.run()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Debug {
-		ms := make([]check.StreamModel, len(w.Models))
-		for mi, s := range w.Models {
-			ms[mi] = check.StreamModel{Graph: s.Graph, Mapping: s.Mapping,
-				Policy: s.Policy, Edge: s.Edge, PEBase: s.PEBase}
-		}
-		infs := make([]check.StreamInference, len(res.Jobs))
-		for j := range res.Jobs {
-			infs[j] = check.StreamInference{Model: res.Jobs[j].Model,
-				Arrival: res.Jobs[j].Arrival, Timeline: res.Timelines[j]}
-		}
-		if err := check.Stream(ms, infs, check.StreamOptions{MaxInFlight: opt.MaxInFlight}); err != nil {
-			return nil, fmt.Errorf("stream: debug validation: %w", err)
-		}
-	}
-	return res, nil
+	return e.run()
 }
 
 func validate(w Workload, opt Options) error {
@@ -330,7 +308,7 @@ func newEngine(w Workload, opt Options) *engine {
 		models:    make([]modelRun, len(w.Models)),
 		jobs:      make([]*jobState, len(w.Sequence)),
 		phase:     make([]jobPhase, len(w.Sequence)),
-		timelines: opt.Debug || !opt.DropTimelines,
+		timelines: !opt.DropTimelines,
 		ctx:       opt.Context,
 		res: &Result{
 			Jobs:     make([]JobStat, len(w.Sequence)),

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"clsacim/internal/check"
 	"clsacim/internal/deps"
 	"clsacim/internal/frontend"
 	"clsacim/internal/im2col"
@@ -13,6 +14,29 @@ import (
 	"clsacim/internal/sets"
 	"clsacim/internal/stream"
 )
+
+// runChecked runs the workload and revalidates the result from scratch
+// against check.Stream, the oracle this package leaves to its callers;
+// a violation fails the test.
+func runChecked(t *testing.T, w stream.Workload, opt stream.Options) (*stream.Result, error) {
+	t.Helper()
+	res, err := stream.Run(w, opt)
+	if err != nil {
+		return nil, err
+	}
+	ms := make([]check.StreamModel, len(w.Models))
+	for mi, s := range w.Models {
+		ms[mi] = check.StreamModel{Graph: s.Graph, Mapping: s.Mapping, Policy: s.Policy, Edge: s.Edge, PEBase: s.PEBase}
+	}
+	infs := make([]check.StreamInference, len(res.Jobs))
+	for j, js := range res.Jobs {
+		infs[j] = check.StreamInference{Model: js.Model, Arrival: js.Arrival, Timeline: res.Timelines[j]}
+	}
+	if err := check.Stream(ms, infs, check.StreamOptions{MaxInFlight: opt.MaxInFlight}); err != nil {
+		t.Fatalf("check.Stream: %v", err)
+	}
+	return res, nil
+}
 
 type compiled struct {
 	m  *mapping.Mapping
@@ -78,7 +102,7 @@ func repeat(mi, n int) []int {
 // A closed loop with concurrency 1 is back-to-back serial execution:
 // each job's timeline must be the analytic single-inference schedule
 // translated by the predecessor's completion, and the stream makespan
-// exactly n single makespans. Debug mode runs check.Stream on the way.
+// exactly n single makespans. runChecked runs check.Stream on the way.
 func TestClosedLoopSerialMatchesSchedule(t *testing.T) {
 	c := compile(t, models.TinyYOLOv4, 8, 0)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(2), schedule.CrossLayer} {
@@ -87,12 +111,12 @@ func TestClosedLoopSerialMatchesSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		const n = 3
-		res, err := stream.Run(stream.Workload{
+		res, err := runChecked(t, stream.Workload{
 			FabricPEs:   c.m.F,
 			Models:      []stream.ModelSpec{spec(c, p, 0)},
 			Sequence:    repeat(0, n),
 			Concurrency: 1,
-		}, stream.Options{Debug: true})
+		}, stream.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -121,12 +145,12 @@ func TestPipelinedBeatsSerial(t *testing.T) {
 	c := compile(t, models.TinyYOLOv4, 8, 0)
 	single := singleMakespan(t, c, schedule.CrossLayer)
 	const n = 6
-	res, err := stream.Run(stream.Workload{
+	res, err := runChecked(t, stream.Workload{
 		FabricPEs:   c.m.F,
 		Models:      []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
 		Sequence:    repeat(0, n),
 		Concurrency: 4,
-	}, stream.Options{Debug: true})
+	}, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +166,12 @@ func TestGateSerializes(t *testing.T) {
 	c := compile(t, models.TinyYOLOv4, 8, 0)
 	single := singleMakespan(t, c, schedule.CrossLayer)
 	const n = 4
-	res, err := stream.Run(stream.Workload{
+	res, err := runChecked(t, stream.Workload{
 		FabricPEs:   c.m.F,
 		Models:      []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
 		Sequence:    repeat(0, n),
 		Concurrency: 4,
-	}, stream.Options{MaxInFlight: 1, Debug: true})
+	}, stream.Options{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +188,12 @@ func TestDisjointPoolsAreIndependent(t *testing.T) {
 	p := schedule.CrossLayer
 	seq := []int{0, 1, 0, 1}
 	arr := []int64{0, 0, 0, 0}
-	res, err := stream.Run(stream.Workload{
+	res, err := runChecked(t, stream.Workload{
 		FabricPEs: a.m.F + b.m.F,
 		Models:    []stream.ModelSpec{spec(a, p, 0), spec(b, p, a.m.F)},
 		Sequence:  seq,
 		Arrivals:  arr,
-	}, stream.Options{Debug: true})
+	}, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +208,7 @@ func TestDisjointPoolsAreIndependent(t *testing.T) {
 
 // Two models time-sharing one crossbar pool must interleave without
 // ever overlapping on a shared PE — the acceptance-criteria
-// differential test: Debug mode revalidates every timeline through
+// differential test: runChecked revalidates every timeline through
 // check.Stream, including cross-model exclusivity on the shared pool.
 func TestSharedPoolTwoModelsValidated(t *testing.T) {
 	a := compile(t, models.TinyYOLOv4, 8, 0)
@@ -194,12 +218,12 @@ func TestSharedPoolTwoModelsValidated(t *testing.T) {
 	if b.m.F > fabric {
 		fabric = b.m.F
 	}
-	res, err := stream.Run(stream.Workload{
+	res, err := runChecked(t, stream.Workload{
 		FabricPEs: fabric,
 		Models:    []stream.ModelSpec{spec(a, p, 0), spec(b, p, 0)},
 		Sequence:  []int{0, 1, 0, 1},
 		Arrivals:  []int64{0, 0, 1000, 1000},
-	}, stream.Options{Debug: true})
+	}, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +243,12 @@ func TestOpenLoopArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stream.Run(stream.Workload{
+	res, err := runChecked(t, stream.Workload{
 		FabricPEs: c.m.F,
 		Models:    []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
 		Sequence:  repeat(0, len(arr)),
 		Arrivals:  arr,
-	}, stream.Options{Debug: true})
+	}, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,12 @@ func WithConfig(cfg Config) Option {
 // dependency order over the Stage II edge set, per-crossbar mutual
 // exclusion, window admission legality, Stage III/IV active-cycle
 // conservation, and makespan/metrics consistency. A violation fails the
-// request with a typed error instead of returning wrong numbers.
-// Validation costs roughly one extra pass over the timeline per
-// schedule; production services normally leave it off and rely on the
-// fuzz/CI coverage, while debugging and canary deployments turn it on.
+// request with a typed error instead of returning wrong numbers. Each
+// timeline is checked once, when the Engine first builds it, and cached
+// only if it passes; every stream is checked as a whole (check.Stream).
+// Validation costs roughly one extra pass over each new timeline;
+// production services normally leave it off and rely on the fuzz/CI
+// coverage, while debugging and canary deployments turn it on.
 func WithValidation() Option {
 	return func(e *Engine) error {
 		e.validate = true

@@ -58,18 +58,37 @@ type Request struct {
 // must resolve, TimeoutMillis must not be negative, and the request's
 // Config (or the defaults) with the overlay fields applied must pass
 // Config.Validate. Every Config rule is per field, so the verdict holds
-// on any Engine, whose own Config WithConfig already checked.
+// on any Engine, whose own Config WithConfig already checked. Every
+// Engine entry point runs the same checks itself, so callers need not.
 func (r Request) Validate() error {
-	if r.Model == "" {
-		return fmt.Errorf("clsacim: request has no model")
-	}
-	if _, err := lookupModel(r.Model); err != nil {
-		return err
+	_, err := r.validate(Config{}, nil)
+	return err
+}
+
+// validate is the request gate: every Engine entry point runs it once,
+// before any cache lookup. It holds the rules on the request's own
+// fields — a model named and registered, unless m is the *Model the
+// caller passed directly, and a non-negative TimeoutMillis — and then
+// applies Config.Validate, the one list of Config rules, to base with
+// the request's overlay. It returns the model the request runs.
+// Violations no registry sentinel names wrap ErrInvalidConfig.
+func (r Request) validate(base Config, m *Model) (*Model, error) {
+	if m == nil {
+		if r.Model == "" {
+			return nil, fmt.Errorf("%w: request has no model", ErrInvalidConfig)
+		}
+		var err error
+		if m, err = lookupModel(r.Model); err != nil {
+			return nil, err
+		}
 	}
 	if r.TimeoutMillis < 0 {
-		return fmt.Errorf("clsacim: request has negative TimeoutMillis %d", r.TimeoutMillis)
+		return nil, fmt.Errorf("%w: request has negative TimeoutMillis %d", ErrInvalidConfig, r.TimeoutMillis)
 	}
-	return r.overlay(Config{}).Validate()
+	if err := r.overlay(base).Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // overlay resolves the Config the request compiles under: its full

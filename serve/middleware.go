@@ -291,7 +291,6 @@ func (s *Server) admit(class string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, status := g.acquire(r.Context())
 		if status != 0 {
-			s.totalShed.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(g.retryAfterSeconds()))
 			s.writeError(w, r, status,
 				fmt.Errorf("serve: %s overloaded (limit %d in flight, %d queued); retry later",

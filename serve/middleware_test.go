@@ -224,8 +224,10 @@ func TestAdmissionShedsBurst(t *testing.T) {
 	if a, sh := g.admitted.Load(), g.shed.Load(); a != 1 || sh != 3 {
 		t.Errorf("gate counters: admitted %d, shed %d; want 1, 3", a, sh)
 	}
-	if s.totalShed.Load() != 3 {
-		t.Errorf("server shed counter = %d, want 3", s.totalShed.Load())
+	var stats StatsResponse
+	doJSON(t, s, http.MethodGet, "/v1/stats", "", &stats)
+	if stats.Server.Shed != 3 {
+		t.Errorf("server shed counter = %d, want 3", stats.Server.Shed)
 	}
 }
 

@@ -73,7 +73,6 @@ type Server struct {
 	batchItems atomic.Int64
 	inFlight   atomic.Int64
 	panics     atomic.Int64
-	totalShed  atomic.Int64
 
 	streamEvals atomic.Int64
 	streamInfs  atomic.Int64
@@ -225,10 +224,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
-	if err := req.Validate(); err != nil {
-		s.writeError(w, r, validateStatus(err), err)
-		return
-	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	ev, err := s.eng.Evaluate(ctx, req)
@@ -253,27 +248,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchItems.Add(int64(len(req.Requests)))
 	// Per-item failures (invalid shape, unknown model, timeout, ...)
 	// land in their result slot; the call itself stays 200 so one bad
-	// point cannot void a sweep. Items the single-request endpoint
-	// would reject with 4xx are pre-validated into their slot and
-	// withheld from the engine — silently evaluating them would return
-	// a result for a different configuration than the one named.
-	resp := BatchResponse{Results: make([]BatchResult, len(req.Requests))}
-	var valid []clsacim.Request
-	var validIdx []int
-	for i, item := range req.Requests {
-		resp.Results[i].Request = item
-		if err := item.Validate(); err != nil {
-			resp.Results[i].Error = err.Error()
-			continue
-		}
-		valid = append(valid, item)
-		validIdx = append(validIdx, i)
-	}
+	// point cannot void a sweep. The engine rejects an item the
+	// single-request endpoint would reject before it compiles anything.
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	results, _ := s.eng.EvaluateBatch(ctx, valid)
-	for j, br := range results {
-		i := validIdx[j]
+	results, _ := s.eng.EvaluateBatch(ctx, req.Requests)
+	resp := BatchResponse{Results: make([]BatchResult, len(results))}
+	for i, br := range results {
+		resp.Results[i].Request = br.Request
 		if br.Err != nil {
 			resp.Results[i].Error = br.Err.Error()
 		} else {
@@ -287,10 +269,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req clsacim.StreamRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		s.writeError(w, r, validateStatus(err), err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -320,17 +298,19 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
-		Engine: wireStats(s.eng.Stats()),
+		Engine: s.eng.Stats(),
 		Server: ServerStats{
 			Requests:      s.requests.Load(),
 			Errors:        s.errors.Load(),
 			BatchItems:    s.batchItems.Load(),
 			InFlight:      s.inFlight.Load(),
 			Panics:        s.panics.Load(),
-			Shed:          s.totalShed.Load(),
 			UptimeSeconds: time.Since(s.start).Seconds(),
 			Admission:     s.admissionStats(),
 		},
+	}
+	for _, a := range resp.Server.Admission {
+		resp.Server.Shed += a.Shed
 	}
 	if sum := s.lastStream.Load(); sum != nil {
 		resp.Stream = &StreamStats{
@@ -365,17 +345,6 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
-// validateStatus maps a Request.Validate failure: sentinel errors keep
-// their dedicated statuses (unknown model -> 404), and every other
-// validation failure — empty model, negative knobs — is the client's
-// fault, never a 500.
-func validateStatus(err error) int {
-	if status := statusOf(err); status != http.StatusInternalServerError {
-		return status
-	}
-	return http.StatusBadRequest
-}
-
 // decodeStatus distinguishes a body over the size limit (413, split
 // the batch and retry) from malformed JSON (400, fix the request).
 func decodeStatus(err error) int {
@@ -391,9 +360,10 @@ func decodeStatus(err error) int {
 // drift apart: unknown models are 404 (the resource a Request names
 // does not exist here), expired deadlines 504, cancellations 499 (the
 // nginx convention — the client is gone, the status is for the access
-// log), and request shapes the registries or Config.Validate reject
-// 400. Codes are set only where the client package maps them back to
-// sentinels.
+// log), and request shapes the Engine's request gate rejects
+// (ErrInvalidConfig, unknown solvers and modes) 400. This table is all
+// the request validation the serve layer does. Codes are set only where
+// the client package maps them back to sentinels.
 var errClasses = []struct {
 	sentinel error
 	status   int

@@ -98,29 +98,9 @@ type (
 	StreamModelResult = clsacim.StreamModelResult
 )
 
-// EngineStats is the wire form of clsacim.Stats: the compile-cache and
-// work accounting of the daemon's engine.
-type EngineStats struct {
-	Compiles  int64 `json:"compiles"`
-	CacheHits int64 `json:"cache_hits"`
-	// PartialHits are cache hits that still ran Stage III/IV because
-	// the requested mode's timeline was not cached yet (the incremental
-	// re-simulation path); CacheHits - PartialHits served everything
-	// from cache.
-	PartialHits       int64 `json:"partial_hits"`
-	CacheMisses       int64 `json:"cache_misses"`
-	Evictions         int64 `json:"cache_evictions"`
-	Evaluations       int64 `json:"evaluations"`
-	StreamEvaluations int64 `json:"stream_evaluations"`
-	StreamInferences  int64 `json:"stream_inferences"`
-	CachedEntries     int   `json:"cached_entries"`
-	CacheLimit        int   `json:"cache_limit"`
-	// GraphBuilds are the Stage II dependency graphs the engine built;
-	// GraphHits are compilations that shared one already built for the
-	// same model and set grid.
-	GraphBuilds int64 `json:"graph_builds"`
-	GraphHits   int64 `json:"graph_hits"`
-}
+// EngineStats is the engine block of GET /v1/stats: clsacim.Stats,
+// whose json tags are the wire format.
+type EngineStats = clsacim.Stats
 
 // ServerStats counts HTTP-level activity since the server started.
 type ServerStats struct {
@@ -243,23 +223,5 @@ func wireEvaluation(ev *clsacim.Evaluation) *Evaluation {
 		Speedup:         ev.Speedup,
 		UtilizationGain: ev.UtilizationGain,
 		Eq3Speedup:      ev.Eq3Speedup,
-	}
-}
-
-// wireStats converts an engine stats snapshot.
-func wireStats(s clsacim.Stats) EngineStats {
-	return EngineStats{
-		Compiles:          s.Compiles,
-		CacheHits:         s.CacheHits,
-		PartialHits:       s.PartialHits,
-		CacheMisses:       s.CacheMisses,
-		Evictions:         s.Evictions,
-		Evaluations:       s.Evaluations,
-		StreamEvaluations: s.StreamEvaluations,
-		StreamInferences:  s.StreamInferences,
-		CachedEntries:     s.CachedEntries,
-		CacheLimit:        s.CacheLimit,
-		GraphBuilds:       s.GraphBuilds,
-		GraphHits:         s.GraphHits,
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"clsacim/internal/check"
 	"clsacim/internal/metrics"
 	"clsacim/internal/stream"
 )
@@ -55,22 +56,22 @@ func (a ArrivalProcess) validate() error {
 	switch a.kind() {
 	case arrivalClosed:
 		if a.Concurrency < 0 {
-			return fmt.Errorf("clsacim: negative closed-loop concurrency %d", a.Concurrency)
+			return fmt.Errorf("%w: negative closed-loop concurrency %d", ErrInvalidConfig, a.Concurrency)
 		}
 	case arrivalPoisson:
 		if !(a.RatePerSec > 0) || math.IsInf(a.RatePerSec, 0) {
-			return fmt.Errorf("clsacim: poisson arrivals need a positive rate, have %g/s", a.RatePerSec)
+			return fmt.Errorf("%w: poisson arrivals need a positive rate, have %g/s", ErrInvalidConfig, a.RatePerSec)
 		}
 	case arrivalBursty:
 		if !(a.RatePerSec > 0) || math.IsInf(a.RatePerSec, 0) {
-			return fmt.Errorf("clsacim: bursty arrivals need a positive rate, have %g/s", a.RatePerSec)
+			return fmt.Errorf("%w: bursty arrivals need a positive rate, have %g/s", ErrInvalidConfig, a.RatePerSec)
 		}
 		if !(a.MeanOnMillis > 0) || !(a.MeanOffMillis > 0) {
-			return fmt.Errorf("clsacim: bursty arrivals need positive ON/OFF periods, have %g/%g ms",
-				a.MeanOnMillis, a.MeanOffMillis)
+			return fmt.Errorf("%w: bursty arrivals need positive ON/OFF periods, have %g/%g ms",
+				ErrInvalidConfig, a.MeanOnMillis, a.MeanOffMillis)
 		}
 	default:
-		return fmt.Errorf("clsacim: unknown arrival kind %q (want closed, poisson, or bursty)", a.Kind)
+		return fmt.Errorf("%w: unknown arrival kind %q (want closed, poisson, or bursty)", ErrInvalidConfig, a.Kind)
 	}
 	return nil
 }
@@ -91,15 +92,19 @@ type StreamModel struct {
 }
 
 // request adapts the stream model to the Request overlay machinery so
-// compilation shares the Engine's cache keys with ordinary requests.
-func (s StreamModel) request() Request {
+// compilation shares the Engine's cache keys with ordinary requests. It
+// carries the stream's mode, so a scored solver optimizes the makespan
+// of the mode the model will run under, and the stream's deadline.
+func (s StreamModel) request(r StreamRequest) Request {
 	return Request{
 		Model:             s.Model,
+		Mode:              r.Mode,
 		ExtraPEs:          s.ExtraPEs,
 		TotalPEs:          s.TotalPEs,
 		WeightDuplication: s.WeightDuplication,
 		Solver:            s.Solver,
 		Config:            s.Config,
+		TimeoutMillis:     r.TimeoutMillis,
 	}
 }
 
@@ -135,29 +140,42 @@ type StreamRequest struct {
 }
 
 // Validate checks the request against the process-wide registries
-// without compiling anything.
+// without compiling anything. EvaluateStream runs the same checks
+// itself, so callers need not.
 func (r StreamRequest) Validate() error {
+	_, err := r.validate(Config{})
+	return err
+}
+
+// validate is EvaluateStream's request gate: every model's request
+// (its model, the stream's TimeoutMillis, and Config.Validate over base
+// with the model's overlay) through Request.validate, then the
+// stream's own fields. It returns the resolved models in order.
+func (r StreamRequest) validate(base Config) ([]*Model, error) {
 	if len(r.Models) == 0 {
-		return fmt.Errorf("clsacim: stream request has no models")
+		return nil, fmt.Errorf("%w: stream request has no models", ErrInvalidConfig)
 	}
+	models := make([]*Model, len(r.Models))
 	for i, sm := range r.Models {
-		if err := sm.request().Validate(); err != nil {
-			return fmt.Errorf("clsacim: stream model %d: %w", i, err)
+		m, err := sm.request(r).validate(base, nil)
+		if err != nil {
+			return nil, fmt.Errorf("clsacim: stream model %d: %w", i, err)
 		}
 		if sm.Weight < 0 || math.IsInf(sm.Weight, 0) || math.IsNaN(sm.Weight) {
-			return fmt.Errorf("clsacim: stream model %d has invalid weight %g", i, sm.Weight)
+			return nil, fmt.Errorf("%w: stream model %d has invalid weight %g", ErrInvalidConfig, i, sm.Weight)
 		}
+		models[i] = m
 	}
 	if r.Inferences <= 0 {
-		return fmt.Errorf("clsacim: stream request needs a positive inference count, have %d", r.Inferences)
+		return nil, fmt.Errorf("%w: stream request needs a positive inference count, have %d", ErrInvalidConfig, r.Inferences)
 	}
 	if r.MaxInFlight < 0 {
-		return fmt.Errorf("clsacim: stream request has negative MaxInFlight %d", r.MaxInFlight)
+		return nil, fmt.Errorf("%w: stream request has negative MaxInFlight %d", ErrInvalidConfig, r.MaxInFlight)
 	}
-	if r.TimeoutMillis < 0 {
-		return fmt.Errorf("clsacim: stream request has negative TimeoutMillis %d", r.TimeoutMillis)
+	if err := r.Arrival.validate(); err != nil {
+		return nil, err
 	}
-	return r.Arrival.validate()
+	return models, nil
 }
 
 // LatencyStats summarizes the per-inference sojourn time (completion
@@ -242,7 +260,8 @@ type StreamResult struct {
 // full stream is revalidated against the engine-independent oracle
 // (check.Stream) before results are returned.
 func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*StreamResult, error) {
-	if err := req.Validate(); err != nil {
+	models, err := req.validate(e.base)
+	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := requestCtx(ctx, Request{TimeoutMillis: req.TimeoutMillis})
@@ -251,15 +270,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 	comps := make([]*Compiled, len(req.Models))
 	hits := make([]bool, len(req.Models))
 	for i, sm := range req.Models {
-		m, err := lookupModel(sm.Model)
-		if err != nil {
-			return nil, err
-		}
-		// Overlay the stream's scheduling mode: scored solvers optimize
-		// the makespan of the mode the models will actually run under.
-		r := sm.request()
-		r.Mode = req.Mode
-		c, hit, err := e.compileCounted(ctx, m, r.overlay(e.base))
+		c, hit, err := e.compileCounted(ctx, models[i], sm.request(req).overlay(e.base))
 		if err != nil {
 			return nil, err
 		}
@@ -326,9 +337,14 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 		return nil, err
 	}
 
-	res, err := stream.Run(w, stream.Options{MaxInFlight: req.MaxInFlight, Debug: e.validate, DropTimelines: !e.validate, Context: ctx})
+	res, err := stream.Run(w, stream.Options{MaxInFlight: req.MaxInFlight, DropTimelines: !e.validate, Context: ctx})
 	if err != nil {
 		return nil, err
+	}
+	if e.validate {
+		if err := checkStream(w, res, req.MaxInFlight); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -344,6 +360,24 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 	// per-request counter both report served jobs.
 	e.streamInfs.Add(int64(out.Inferences))
 	return out, nil
+}
+
+// checkStream revalidates a stream run against check.Stream: every
+// per-job timeline plus the cross-inference invariants, from scratch.
+func checkStream(w stream.Workload, res *stream.Result, maxInFlight int) error {
+	ms := make([]check.StreamModel, len(w.Models))
+	for mi, s := range w.Models {
+		ms[mi] = check.StreamModel{Graph: s.Graph, Mapping: s.Mapping,
+			Policy: s.Policy, Edge: s.Edge, PEBase: s.PEBase}
+	}
+	infs := make([]check.StreamInference, len(res.Jobs))
+	for j, js := range res.Jobs {
+		infs[j] = check.StreamInference{Model: js.Model, Arrival: js.Arrival, Timeline: res.Timelines[j]}
+	}
+	if err := check.Stream(ms, infs, check.StreamOptions{MaxInFlight: maxInFlight}); err != nil {
+		return fmt.Errorf("clsacim: stream failed validation: %w", err)
+	}
+	return nil
 }
 
 // modelMix expands the request into the per-job model sequence: a
@@ -415,7 +449,7 @@ func (e *Engine) assembleStreamResult(ctx context.Context, req StreamRequest, co
 	// Each model's single-inference reference is where Stage III/IV runs
 	// for its compilation, so the stream's partial hits are counted here.
 	for i, c := range comps {
-		rep, err := e.scheduleChecked(ctx, c, hits[i], req.Mode)
+		rep, err := e.scheduleCounted(ctx, c, hits[i], req.Mode)
 		if err != nil {
 			return nil, err
 		}

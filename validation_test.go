@@ -2,7 +2,11 @@ package clsacim
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"clsacim/internal/check"
+	"clsacim/internal/mapping"
 )
 
 // validation_test.go covers the WithValidation engine option: every
@@ -72,5 +76,51 @@ func TestWithValidationVirtualized(t *testing.T) {
 	}
 	if rep.ReloadCycles <= 0 {
 		t.Fatal("virtualized schedule reports no reload cycles")
+	}
+}
+
+// TestValidatingTimelineRunsCheck: Compiled.timeline is where a
+// validating Engine runs check.Timeline. Two replica groups of one
+// layer made to share a PE pass Timeline.Validate, which checks each
+// replica on its own, but not check.Timeline's exclusivity pass: the
+// request fails with validation on and is served with it off.
+func TestValidatingTimelineRunsCheck(t *testing.T) {
+	ctx := context.Background()
+	req := Request{Model: "tinyconvnet", Mode: ModeLayerByLayer, ExtraPEs: 8, WeightDuplication: true}
+	for _, validate := range []bool{false, true} {
+		var opts []Option
+		if validate {
+			opts = append(opts, WithValidation())
+		}
+		eng := MustNew(opts...)
+		comp, err := eng.Compile(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g *mapping.Group
+		for _, gr := range comp.mapped.Groups {
+			if gr.Dup >= 2 {
+				g = gr
+				break
+			}
+		}
+		if g == nil {
+			t.Fatal("no duplicated layer to corrupt")
+		}
+		g.PEs[g.PEsPerReplica()] = g.PEs[0] // replica 1 takes replica 0's first PE
+		_, err = eng.Schedule(ctx, req)
+		if !validate {
+			if err != nil {
+				t.Fatalf("validation off: %v", err)
+			}
+			continue
+		}
+		var v *check.Violation
+		if !errors.As(err, &v) || v.Kind != check.KindExclusivity {
+			t.Fatalf("validation on: err = %v, want an exclusivity violation", err)
+		}
+		if comp.hasTimeline(req.Mode) {
+			t.Error("a timeline that failed the check was cached")
+		}
 	}
 }
