@@ -742,10 +742,10 @@ func (c *Compiled) normalizeMode(mode ScheduleMode) ScheduleMode {
 // shared through the Engine's compile cache, so repeated requests — in
 // particular the layer-by-layer baseline of every evaluation — reuse
 // it). It is the one place a single-inference timeline is built,
-// checked and cached: Timeline.Validate always runs, and the
-// engine-independent check.Timeline too when c.check is set, so each
-// timeline is checked once, when first built, and a timeline that fails
-// is never cached.
+// checked and cached. Checking is opt-in, as for streams: when c.check
+// is set (WithValidation) the engine-independent check.Timeline runs
+// once, when the timeline is first built, and a timeline that fails is
+// never cached; otherwise nothing re-checks the scheduler's output.
 func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 	mode = c.normalizeMode(mode)
 	c.sched.mu.Lock()
@@ -768,9 +768,6 @@ func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if err := t.Validate(c.depGraph, opt); err != nil {
-		return nil, fmt.Errorf("clsacim: schedule validation: %w", err)
 	}
 	if c.check {
 		if err := check.Timeline(c.mapped, c.depGraph, t.Policy, t, check.Options{EdgeCost: opt.EdgeCost}); err != nil {

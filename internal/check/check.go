@@ -13,10 +13,12 @@
 // cannot also hide in the oracle that judges it. The engines' tests run
 // it on their timelines, and the differential fuzz harness
 // (FuzzScheduleVsSim) drives it over randomized models. No engine
-// package calls it; the public Engine does, under
-// clsacim.WithValidation, at one site per result: Compiled.timeline
-// runs Timeline on each single-inference timeline when it first builds
-// it, and EvaluateStream runs Stream on each stream.
+// package calls it; the public Engine does, and only under
+// clsacim.WithValidation (clsaserved -validate), at one site per
+// result: Compiled.timeline runs Timeline on each single-inference
+// timeline when it first builds it, and EvaluateStream runs Stream on
+// each stream. It is the Engine's only schedule checker: with
+// validation off, nothing re-checks a timeline.
 //
 // The invariant set:
 //
@@ -29,8 +31,11 @@
 //     starts only after each predecessor set has completed, plus the
 //     configured edge cost (NoC/GPEU).
 //   - Crossbar exclusivity: no physical PE executes two sets at once.
-//     Sets of the same replica PE group must serialize, and groups that
-//     share PEs (weight virtualization) must never overlap in time.
+//     Within a replica PE group this is the Stage III order invariant:
+//     a replica runs its sets in raster order (set si after set si−d on
+//     d replicas), each starting no earlier than the previous one ends.
+//     Groups that share PEs (weight virtualization) must never overlap
+//     in time.
 //   - Window admission: under a window-K policy no set of layer l starts
 //     before every layer up to l-K has fully completed.
 //   - Conservation (Stage III/IV accounting): the per-layer and
@@ -43,6 +48,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"clsacim/internal/deps"
@@ -116,33 +122,19 @@ func Timeline(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedul
 	if err := checkShape(m, dg, tl); err != nil {
 		return err
 	}
-	rep := replicas(dg)
 	if err := checkDependencies(dg, tl, opt.EdgeCost); err != nil {
 		return err
 	}
-	if err := checkExclusivity(m, dg, tl, rep); err != nil {
+	if err := checkExclusivity(m, dg, tl); err != nil {
 		return err
 	}
 	if err := checkWindow(dg, p, tl); err != nil {
 		return err
 	}
-	if err := checkConservation(dg, tl, rep); err != nil {
+	if err := checkConservation(dg, tl); err != nil {
 		return err
 	}
 	return checkMakespan(m, dg, tl)
-}
-
-// replicas returns the Stage III dispatch of every set of dg: rep[id]
-// is the replica executing flat set id.
-func replicas(dg *deps.Graph) []int32 {
-	rep := make([]int32, dg.CSR.NumSets())
-	for li, ls := range dg.Plan.Layers {
-		base := int(dg.CSR.LayerOff[li])
-		for si := 0; si < ls.NumSets(); si++ {
-			rep[base+si] = int32(schedule.Replica(si, ls.Group.Dup))
-		}
-	}
-	return rep
 }
 
 // checkShape verifies that the timeline is laid out on dg's CSR (its
@@ -219,60 +211,96 @@ type span struct {
 }
 
 // checkExclusivity asserts that no physical crossbar PE executes two
-// sets at once: the sets of one replica PE group must not overlap
-// pairwise, and replica groups that share PEs (weight virtualization
-// pools) must not overlap either.
-func checkExclusivity(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline, rep []int32) error {
+// sets at once. Within a replica PE group this is the Stage III order
+// invariant: each replica runs its sets in raster order, so a set
+// starts no earlier than the replica's previous set ends. Replica
+// groups that share PEs (weight virtualization pools) must not overlap
+// either.
+func checkExclusivity(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error {
 	csr := dg.CSR
-	// Busy intervals per (layer, replica).
-	spans := make([][][]span, len(dg.Plan.Layers))
+	var free []int64 // per replica: the end of its latest set
 	for li, ls := range dg.Plan.Layers {
-		spans[li] = make([][]span, m.Groups[li].Dup)
+		d := ls.Group.Dup
+		free = append(free[:0], make([]int64, d)...)
 		for si := 0; si < ls.NumSets(); si++ {
 			id := int(csr.LayerOff[li]) + si
-			if csr.Cycles[id] > 0 { // zero-length sets occupy nothing
-				spans[li][rep[id]] = append(spans[li][rep[id]],
-					span{start: tl.Items[id], end: end(tl, csr, id), li: li, si: si})
+			r := schedule.Replica(si, d)
+			if tl.Items[id] < free[r] {
+				return violation(KindExclusivity, li, si,
+					"starts %d before replica %d finishes its previous set at %d (Stage III order)",
+					tl.Items[id], r, free[r])
+			}
+			free[r] = end(tl, csr, id)
+		}
+	}
+	return checkSharedPEs([]StreamModel{{Mapping: m}}, func(dst []span, g group) []span {
+		return appendSpans(dst, tl, csr, g.layer, g.replica)
+	})
+}
+
+// group names one replica PE group: a replica of a layer of a stream
+// model (model 0 in a single timeline).
+type group struct{ model, layer, replica int }
+
+// checkSharedPEs asserts that replica PE groups sharing a physical PE
+// never execute at once. models place their mappings on one fabric
+// (only Mapping and PEBase are read); spans appends the busy intervals
+// of one group to dst. Disjoint mappings, the common case, are told
+// apart by one pass over a PE bitmap before any owner lists are built.
+func checkSharedPEs(models []StreamModel, spans func(dst []span, g group) []span) error {
+	// forEachPE calls f for every (global PE, owning group) pair.
+	forEachPE := func(f func(pe int, g group)) {
+		for mi, m := range models {
+			for li, pg := range m.Mapping.Groups {
+				for r := 0; r < pg.Dup; r++ {
+					for _, pe := range pg.ReplicaPEs(r) {
+						f(m.PEBase+pe, group{mi, li, r})
+					}
+				}
 			}
 		}
 	}
-	for li := range spans {
-		for r := range spans[li] {
-			if err := sweepSpans(spans[li][r]); err != nil {
-				return err
-			}
-		}
+	n := 0
+	forEachPE(func(pe int, _ group) { n = max(n, pe+1) })
+	seen := make([]bool, n)
+	shared := false
+	forEachPE(func(pe int, _ group) { shared = shared || seen[pe]; seen[pe] = true })
+	if !shared {
+		return nil
 	}
-	// Replica groups sharing any PE must be mutually exclusive over
-	// time. Disjoint mappings skip this entirely; virtualized mappings
-	// (layers time-sharing a swap pool) are the case that exercises it.
-	owners := map[int][][2]int{} // PE index -> (layer, replica) owners
-	for li, g := range m.Groups {
-		for r := 0; r < g.Dup; r++ {
-			for _, pe := range g.ReplicaPEs(r) {
-				owners[pe] = append(owners[pe], [2]int{li, r})
-			}
-		}
-	}
-	checked := map[string]bool{}
+	owners := make([][]group, n)
+	forEachPE(func(pe int, g group) { owners[pe] = append(owners[pe], g) })
+	// Sweep each run of PEs with one owner set once, in PE order so the
+	// first reported violation is stable.
+	owners = slices.CompactFunc(owners, slices.Equal[[]group])
+	var joint []span
 	for _, os := range owners {
 		if len(os) < 2 {
 			continue
 		}
-		key := fmt.Sprint(os)
-		if checked[key] {
-			continue
-		}
-		checked[key] = true
-		var joint []span
-		for _, o := range os {
-			joint = append(joint, spans[o[0]][o[1]]...)
+		joint = joint[:0]
+		for _, g := range os {
+			joint = spans(joint, g)
 		}
 		if err := sweepSpans(joint); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendSpans appends to dst the busy intervals of replica r of layer
+// li in tl, a timeline over csr. Zero-length sets occupy nothing.
+func appendSpans(dst []span, tl *schedule.Timeline, csr *deps.CSR, li, r int) []span {
+	base := int(csr.LayerOff[li])
+	n := int(csr.LayerOff[li+1]) - base
+	d := len(tl.ReplicaActive[li])
+	for si := 0; si < n; si++ {
+		if id := base + si; schedule.Replica(si, d) == r && csr.Cycles[id] > 0 {
+			dst = append(dst, span{start: tl.Items[id], end: end(tl, csr, id), li: li, si: si})
+		}
+	}
+	return dst
 }
 
 // sweepSpans sorts busy intervals and reports the first overlap.
@@ -324,14 +352,15 @@ func checkWindow(dg *deps.Graph, p schedule.Policy, tl *schedule.Timeline) error
 // checkConservation asserts the Stage III/IV accounting: the per-layer
 // and per-replica active totals recorded on the timeline match the sets'
 // Stage I cycles under the round-robin dispatch.
-func checkConservation(dg *deps.Graph, tl *schedule.Timeline, rep []int32) error {
+func checkConservation(dg *deps.Graph, tl *schedule.Timeline) error {
 	csr := dg.CSR
 	for li, ls := range dg.Plan.Layers {
 		var layerActive int64
 		replica := make([]int64, ls.Group.Dup)
-		for id := int(csr.LayerOff[li]); id < int(csr.LayerOff[li+1]); id++ {
-			layerActive += csr.Cycles[id]
-			replica[rep[id]] += csr.Cycles[id]
+		for si := 0; si < ls.NumSets(); si++ {
+			c := csr.Cycles[int(csr.LayerOff[li])+si]
+			layerActive += c
+			replica[schedule.Replica(si, ls.Group.Dup)] += c
 		}
 		if tl.LayerActive[li] != layerActive {
 			return violation(KindConservation, li, -1,

@@ -203,6 +203,30 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 		t.Skip("layer 0 has no two sets on one replica at this granularity")
 	})
 
+	t.Run("replica order swapped", func(t *testing.T) {
+		tl := copyTimeline(schedOf(schedule.LayerByLayer))
+		// Run two back-to-back sets of one replica in the opposite
+		// order. The pair keeps its interval and nothing overlaps, so
+		// only the Stage III rule (a replica runs its sets in raster
+		// order) gives it away: under layer-by-layer every dependency
+		// and the window gate are met before the layer's first set.
+		for li := 0; li < tl.NumLayers(); li++ {
+			starts := tl.ItemsOf(li)
+			d := len(tl.ReplicaActive[li])
+			for a := 0; a+d < len(starts); a++ {
+				first, second := tl.At(li, a), tl.At(li, a+d)
+				if second.Start != first.End || first.Start == first.End || second.Start == second.End {
+					continue
+				}
+				starts[a+d] = first.Start
+				starts[a] = first.Start + second.End - second.Start
+				assertKind(t, check.Timeline(c.m, c.dg, schedule.LayerByLayer, tl, check.Options{}), check.KindExclusivity)
+				return
+			}
+		}
+		t.Fatal("no replica with two back-to-back sets found to reorder")
+	})
+
 	t.Run("window violation", func(t *testing.T) {
 		tl := copyTimeline(schedOf(schedule.LayerByLayer))
 		// Find a set whose dependencies finished strictly before its

@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"clsacim/internal/deps"
 	"clsacim/internal/mapping"
@@ -117,84 +116,33 @@ func Stream(models []StreamModel, infs []StreamInference, opt StreamOptions) err
 // overlap, and neither may groups of different models that share a
 // physical PE on a common pool.
 func checkStreamExclusivity(models []StreamModel, infs []StreamInference) error {
-	// Number the replica PE groups globally: group id = grpBase[model]
-	// + local replica index (layer-major, as in the single-timeline
-	// checker). grp[mi][id] is the global group executing flat set id of
-	// model mi under the model's dispatch.
-	grpBase := make([]int, len(models)+1)
-	grp := make([][]int32, len(models))
-	for mi, m := range models {
-		rep := replicas(m.Graph)
-		csr := m.Graph.CSR
-		gid := grpBase[mi]
-		for li, g := range m.Mapping.Groups {
-			for id := csr.LayerOff[li]; id < csr.LayerOff[li+1]; id++ {
-				rep[id] += int32(gid)
-			}
-			gid += g.Dup
-		}
-		grp[mi] = rep
-		grpBase[mi+1] = gid
-	}
-	spans := make([][]span, grpBase[len(models)])
+	// byModel[mi] lists the timelines of model mi's inferences.
+	byModel := make([][]*schedule.Timeline, len(models))
 	for _, inf := range infs {
-		csr := models[inf.Model].Graph.CSR
-		g := grp[inf.Model]
-		for li := 0; li < csr.NumLayers(); li++ {
-			for id := int(csr.LayerOff[li]); id < int(csr.LayerOff[li+1]); id++ {
-				if csr.Cycles[id] > 0 {
-					spans[g[id]] = append(spans[g[id]], span{start: inf.Timeline.Items[id],
-						end: end(inf.Timeline, csr, id), li: li, si: id - int(csr.LayerOff[li])})
-				}
-			}
+		byModel[inf.Model] = append(byModel[inf.Model], inf.Timeline)
+	}
+	spans := func(dst []span, g group) []span {
+		for _, tl := range byModel[g.model] {
+			dst = appendSpans(dst, tl, models[g.model].Graph.CSR, g.layer, g.replica)
 		}
+		return dst
 	}
 	// Each group serializes across the inferences sharing it.
-	for _, ss := range spans {
-		if err := sweepSpans(ss); err != nil {
-			return err
-		}
-	}
-	// Groups sharing any physical PE (cross-model pools) must be
-	// mutually exclusive as a whole.
-	owners := map[int][]int{} // global PE index -> group ids
+	var joint []span
 	for mi, m := range models {
-		gid := grpBase[mi]
-		for _, g := range m.Mapping.Groups {
-			for r := 0; r < g.Dup; r++ {
-				for _, pe := range g.ReplicaPEs(r) {
-					owners[m.PEBase+pe] = append(owners[m.PEBase+pe], gid)
+		if len(byModel[mi]) < 2 {
+			continue // one inference is ordered by its own Stage III check
+		}
+		for li, pg := range m.Mapping.Groups {
+			for r := 0; r < pg.Dup; r++ {
+				joint = spans(joint[:0], group{mi, li, r})
+				if err := sweepSpans(joint); err != nil {
+					return err
 				}
-				gid++
 			}
 		}
 	}
-	checked := map[string]bool{}
-	// Deterministic iteration keeps the first reported violation stable.
-	pes := make([]int, 0, len(owners))
-	for pe := range owners {
-		pes = append(pes, pe)
-	}
-	sort.Ints(pes)
-	for _, pe := range pes {
-		os := owners[pe]
-		if len(os) < 2 {
-			continue
-		}
-		key := fmt.Sprint(os)
-		if checked[key] {
-			continue
-		}
-		checked[key] = true
-		var joint []span
-		for _, gid := range os {
-			joint = append(joint, spans[gid]...)
-		}
-		if err := sweepSpans(joint); err != nil {
-			return err
-		}
-	}
-	return nil
+	return checkSharedPEs(models, spans)
 }
 
 // checkStreamGate asserts the inter-inference admission rule: with a

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"clsacim/internal/check"
 	"clsacim/internal/cim"
 	"clsacim/internal/deps"
 	"clsacim/internal/frontend"
@@ -72,14 +73,14 @@ func TestFuzzPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := lbl.Validate(dg, schedule.Options{}); err != nil {
+			if err := check.Timeline(m, dg, schedule.LayerByLayer, lbl, check.Options{}); err != nil {
 				t.Fatalf("lbl invalid: %v", err)
 			}
 			xinf, err := schedule.Schedule(dg, schedule.CrossLayer, schedule.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := xinf.Validate(dg, schedule.Options{}); err != nil {
+			if err := check.Timeline(m, dg, schedule.CrossLayer, xinf, check.Options{}); err != nil {
 				t.Fatalf("xinf invalid: %v", err)
 			}
 			if xinf.Makespan > lbl.Makespan {
@@ -133,7 +134,7 @@ func TestFuzzPipeline(t *testing.T) {
 				if err != nil {
 					t.Fatalf("schedule %v: %v", p, err)
 				}
-				if err := want.Validate(dg, schedule.Options{}); err != nil {
+				if err := check.Timeline(m, dg, p, want, check.Options{}); err != nil {
 					t.Fatalf("%v invalid: %v", p, err)
 				}
 				res, err := sim.Run(arch, dg, m, p, nil)

@@ -154,6 +154,10 @@ func (t *Timeline) Equal(o *Timeline) bool {
 // dependency (plus edge cost) is respected, the activity accounting
 // matches, and the policy's admission window holds (no layer starts
 // before every layer Window positions back has completed).
+//
+// No library code calls it: check.Timeline enforces every rule here and
+// is the Engine's checker. It is kept for clsabench's traced replay
+// until that moves off it (ROADMAP item 7).
 func (t *Timeline) Validate(dg *deps.Graph, opt Options) error {
 	csr := dg.CSR
 	if t.NumLayers() != len(dg.Plan.Layers) || len(t.ReplicaActive) != len(dg.Plan.Layers) {

@@ -15,27 +15,39 @@ import (
 
 // TestWithValidationAcceptsAllModes: validation-on evaluation succeeds
 // across the policy family, mapping knobs, and data-movement costs —
-// i.e. the checker agrees with the scheduler on real workloads.
+// i.e. the checker agrees with the scheduler on real workloads. The
+// rows cover every Engine path that builds a timeline, since a
+// validating Engine is the only one that checks it.
 func TestWithValidationAcceptsAllModes(t *testing.T) {
-	eng, err := New(WithValidation(), WithConfig(Config{TargetSets: 12}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []Request{
-		{Model: "tinyconvnet", Mode: ModeLayerByLayer},
-		{Model: "tinyconvnet", Mode: ModeWindow(2)},
-		{Model: "tinybranchnet", Mode: ModeCrossLayer, ExtraPEs: 6, WeightDuplication: true},
-		{Model: "tinyyolov4", Mode: ModeCrossLayer, ExtraPEs: 16, WeightDuplication: true},
+	coarse := MustNew(WithValidation(), WithConfig(Config{TargetSets: 12}))
+	fine := MustNew(WithValidation()) // the default fine granularity
+	for _, tc := range []struct {
+		eng *Engine
+		req Request
+	}{
+		{coarse, Request{Model: "tinyconvnet", Mode: ModeLayerByLayer}},
+		{coarse, Request{Model: "tinyconvnet", Mode: ModeWindow(2)}},
+		{coarse, Request{Model: "tinybranchnet", Mode: ModeCrossLayer, ExtraPEs: 6, WeightDuplication: true}},
+		{coarse, Request{Model: "tinyyolov4", Mode: ModeCrossLayer, ExtraPEs: 16, WeightDuplication: true}},
 		// Repeated request: served from the timeline cache, exercising
 		// the validate-once memoization path.
-		{Model: "tinyconvnet", Mode: ModeLayerByLayer},
+		{coarse, Request{Model: "tinyconvnet", Mode: ModeLayerByLayer}},
+		// No duplication: served as an F-view of the x = 0 compilation,
+		// whose mapping reports the larger F.
+		{coarse, Request{Model: "tinyconvnet", Mode: ModeCrossLayer, ExtraPEs: 8}},
+		// The scored solver, with a small candidate budget.
+		{coarse, Request{Model: "tinyconvnet", Mode: ModeCrossLayer, ExtraPEs: 6, WeightDuplication: true,
+			Solver: "search", SolverBudget: 4}},
+		{fine, Request{Model: "tinyyolov4", Mode: ModeLayerByLayer, ExtraPEs: 32, WeightDuplication: true}},
+		{fine, Request{Model: "tinyyolov4", Mode: ModeWindow(4), ExtraPEs: 32, WeightDuplication: true}},
+		{fine, Request{Model: "tinyyolov4", Mode: ModeCrossLayer, ExtraPEs: 32, WeightDuplication: true}},
 	} {
-		ev, err := eng.Evaluate(context.Background(), req)
+		ev, err := tc.eng.Evaluate(context.Background(), tc.req)
 		if err != nil {
-			t.Fatalf("%s %s: %v", req.Model, req.Mode, err)
+			t.Fatalf("%+v: %v", tc.req, err)
 		}
 		if ev.Result.MakespanCycles <= 0 {
-			t.Fatalf("%s %s: empty result", req.Model, req.Mode)
+			t.Fatalf("%+v: empty result", tc.req)
 		}
 	}
 }
@@ -80,10 +92,11 @@ func TestWithValidationVirtualized(t *testing.T) {
 }
 
 // TestValidatingTimelineRunsCheck: Compiled.timeline is where a
-// validating Engine runs check.Timeline. Two replica groups of one
-// layer made to share a PE pass Timeline.Validate, which checks each
-// replica on its own, but not check.Timeline's exclusivity pass: the
-// request fails with validation on and is served with it off.
+// validating Engine runs check.Timeline, and the only check a timeline
+// gets. Two replica groups of one layer made to share a PE schedule
+// fine — the scheduler orders each replica on its own — but fail
+// check.Timeline's exclusivity pass: the request fails with validation
+// on and is served with it off.
 func TestValidatingTimelineRunsCheck(t *testing.T) {
 	ctx := context.Background()
 	req := Request{Model: "tinyconvnet", Mode: ModeLayerByLayer, ExtraPEs: 8, WeightDuplication: true}
