@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	clsacim "clsacim"
 	"clsacim/internal/bench"
@@ -28,6 +29,7 @@ import (
 	"clsacim/internal/schedule"
 	"clsacim/internal/sets"
 	"clsacim/internal/sim"
+	"clsacim/internal/stream"
 
 	"clsacim/internal/cim"
 )
@@ -573,6 +575,70 @@ func BenchmarkStreamThroughput(b *testing.B) {
 		b.ReportMetric(res.ThroughputPerSec, "inf/s")
 		b.ReportMetric(res.ThroughputPerSec/single, "gain")
 	}
+}
+
+// BenchmarkStreamScenarios times the stream scheduler like for like
+// with Stage IV. One sub-benchmark per BENCH_stream scenario serves
+// its 16 xinf inferences on a warm Engine (no compiles) and reports
+// the cost per inference in ms/inf. The c1-stageIV row schedules one
+// compilation (TinyYOLOv4 wdup+32, fine granularity) both ways: as a
+// closed-loop stream of 16 inferences with one in flight, and as 16
+// single-inference schedule.Schedule passes. It reports the stream's
+// ms/inf and its per-inference cost over Stage IV's (x-stageIV).
+func BenchmarkStreamScenarios(b *testing.B) {
+	eng := clsacim.MustNew()
+	var singleRate float64
+	for _, sc := range bench.StreamScenarios {
+		req, err := sc.Request(nil, 42, singleRate)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.EvaluateStream(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if singleRate == 0 {
+			singleRate = res.PerModel[0].SingleRatePerSec
+		}
+		b.Run(sc.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.EvaluateStream(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*req.Inferences), "ms/inf")
+		})
+	}
+	b.Run("c1-stageIV", func(b *testing.B) {
+		m, dg, _ := stageIVWorkload(b)
+		const n = 16
+		w := stream.Workload{
+			FabricPEs:   m.F,
+			Models:      []stream.ModelSpec{{Graph: dg, Mapping: m, Policy: schedule.CrossLayer}},
+			Sequence:    make([]int, n),
+			Concurrency: 1,
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var streamNs, stageIVNs int64
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			if _, err := stream.Run(w, stream.Options{DropTimelines: true}); err != nil {
+				b.Fatal(err)
+			}
+			t1 := time.Now()
+			for k := 0; k < n; k++ {
+				if _, err := schedule.Schedule(dg, schedule.CrossLayer, schedule.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			streamNs += t1.Sub(t0).Nanoseconds()
+			stageIVNs += time.Since(t1).Nanoseconds()
+		}
+		b.ReportMetric(float64(streamNs)/1e6/float64(b.N*n), "ms/inf")
+		b.ReportMetric(float64(streamNs)/float64(stageIVNs), "x-stageIV")
+	})
 }
 
 // Example output helper: the benchmarks above are silent; this example

@@ -66,29 +66,47 @@ func TestBatchDegradesPerRequest(t *testing.T) {
 }
 
 // TestStreamDeadlineStopsEventLoop: a warm stream far longer than its
-// deadline must stop inside the stream event loop, not after it, so the
-// request gives up its admission slot on time.
+// deadline must stop inside the stream scheduler, not after it, so the
+// request gives up its admission slot on time. Both schedulers are
+// covered: a disjoint-pool stream takes the job-by-job Stage IV path,
+// and a two-model shared pool keeps the event loop.
 func TestStreamDeadlineStopsEventLoop(t *testing.T) {
-	e, err := New()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		models []StreamModel
+		shared bool
+	}{
+		{"disjoint", []StreamModel{{Model: "tinyyolov4", WeightDuplication: true, ExtraPEs: 32}}, false},
+		{"shared-pool", []StreamModel{
+			{Model: "tinyyolov4", WeightDuplication: true, ExtraPEs: 16},
+			{Model: "tinyyolov3", WeightDuplication: true, ExtraPEs: 16},
+		}, true},
 	}
-	req := StreamRequest{
-		Models:     []StreamModel{{Model: "tinyyolov4", WeightDuplication: true, ExtraPEs: 32}},
-		Inferences: 1,
-		Mode:       ModeCrossLayer,
-		Arrival:    ArrivalProcess{Kind: "closed", Concurrency: 4},
-	}
-	if _, err := e.EvaluateStream(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	req.Inferences, req.TimeoutMillis = 300, 5
-	start := time.Now()
-	_, err = e.EvaluateStream(context.Background(), req)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("a 5 ms deadline returned after %v", d)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := StreamRequest{
+				Models:     tc.models,
+				Inferences: 1,
+				Mode:       ModeCrossLayer,
+				Arrival:    ArrivalProcess{Kind: "closed", Concurrency: 4},
+				SharedPool: tc.shared,
+			}
+			if _, err := e.EvaluateStream(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			req.Inferences, req.TimeoutMillis = 300, 5
+			start := time.Now()
+			_, err = e.EvaluateStream(context.Background(), req)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			if d := time.Since(start); d > 500*time.Millisecond {
+				t.Fatalf("a 5 ms deadline returned after %v", d)
+			}
+		})
 	}
 }

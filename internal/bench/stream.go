@@ -37,6 +37,19 @@ type StreamPoint struct {
 	PEUtilization    float64 `json:"pe_utilization"`
 }
 
+// StreamScenario is one streaming workload: its resident models (each
+// with X extra PEs, spent on duplication under Wdup), its arrival kind
+// and closed-loop population, and whether the models share one pool.
+type StreamScenario struct {
+	Name        string
+	Models      []string
+	X           int
+	Wdup        bool
+	Arrival     string
+	Concurrency int
+	Shared      bool
+}
+
 // StreamScenarios are the streaming workloads of the BENCH_stream
 // experiment: a closed-loop concurrency sweep establishing how deep the
 // fabric pipelines, one open-loop Poisson point, and a shared-pool
@@ -48,21 +61,47 @@ type StreamPoint struct {
 // pipeline. Rates for the open-loop point are
 // derived from the measured single-inference rate, so the scenario list
 // stays meaningful across granularities.
-var StreamScenarios = []struct {
-	Name        string
-	Models      []string
-	X           int
-	Wdup        bool
-	Arrival     string
-	Concurrency int
-	Shared      bool
-}{
+var StreamScenarios = []StreamScenario{
 	{"closed-c1", []string{"tinyyolov4"}, 32, true, "closed", 1, false},
 	{"closed-c2", []string{"tinyyolov4"}, 32, true, "closed", 2, false},
 	{"closed-c4", []string{"tinyyolov4"}, 32, true, "closed", 4, false},
 	{"closed-c8", []string{"tinyyolov4"}, 32, true, "closed", 8, false},
 	{"poisson-2x", []string{"tinyyolov4"}, 32, true, "poisson", 0, false},
 	{"shared-2model", []string{"tinyyolov4", "tinyyolov3"}, 16, true, "closed", 4, true},
+}
+
+// Request is the scenario's stream request of streamInferences xinf
+// inferences; base, when non-nil, is every model's Config. Open-loop
+// (Poisson) arrivals are seeded with seed and offered at twice
+// singleRate, the serial rate of the first (closed-loop, one in
+// flight) scenario: the open loop only keeps up because inferences
+// pipeline.
+func (sc StreamScenario) Request(base *clsacim.Config, seed uint64, singleRate float64) (clsacim.StreamRequest, error) {
+	req := clsacim.StreamRequest{
+		Inferences: streamInferences,
+		Mode:       clsacim.ModeCrossLayer,
+		SharedPool: sc.Shared,
+	}
+	for _, m := range sc.Models {
+		req.Models = append(req.Models, clsacim.StreamModel{
+			Model:             m,
+			ExtraPEs:          sc.X,
+			WeightDuplication: sc.Wdup,
+			Config:            base,
+		})
+	}
+	switch sc.Arrival {
+	case "closed":
+		req.Arrival = clsacim.ArrivalProcess{Kind: "closed", Concurrency: sc.Concurrency}
+	case "poisson":
+		if singleRate <= 0 {
+			return req, fmt.Errorf("bench: stream scenario %s needs a measured single rate first", sc.Name)
+		}
+		req.Arrival = clsacim.ArrivalProcess{Kind: "poisson", Seed: seed, RatePerSec: 2 * singleRate}
+	default:
+		return req, fmt.Errorf("bench: stream scenario %s has unknown arrival %q", sc.Name, sc.Arrival)
+	}
+	return req, nil
 }
 
 // streamInferences is the per-scenario stream length: long enough for
@@ -77,31 +116,9 @@ func (h *Harness) RunStream() ([]StreamPoint, error) {
 	// comes from the first scenario's result rather than a separate run.
 	var singleRate float64
 	for _, sc := range StreamScenarios {
-		req := clsacim.StreamRequest{
-			Inferences: streamInferences,
-			Mode:       clsacim.ModeCrossLayer,
-			SharedPool: sc.Shared,
-		}
-		for _, m := range sc.Models {
-			req.Models = append(req.Models, clsacim.StreamModel{
-				Model:             m,
-				ExtraPEs:          sc.X,
-				WeightDuplication: sc.Wdup,
-				Config:            &h.Base,
-			})
-		}
-		switch sc.Arrival {
-		case "closed":
-			req.Arrival = clsacim.ArrivalProcess{Kind: "closed", Concurrency: sc.Concurrency}
-		case "poisson":
-			if singleRate <= 0 {
-				return nil, fmt.Errorf("bench: stream scenario %s needs a measured single rate first", sc.Name)
-			}
-			// Offered load at twice the serial capacity: the open loop
-			// only keeps up because inferences pipeline.
-			req.Arrival = clsacim.ArrivalProcess{Kind: "poisson", Seed: 42, RatePerSec: 2 * singleRate}
-		default:
-			return nil, fmt.Errorf("bench: stream scenario %s has unknown arrival %q", sc.Name, sc.Arrival)
+		req, err := sc.Request(&h.Base, 42, singleRate)
+		if err != nil {
+			return nil, err
 		}
 		res, err := h.eng.EvaluateStream(context.Background(), req)
 		if err != nil {

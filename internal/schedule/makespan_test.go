@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"clsacim/internal/deps"
@@ -86,5 +87,52 @@ func TestMakespanRejectsBadInput(t *testing.T) {
 	bad[0] = 0
 	if _, err := s.Makespan(dg, bad, CrossLayer, nil); err == nil {
 		t.Error("zero duplication accepted")
+	}
+}
+
+// TestJobExtendsSchedule: a job released at cycle 0 on replicas free
+// from cycle 0 is Schedule's timeline, and reusing its timeline for a
+// second job released at the first one's end, on the replica free
+// times the first left, shifts it by exactly that end (the replicas
+// are all idle by then). Job rejects free times or a timeline shaped
+// after another graph.
+func TestJobExtendsSchedule(t *testing.T) {
+	_, _, dg := compileDeps(t, models.TinyBranchNet, 16, 4, 4)
+	reps := 0
+	for _, ls := range dg.Plan.Layers {
+		reps += ls.Group.Dup
+	}
+	var s Scratch
+	for _, p := range []Policy{LayerByLayer, Windowed(2), CrossLayer} {
+		want, err := Schedule(dg, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		free := make([]int64, reps)
+		tl := NewTimeline(dg, p)
+		start, end, err := s.Job(dg, p, nil, 0, free, tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tl.Equal(want) || start != 0 || end != want.Makespan {
+			t.Fatalf("%v: first job (start %d, end %d) differs from Schedule (makespan %d)", p, start, end, want.Makespan)
+		}
+		if start, end, err = s.Job(dg, p, nil, want.Makespan, free, tl); err != nil {
+			t.Fatal(err)
+		}
+		if start != want.Makespan || end != 2*want.Makespan || !slices.Equal(tl.ReplicaActive[0], want.ReplicaActive[0]) {
+			t.Fatalf("%v: second job (start %d, end %d), want [%d, %d]", p, start, end, want.Makespan, 2*want.Makespan)
+		}
+		for id, st := range tl.Items {
+			if st != want.Items[id]+want.Makespan {
+				t.Fatalf("%v: second job set %d starts at %d, want %d", p, id, st, want.Items[id]+want.Makespan)
+			}
+		}
+	}
+	if _, _, err := s.Job(dg, CrossLayer, nil, 0, make([]int64, reps-1), NewTimeline(dg, CrossLayer)); err == nil {
+		t.Error("short free-time vector accepted")
+	}
+	if _, _, err := s.Job(dg, CrossLayer, nil, 0, make([]int64, reps), &Timeline{}); err == nil {
+		t.Error("timeline of another shape accepted")
 	}
 }

@@ -29,6 +29,7 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"clsacim/internal/deps"
@@ -58,7 +59,7 @@ func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
 	}
 	t := NewTimeline(dg, p)
 	s := scratchPool.Get().(*Scratch)
-	t.Makespan = s.run(dg, nil, p, opt.EdgeCost, t)
+	t.Makespan = s.run(dg, nil, p, opt.EdgeCost, 0, t)
 	scratchPool.Put(s)
 	return t, nil
 }
@@ -73,6 +74,9 @@ type Scratch struct {
 	end       []int64
 	ready     []int64
 	prefixEnd []int64
+	// free is the unconsumed rest of Job's replica free times while Job
+	// runs, nil otherwise.
+	free []int64
 }
 
 // scratchPool recycles Schedule's working memory, so a steady stream
@@ -99,7 +103,55 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 			return 0, fmt.Errorf("schedule: layer %d duplication %d < 1", li, d)
 		}
 	}
-	return s.run(dg, dup, p, edge, nil), nil
+	return s.run(dg, dup, p, edge, 0, nil), nil
+}
+
+// Job schedules one inference of a stream of back-to-back inferences
+// of dg on replica groups that serve nothing else: the Stage IV
+// recurrence with two more terms per set, the job's release (no set
+// starts before it) and its replica's free time left by the previous
+// inference. free[g] is the free time of replica group g, numbered
+// layer-major (layer li's Group.Dup groups follow layer li-1's, as in
+// Dispatch); Job reads it and leaves each group's last finish there
+// for the next inference. Job overwrites t, a timeline shaped after dg
+// (NewTimeline) that may be reused across jobs, with the job's starts,
+// activity rows and last finish, and returns the job's earliest start
+// and last finish.
+//
+// Scheduling a stream's jobs one after another in issue order is exact
+// when every replica group serves its jobs FIFO in issue order and
+// shares no PE with another group: no resource is then ever
+// arbitrated, so each set's start is the max-plus recurrence above.
+func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, free []int64, t *Timeline) (start, end int64, err error) {
+	if err := checkInputs(dg); err != nil {
+		return 0, 0, err
+	}
+	reps := 0
+	for _, ls := range dg.Plan.Layers {
+		reps += ls.Group.Dup
+	}
+	if len(free) != reps {
+		return 0, 0, fmt.Errorf("schedule: %d replica free times, plan has %d replica groups", len(free), reps)
+	}
+	if t == nil || len(t.Items) != dg.CSR.NumSets() {
+		return 0, 0, fmt.Errorf("schedule: job timeline is not shaped after the dependency graph")
+	}
+	for _, row := range t.ReplicaActive {
+		clear(row)
+	}
+	s.free = free
+	t.Makespan = s.run(dg, nil, p, edge, release, t)
+	s.free = nil
+	// A replica runs its sets in raster order, so a layer's earliest
+	// start is among its first Group.Dup sets.
+	start = math.MaxInt64
+	for li := range dg.Plan.Layers {
+		starts := t.ItemsOf(li)
+		for _, st := range starts[:min(len(starts), len(t.ReplicaActive[li]))] {
+			start = min(start, st)
+		}
+	}
+	return start, t.Makespan, nil
 }
 
 func checkInputs(dg *deps.Graph) error {
@@ -109,21 +161,23 @@ func checkInputs(dg *deps.Graph) error {
 	return nil
 }
 
-// run is the Stage IV recursion shared by Schedule and Makespan. Layer
-// li has dup[li] replicas (the plan's Group.Dup when dup is nil). When
-// t is non-nil every set's start and the activity counters are
-// recorded into it; the makespan is returned either way.
-func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *Timeline) int64 {
+// run is the Stage IV recursion shared by Schedule, Makespan and Job.
+// Layer li has dup[li] replicas (the plan's Group.Dup when dup is nil).
+// No set starts before release, and each replica's sets start no
+// earlier than its ready time from layerReady. When t is non-nil every
+// set's start and the activity counters are recorded into it; the
+// makespan is returned either way.
+func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, release int64, t *Timeline) int64 {
 	csr := dg.CSR
 	k := p.Window()
 	nl := len(dg.Plan.Layers)
 	s.end = grow(s.end, csr.NumSets())
 	end := s.end
-	// prefixEnd[i] is the max end over layers [0, i): the admission
-	// gate of layer li is prefixEnd[li-k+1].
+	// prefixEnd[i] is the max end over layers [0, i), and at least the
+	// release: the admission gate of layer li is prefixEnd[li-k+1].
 	s.prefixEnd = grow(s.prefixEnd, nl+1)
 	prefixEnd := s.prefixEnd
-	prefixEnd[0] = 0
+	prefixEnd[0] = release
 	// At window 1 with idealized edges every predecessor (always in an
 	// earlier layer) finishes no later than the gate, so the dependency
 	// scan is provably redundant.
@@ -134,15 +188,11 @@ func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *T
 		if dup != nil {
 			d = dup[li]
 		}
-		var gate int64
+		gate := prefixEnd[0]
 		if k < nl && li >= k {
 			gate = prefixEnd[li-k+1]
 		}
-		s.ready = grow(s.ready, d)
-		ready := s.ready
-		for i := range ready {
-			ready[i] = gate
-		}
+		ready := s.layerReady(d, gate)
 		base := int(csr.LayerOff[li])
 		var active []int64
 		if t != nil {
@@ -191,6 +241,26 @@ func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, t *T
 		}
 	}
 	return makespan
+}
+
+// layerReady returns the ready times of the next layer's d replicas,
+// none earlier than gate. Outside Job every replica is free from the
+// start; inside, the layer's replicas are the next d entries of the
+// caller's free times, which receive the replicas' finishes.
+func (s *Scratch) layerReady(d int, gate int64) []int64 {
+	if s.free == nil {
+		s.ready = grow(s.ready, d)
+		for i := range s.ready {
+			s.ready[i] = gate
+		}
+		return s.ready
+	}
+	ready := s.free[:d]
+	s.free = s.free[d:]
+	for i, f := range ready {
+		ready[i] = max(f, gate)
+	}
+	return ready
 }
 
 // grow returns b resized to n, reallocating only when it is too small.

@@ -23,9 +23,10 @@ var update = flag.Bool("update", false, "rewrite the per-job stream goldens unde
 // TestGoldenJobTimings pins every job's (Start, End) and a hash of every
 // item start across the engine's scheduling situations: the three
 // policy families, closed and Poisson arrivals, an admission gate, a
-// shared two-model pool, a non-nil edge cost, and weight-duplicated
-// mappings whose replica groups wake one another. The event loop is
-// free to do less work per event, never to move a set. Each case also
+// shared two-model pool (the event loop's workload; every other case
+// takes the Stage IV recurrence), a non-nil edge cost, and
+// weight-duplicated mappings whose replica groups wake one another.
+// Either scheduler is free to do less work, never to move a set. Each case also
 // reruns under DropTimelines, which must change nothing but Timelines.
 //
 // Regenerate after an intentional timing change with

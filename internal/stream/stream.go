@@ -8,25 +8,14 @@
 // therefore measured as completed inferences per unit time, not as
 // 1/makespan of a single inference.
 //
-// The engine is a discrete-event simulator in the style of internal/sim,
-// generalized across inferences ("jobs") and models:
+// Every run follows the same rules, whichever scheduler computes it:
 //
-//   - Every job instantiates the shared, immutable Stage III dispatch
-//     plan (schedule.Dispatch) of its model — round-robin in raster
-//     order, the same for every policy — and keeps only per-job
-//     cursors, dependency counters, and window state: 12 bytes per set
-//     (an unmet-dependency count, and a ready time that becomes the
-//     set's start time once it starts). The state is taken from a
-//     per-model free list when the job is admitted and returned to it
-//     when the job retires, so memory scales with the jobs in flight,
-//     not with the jobs served.
 //   - Each replica PE group is a physical resource serving the jobs of
-//     its model strictly FIFO in per-model issue order: a group starts
-//     inference j+1's sets only after finishing its share of inference
-//     j. This flow-shop discipline keeps per-model completions in issue
-//     order (which the admission gate relies on) and is deadlock-free —
-//     a blocked group only ever waits on a *busy* resource, and busy
-//     resources always complete.
+//     its model strictly FIFO in per-model issue order, each job's sets
+//     in Stage III's round-robin raster order: a group starts inference
+//     j+1's sets only after finishing its share of inference j. This
+//     flow-shop discipline keeps per-model completions in issue order,
+//     which the admission gate relies on.
 //   - Within a job, the policy's admission window (1 for lbl, K for
 //     xK, unbounded for xinf) applies unchanged; across jobs of one
 //     model an admission gate bounds the number in flight
@@ -35,18 +24,44 @@
 //     ranges) conflict wherever their replica groups share a physical
 //     PE: a group may not start while a conflicting group is busy.
 //
-// The engine is greedy: after every event, every group whose head set
-// can start has started. A head becomes startable only when its last
-// dependency completes, its layer's gate opens, its group or a
-// conflicting group frees, or its FIFO head changes, so a completion
-// wakes a successor's group only once that successor is ready.
+// Run takes one of two schedulers:
+//
+//   - Conflict-free workloads — one model, or models on disjoint PE
+//     ranges, which is every workload but a SharedPool of two or more
+//     models — are scheduled job by job in issue order by Stage IV
+//     itself (schedule.Scratch.Job). No resource is ever arbitrated
+//     there, so a set's start is a max-plus recurrence: the latest of
+//     its replica's previous finish (carried from job to job), its
+//     dependencies' finishes plus edge cost, its layer's window gate,
+//     and its job's admission. Admission is the later of the arrival
+//     and the end of the model's job k-MaxInFlight; closed-loop
+//     arrivals are the retirements in time order, popped from a
+//     min-heap of job ends. The queue trace and
+//     the PE activity follow from the job lifecycles.
+//   - Shared pools keep a discrete-event loop in the style of
+//     internal/sim. Every job instantiates its model's immutable Stage
+//     III dispatch plan (schedule.Dispatch) and keeps only per-job
+//     cursors, dependency counters and window state: 12 bytes per set,
+//     taken from a per-model free list at admission and returned at
+//     retirement, so memory scales with the jobs in flight. The loop is
+//     greedy: after every event, every group whose head set can start
+//     has started. A head becomes startable only when its last
+//     dependency completes, its layer's gate opens, its group or a
+//     conflicting group frees, or its FIFO head changes. The loop is
+//     deadlock-free: a blocked group only ever waits on a busy
+//     resource, and busy resources always complete.
+//
+// On conflict-free workloads the two schedulers return deep-equal
+// results (FuzzStreamListVsEvents): a greedy flow shop without
+// arbitration starts every set at the latest of the same terms the
+// recurrence takes. Both poll Options.Context, the recurrence once per
+// job and the event loop every few thousand events.
 //
 // The oracle for all of this is check.Stream, which revalidates every
 // per-job timeline plus the cross-inference invariants from scratch.
 // This package does not call it: callers that want the check (the
 // clsacim Engine under WithValidation, and this package's tests) run it
-// on Result.Timelines. A job's timeline is built once, when the job
-// retires, unless Options.DropTimelines is set.
+// on Result.Timelines, which Options.DropTimelines leaves nil.
 package stream
 
 import (
@@ -101,8 +116,9 @@ type Options struct {
 	// DropTimelines leaves Result.Timelines nil for callers that read
 	// only the lifecycle stats.
 	DropTimelines bool
-	// Context, when non-nil, cancels the run: the event loop polls it
-	// every few thousand events and returns its error.
+	// Context, when non-nil, cancels the run: the scheduler polls it
+	// once per job (conflict-free workloads) or every few thousand
+	// events (shared pools) and returns its error.
 	Context context.Context
 }
 
@@ -252,8 +268,10 @@ func Run(w Workload, opt Options) (*Result, error) {
 	if err := validate(w, opt); err != nil {
 		return nil, err
 	}
-	e := newEngine(w, opt)
-	return e.run()
+	if conflictFree(w.Models) {
+		return runList(w, opt)
+	}
+	return newEngine(w, opt).run()
 }
 
 func validate(w Workload, opt Options) error {

@@ -437,6 +437,10 @@ func TestStreamRejectsInvalidRequests(t *testing.T) {
 	}{
 		{"unknown model", `{"models": [{"model": "no-such-net"}], "inferences": 1}`, http.StatusNotFound},
 		{"no inferences", `{"models": [{"model": "tinyconvnet"}]}`, http.StatusBadRequest},
+		// Far past the stream length cap: rejected before the job
+		// records are allocated, not a fatal out-of-memory.
+		{"too many inferences", `{"models": [{"model": "tinyyolov4"}], "inferences": 2000000000,
+			"timeout_ms": 2000}`, http.StatusBadRequest},
 		{"bad arrival kind", `{"models": [{"model": "tinyconvnet"}], "inferences": 1,
 			"arrival": {"kind": "zipf"}}`, http.StatusBadRequest},
 		{"malformed", `{"models": `, http.StatusBadRequest},

@@ -39,6 +39,14 @@ type ArrivalProcess struct {
 	Concurrency int `json:"concurrency,omitempty"`
 }
 
+// maxStreamInferences caps StreamRequest.Inferences. A stream's
+// per-job records grow with its length before any scheduling starts,
+// so an unbounded count lets one request exhaust the process's memory
+// (a fatal runtime error no panic recovery catches). The largest stream
+// the repository runs serves 300 inferences. The request limits of
+// ROADMAP item 1 will absorb this cap.
+const maxStreamInferences = 65536
+
 const (
 	arrivalClosed  = "closed"
 	arrivalPoisson = "poisson"
@@ -118,7 +126,8 @@ func (s StreamModel) request(r StreamRequest) Request {
 //	 "mode": "xinf", "arrival": {"kind": "closed", "concurrency": 4}}
 type StreamRequest struct {
 	Models []StreamModel `json:"models"`
-	// Inferences is the total number of requests to serve.
+	// Inferences is the total number of requests to serve, at most
+	// 65536.
 	Inferences int `json:"inferences"`
 	// Arrival selects the arrival process (default: closed loop,
 	// concurrency 1).
@@ -168,6 +177,9 @@ func (r StreamRequest) validate(base Config) ([]*Model, error) {
 	}
 	if r.Inferences <= 0 {
 		return nil, fmt.Errorf("%w: stream request needs a positive inference count, have %d", ErrInvalidConfig, r.Inferences)
+	}
+	if r.Inferences > maxStreamInferences {
+		return nil, fmt.Errorf("%w: stream request asks for %d inferences, limit %d", ErrInvalidConfig, r.Inferences, maxStreamInferences)
 	}
 	if r.MaxInFlight < 0 {
 		return nil, fmt.Errorf("%w: stream request has negative MaxInFlight %d", ErrInvalidConfig, r.MaxInFlight)

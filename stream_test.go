@@ -2,6 +2,7 @@ package clsacim
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -175,6 +176,31 @@ func TestEvaluateStreamRejectsBadRequests(t *testing.T) {
 		if _, err := e.EvaluateStream(context.Background(), tc.req); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// A stream longer than maxStreamInferences fails at the request gate
+// with ErrInvalidConfig, before it compiles anything or allocates its
+// per-inference records; the cap itself passes the gate.
+func TestEvaluateStreamRejectsOversizedStream(t *testing.T) {
+	req := StreamRequest{Models: []StreamModel{{Model: "tinyyolov4"}}, Inferences: maxStreamInferences}
+	if err := req.Validate(); err != nil {
+		t.Fatalf("a stream at the cap was rejected: %v", err)
+	}
+	// Checked before the oversized evaluation below, which without the
+	// cap would try to allocate 16 GB.
+	req.Inferences = maxStreamInferences + 1
+	if err := req.Validate(); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("one over the cap: got %v, want ErrInvalidConfig", err)
+	}
+	e := MustNew()
+	req.Inferences, req.TimeoutMillis = 2_000_000_000, 2000
+	_, err := e.EvaluateStream(context.Background(), req)
+	if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "limit 65536") {
+		t.Fatalf("got %v, want ErrInvalidConfig naming the limit", err)
+	}
+	if st := e.Stats(); st.Compiles != 0 {
+		t.Errorf("a rejected stream compiled %d models", st.Compiles)
 	}
 }
 
