@@ -399,7 +399,8 @@ func BenchmarkStageIV(b *testing.B) {
 
 // BenchmarkCheckTimeline measures the engine-independent invariant
 // checker on the BenchmarkStageIV timelines: the price WithValidation
-// adds, once per timeline, where Compiled.timeline first builds it.
+// adds, once per (compilation, mode), where Compiled.makespan builds
+// the timeline it checks.
 func BenchmarkCheckTimeline(b *testing.B) {
 	m, dg, _ := stageIVWorkload(b)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
@@ -475,9 +476,9 @@ func BenchmarkSimulateCoarse(b *testing.B) {
 }
 
 // BenchmarkScheduleCrossLayer measures Stage III/IV scheduling through
-// the facade. Compiled caches validated timelines per mode, so this now
-// measures the cached path (report assembly + metrics); BenchmarkStageIV
-// above measures the raw scheduler.
+// the facade. Compiled caches the makespan per mode, so this measures
+// the cached path (report assembly + metrics); BenchmarkStageIV above
+// measures the raw scheduler.
 func BenchmarkScheduleCrossLayer(b *testing.B) {
 	m, err := clsacim.LoadModel("tinyyolov4", clsacim.ModelOptions{})
 	if err != nil {
@@ -496,8 +497,8 @@ func BenchmarkScheduleCrossLayer(b *testing.B) {
 }
 
 // BenchmarkReportDerivedMetrics measures the per-PE activity and the
-// buffer peak that a report derives from its cached timeline on the
-// same workload.
+// buffer peak that a report derives from its timeline, built on the
+// first call, on the same workload.
 func BenchmarkReportDerivedMetrics(b *testing.B) {
 	m, err := clsacim.LoadModel("tinyyolov4", clsacim.ModelOptions{})
 	if err != nil {

@@ -291,39 +291,58 @@ type Compiled struct {
 	ModelName string
 	cfg       Config
 	arch      cim.Config
-	graph     *nn.Graph
-	plan      *mapping.Plan
-	mapped    *mapping.Mapping
-	setsPlan  *sets.Plan
-	depGraph  *deps.Graph
-	dup       mapping.Solution
-	peMin     int
-	edgeCost  schedule.EdgeCostFn
+	// frontEnd is the canonical graph and im2col plan, possibly shared
+	// with the model's other compilations through an Engine's front-end
+	// tier; like the Stage II CSR it is never modified.
+	frontEnd
+	mapped   *mapping.Mapping
+	setsPlan *sets.Plan
+	depGraph *deps.Graph
+	dup      mapping.Solution
+	peMin    int
+	edgeCost schedule.EdgeCostFn
+	// layerActive and replicaActive are the busy cycles of every layer
+	// and replica PE group (schedule.Activity): the same in every mode,
+	// so Eq. 2 and the energy estimate need only the makespan besides.
+	layerActive   []int64
+	replicaActive [][]int64
 	// virtual is non-nil when the network does not fit (F < PEmin) and
 	// weight virtualization is active.
 	virtual *mapping.VirtualMapping
 	// check runs the internal/check invariant set on every timeline
-	// the compilation builds; an Engine built WithValidation sets it.
+	// the compilation schedules for its makespan; an Engine built
+	// WithValidation sets it.
 	check bool
 
 	// sched is the compilation's mutable scheduling state, shared by
 	// pointer between a base compilation and its derived F-views (see
-	// withExtraPEs), so all of them reuse one set of timelines.
+	// withExtraPEs), so all of them reuse one set of makespans.
 	sched *schedState
+}
+
+// frontEnd is the compile front end of a model: its canonical graph
+// (frontend.Canonicalize) and the im2col analysis of its base layers
+// (mapping.Analyze). Both are immutable once Analyze returns — the
+// duplication solvers, mapping.Apply, Stage I and Stage II only read
+// them — so one front end serves every compilation of the model on the
+// same crossbars and weight width.
+type frontEnd struct {
+	graph *nn.Graph
+	plan  *mapping.Plan
 }
 
 // schedState caches what scheduling derives from a compilation's
 // immutable Stage I-III artifacts.
 //
-// timelines caches checked schedules per canonical mode (foldMode). A
-// Compiled is immutable and shared through the Engine's compile cache,
-// so the schedule of a (compile key, mode) pair is computed and checked
-// once; sweeps that rescore the same baseline hit this cache. Per-PE
-// activity and the buffer peak are derived from a cached timeline on
-// demand (Report.PEActive, Report.PeakLiveElems).
+// makespans caches t_NN per canonical mode (foldMode). A Compiled is
+// immutable and shared through the Engine's compile cache, so the
+// makespan of a (compile key, mode) pair is computed (and, under
+// WithValidation, its timeline checked) once; sweeps that rescore the
+// same baseline hit this cache. No timeline is kept: a Report builds
+// its own on the first accessor that needs set starts.
 type schedState struct {
 	mu        sync.Mutex
-	timelines map[ScheduleMode]*schedule.Timeline
+	makespans map[ScheduleMode]int64
 }
 
 // Virtualized reports whether the compilation uses weight reloading
@@ -370,12 +389,35 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return compile(model, cfg, buildCSR)
+	return compile(model, cfg, buildFrontEnd, buildCSR)
+}
+
+// frontEndSource returns the front end of a model under a defaulted
+// cfg: buildFrontEnd builds it, an Engine's front-end tier shares one
+// per model, weight width and crossbar dims.
+type frontEndSource func(model *Model, cfg Config) (frontEnd, error)
+
+// buildFrontEnd is the frontEndSource of the one-shot Compile: it
+// builds the model's graph, canonicalizes it and analyzes its base
+// layers.
+func buildFrontEnd(model *Model, cfg Config) (frontEnd, error) {
+	g, err := model.graph()
+	if err != nil {
+		return frontEnd{}, fmt.Errorf("clsacim: building model %q: %w", model.Name, err)
+	}
+	if _, err := frontend.Canonicalize(g, frontend.Options{WeightBits: max(cfg.WeightBits, 0)}); err != nil {
+		return frontEnd{}, fmt.Errorf("clsacim: canonicalizing %q: %w", model.Name, err)
+	}
+	plan, err := mapping.Analyze(g, im2col.PEDims{Rows: cfg.PERows, Cols: cfg.PECols})
+	if err != nil {
+		return frontEnd{}, fmt.Errorf("clsacim: analyzing %q: %w", model.Name, err)
+	}
+	return frontEnd{graph: g, plan: plan}, nil
 }
 
 // csrSource returns the Stage II dependency CSR of a Stage I plan over
 // g: buildCSR runs Stage II, an Engine's graph tier shares one CSR per
-// model and set grid (Engine.sharedCSR).
+// model and set grid.
 type csrSource func(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error)
 
 // buildCSR is the csrSource of the one-shot Compile.
@@ -387,11 +429,12 @@ func buildCSR(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
 	return dg.CSR, nil
 }
 
-// compile is Compile on a validated cfg, taking Stage II from csrOf.
-// The CSR holds no mapping pointers, so a shared one serves every
-// compilation with the same grid; the deps.Graph pairs it with this
-// compilation's own Stage I plan, whose groups carry its Dup.
-func compile(model *Model, cfg Config, csrOf csrSource) (*Compiled, error) {
+// compile is Compile on a validated cfg, taking the front end from
+// frontOf and Stage II from csrOf. The CSR holds no mapping pointers,
+// so a shared one serves every compilation with the same grid; the
+// deps.Graph pairs it with this compilation's own Stage I plan, whose
+// groups carry its Dup.
+func compile(model *Model, cfg Config, frontOf frontEndSource, csrOf csrSource) (*Compiled, error) {
 	cfg = cfg.withDefaults()
 	scored := cfg.WeightDuplication && mapping.IsScored(cfg.Solver)
 	var solve mapping.Func
@@ -402,32 +445,21 @@ func compile(model *Model, cfg Config, csrOf csrSource) (*Compiled, error) {
 			return nil, err
 		}
 	}
-	g, err := model.graph()
+	fe, err := frontOf(model, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("clsacim: building model %q: %w", model.Name, err)
+		return nil, err
 	}
-	wb := cfg.WeightBits
-	if wb < 0 {
-		wb = 0
-	}
-	if _, err := frontend.Canonicalize(g, frontend.Options{WeightBits: wb}); err != nil {
-		return nil, fmt.Errorf("clsacim: canonicalizing %q: %w", model.Name, err)
-	}
-	pe := im2col.PEDims{Rows: cfg.PERows, Cols: cfg.PECols}
-	plan, err := mapping.Analyze(g, pe)
-	if err != nil {
-		return nil, fmt.Errorf("clsacim: analyzing %q: %w", model.Name, err)
-	}
+	g, plan := fe.graph, fe.plan
 	f := plan.MinPEs + cfg.ExtraPEs
 	if cfg.TotalPEs > 0 {
 		f = cfg.TotalPEs
 	}
 	arch := cim.Config{
 		NumPEs:             f,
-		PE:                 pe,
+		PE:                 plan.PE,
 		TMVMNanos:          cfg.TMVMNanos,
 		PEsPerTile:         cfg.PEsPerTile,
-		WeightBits:         wb,
+		WeightBits:         max(cfg.WeightBits, 0),
 		CellBits:           4,
 		InputBits:          8,
 		GPEUCyclesPerKElem: cfg.GPEUCyclesPerKElem,
@@ -480,21 +512,19 @@ func compile(model *Model, cfg Config, csrOf csrSource) (*Compiled, error) {
 	depGraph := &deps.Graph{Plan: setsPlan, CSR: csr}
 	c := &Compiled{
 		ModelName: model.Name,
-		sched: &schedState{
-			timelines: make(map[ScheduleMode]*schedule.Timeline),
-		},
-		cfg:      cfg,
-		arch:     arch,
-		graph:    g,
-		plan:     plan,
-		mapped:   mapped,
-		setsPlan: setsPlan,
-		depGraph: depGraph,
-		dup:      sol,
-		peMin:    plan.MinPEs,
-		virtual:  virtual,
+		sched:     &schedState{makespans: make(map[ScheduleMode]int64)},
+		cfg:       cfg,
+		arch:      arch,
+		frontEnd:  fe,
+		mapped:    mapped,
+		setsPlan:  setsPlan,
+		depGraph:  depGraph,
+		dup:       sol,
+		peMin:     plan.MinPEs,
+		virtual:   virtual,
 	}
 	c.edgeCost = edgeCostFn(arch, mapped)
+	c.layerActive, c.replicaActive = schedule.Activity(depGraph)
 	return c, nil
 }
 
@@ -504,7 +534,7 @@ func compile(model *Model, cfg Config, csrOf csrSource) (*Compiled, error) {
 // independent of how many idle extra PEs the architecture provides —
 // only the reported F, the Eq. 2 utilization denominator, and the Eq. 3
 // x differ. The view is a shallow copy with the PE count adjusted; the
-// scheduling state (the timeline cache) stays shared with the base, so
+// scheduling state (the makespan cache) stays shared with the base, so
 // a no-duplication ExtraPEs sweep compiles and schedules once.
 func (c *Compiled) withExtraPEs(x int) *Compiled {
 	v := *c
@@ -695,6 +725,13 @@ func (c *Compiled) NumDepEdges() int { return c.depGraph.NumEdges() }
 
 // Report holds the scheduling outcome and the paper's metrics for one
 // (mapping, scheduling) configuration.
+//
+// Every metric field needs only the makespan and each layer's active
+// cycles, so a Report carries no set-level timeline when it is made.
+// The accessors that read set starts (LayerSpans, RenderGantt,
+// CriticalPath, CriticalLayers, PeakLiveElems, WriteScheduleJSON)
+// build it on first use, with one Stage IV run, and share it after.
+// A Report is safe for concurrent use.
 type Report struct {
 	Model          string
 	Mode           ScheduleMode
@@ -714,8 +751,23 @@ type Report struct {
 	// the makespan (weight virtualization only).
 	ReloadCycles int64
 
-	sched *schedule.Timeline
-	comp  *Compiled
+	comp *Compiled
+	tl   *lazyTimeline
+}
+
+// lazyTimeline is a Report's set-level timeline, built on the first
+// call of Report.timeline.
+type lazyTimeline struct {
+	once sync.Once
+	t    *schedule.Timeline
+	err  error
+}
+
+// timeline returns the report's timeline, building it on the first
+// call (under the canonical mode, as the makespan was computed).
+func (r *Report) timeline() (*schedule.Timeline, error) {
+	r.tl.once.Do(func() { r.tl.t, r.tl.err = r.comp.timeline(r.comp.normalizeMode(r.Mode)) })
+	return r.tl.t, r.tl.err
 }
 
 // schedOptions returns the scheduling options of a mode: dependency
@@ -731,80 +783,100 @@ func (c *Compiled) schedOptions(mode ScheduleMode) schedule.Options {
 }
 
 // normalizeMode is foldMode for the compilation's layer count. It keeps
-// the timeline cache from computing x1 next to lbl, or x<large> next to
+// the makespan cache from computing x1 next to lbl, or x<large> next to
 // xinf.
 func (c *Compiled) normalizeMode(mode ScheduleMode) ScheduleMode {
 	return foldMode(mode, len(c.depGraph.Plan.Layers))
 }
 
-// timeline returns the execution timeline of the compilation under
-// mode, computing it at most once per canonical mode (the Compiled is
-// shared through the Engine's compile cache, so repeated requests — in
-// particular the layer-by-layer baseline of every evaluation — reuse
-// it). It is the one place a single-inference timeline is built,
-// checked and cached. Checking is opt-in, as for streams: when c.check
-// is set (WithValidation) the engine-independent check.Timeline runs
-// once, when the timeline is first built, and a timeline that fails is
-// never cached; otherwise nothing re-checks the scheduler's output.
+// timeline builds the set-level timeline of the compilation under a
+// canonical mode it can run. It caches nothing: Compiled.makespan and
+// Report.timeline call it.
 func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
+	if c.virtual != nil {
+		return schedule.LayerByLayerVirtual(c.depGraph, c.virtual.ReloadCycles)
+	}
+	return schedule.Schedule(c.depGraph, mode.p, c.schedOptions(mode))
+}
+
+// makespanScratch recycles the Stage IV working memory of makespan
+// passes.
+var makespanScratch = sync.Pool{New: func() any { return new(schedule.Scratch) }}
+
+// makespan returns t_NN of the compilation under mode, computing it at
+// most once per canonical mode (the Compiled is shared through the
+// Engine's compile cache, so repeated requests — in particular the
+// layer-by-layer baseline of every evaluation — reuse it). It is the
+// one place a single-inference schedule is computed, checked and
+// cached, by the makespan pass (schedule.Scratch.Makespan), which builds
+// no timeline. Checking is opt-in, as for streams: when c.check is set
+// (WithValidation) the timeline is built instead and the
+// engine-independent check.Timeline runs on it once, before its
+// makespan is cached, and a makespan whose timeline fails is never
+// cached; otherwise nothing re-checks the scheduler's output.
+// Virtualized compilations (F < PEmin) support only window-1
+// scheduling, and their reload-charging baseline has no makespan pass,
+// so they always build the timeline.
+func (c *Compiled) makespan(mode ScheduleMode) (int64, error) {
 	mode = c.normalizeMode(mode)
 	c.sched.mu.Lock()
-	cached, ok := c.sched.timelines[mode]
+	cached, ok := c.sched.makespans[mode]
 	c.sched.mu.Unlock()
 	if ok {
 		return cached, nil
 	}
-	var t *schedule.Timeline
-	var err error
-	opt := c.schedOptions(mode)
-	if c.virtual != nil {
-		if mode.Window() != 1 {
-			return nil, fmt.Errorf("clsacim: %q runs on %d < PEmin=%d PEs; cross-layer scheduling requires full weight residency",
-				c.ModelName, c.arch.NumPEs, c.peMin)
+	if c.virtual != nil && mode.Window() != 1 {
+		return 0, fmt.Errorf("clsacim: %q runs on %d < PEmin=%d PEs; cross-layer scheduling requires full weight residency",
+			c.ModelName, c.arch.NumPEs, c.peMin)
+	}
+	var ms int64
+	if c.check || c.virtual != nil {
+		t, err := c.timeline(mode)
+		if err != nil {
+			return 0, err
 		}
-		t, err = schedule.LayerByLayerVirtual(c.depGraph, c.virtual.ReloadCycles)
+		if c.check {
+			if err := check.Timeline(c.mapped, c.depGraph, t.Policy, t, check.Options{EdgeCost: c.schedOptions(mode).EdgeCost}); err != nil {
+				return 0, fmt.Errorf("clsacim: %q %s timeline failed validation: %w", c.ModelName, mode, err)
+			}
+		}
+		ms = t.Makespan
 	} else {
-		t, err = schedule.Schedule(c.depGraph, mode.p, opt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c.check {
-		if err := check.Timeline(c.mapped, c.depGraph, t.Policy, t, check.Options{EdgeCost: opt.EdgeCost}); err != nil {
-			return nil, fmt.Errorf("clsacim: %q %s timeline failed validation: %w", c.ModelName, mode, err)
+		sc := makespanScratch.Get().(*schedule.Scratch)
+		var err error
+		ms, err = sc.Makespan(c.depGraph, c.mapped.Dup, mode.p, c.schedOptions(mode).EdgeCost)
+		makespanScratch.Put(sc)
+		if err != nil {
+			return 0, err
 		}
 	}
 	c.sched.mu.Lock()
-	if prev, ok := c.sched.timelines[mode]; ok {
-		t = prev // a concurrent builder won the race; both are identical
-	} else {
-		c.sched.timelines[mode] = t
-	}
+	c.sched.makespans[mode] = ms // a concurrent computation stores the same value
 	c.sched.mu.Unlock()
-	return t, nil
+	return ms, nil
 }
 
-// hasTimeline reports whether the canonical mode's timeline is already
+// hasMakespan reports whether the canonical mode's makespan is already
 // cached — the Engine's partial-hit accounting asks this before
 // scheduling on a cache-hit compilation.
-func (c *Compiled) hasTimeline(mode ScheduleMode) bool {
+func (c *Compiled) hasMakespan(mode ScheduleMode) bool {
 	c.sched.mu.Lock()
-	_, ok := c.sched.timelines[c.normalizeMode(mode)]
+	_, ok := c.sched.makespans[c.normalizeMode(mode)]
 	c.sched.mu.Unlock()
 	return ok
 }
 
 // Schedule runs Stage III/IV under the mode's policy (the layer-by-layer
 // baseline, xK bounded windows, or full cross-layer) and computes the
-// metrics. The schedule is validated before being returned. Virtualized
-// compilations (F < PEmin) support only window-1 scheduling: cross-layer
-// overlap would require swapped weights to be present twice.
+// metrics. Virtualized compilations (F < PEmin) support only window-1
+// scheduling: cross-layer overlap would require swapped weights to be
+// present twice.
 func (c *Compiled) Schedule(mode ScheduleMode) (*Report, error) {
-	s, err := c.timeline(mode)
+	ms, err := c.makespan(mode)
 	if err != nil {
 		return nil, err
 	}
-	ut, err := metrics.Utilization(s, c.mapped)
+	ut, err := metrics.Utilization(ms, c.layerActive, c.mapped)
 	if err != nil {
 		return nil, err
 	}
@@ -813,16 +885,16 @@ func (c *Compiled) Schedule(mode ScheduleMode) (*Report, error) {
 		Mode:           mode,
 		F:              c.arch.NumPEs,
 		PEmin:          c.peMin,
-		MakespanCycles: s.Makespan,
-		LatencyNanos:   metrics.LatencyNanos(s.Makespan, c.arch.TMVMNanos),
+		MakespanCycles: ms,
+		LatencyNanos:   metrics.LatencyNanos(ms, c.arch.TMVMNanos),
 		Utilization:    ut,
 		Duplication:    append([]int(nil), c.dup.D...),
 		ReloadCycles:   c.ReloadCyclesTotal(),
-		sched:          s,
 		comp:           c,
+		tl:             new(lazyTimeline),
 	}
 	if c.cfg.EnergyPerMVMNanoJ > 0 {
-		nj, err := metrics.EnergyNanoJoule(s, c.mapped,
+		nj, err := metrics.EnergyNanoJoule(c.layerActive, c.mapped,
 			c.cfg.EnergyPerMVMNanoJ, c.cfg.EnergyPerWriteNanoJ, c.CrossbarWritesPerInference())
 		if err != nil {
 			return nil, err
@@ -830,6 +902,17 @@ func (c *Compiled) Schedule(mode ScheduleMode) (*Report, error) {
 		rep.EnergyMicroJoule = nj / 1000
 	}
 	return rep, nil
+}
+
+// mustTimeline is Report.timeline for the accessors without an error
+// result. It cannot fail: Schedule already ran Stage IV on the same
+// compilation and mode.
+func (r *Report) mustTimeline() *schedule.Timeline {
+	t, err := r.timeline()
+	if err != nil {
+		panic(fmt.Sprintf("clsacim: rebuilding the scheduled %s timeline of %q: %v", r.Mode, r.Model, err))
+	}
+	return t
 }
 
 // LayerSpan reports when one replica PE group of a base layer was first
@@ -847,6 +930,7 @@ type LayerSpan struct {
 // LayerSpans returns per-replica activity of the schedule in plan order,
 // for Gantt rendering and analysis.
 func (r *Report) LayerSpans() []LayerSpan {
+	t := r.mustTimeline()
 	var out []LayerSpan
 	for li, g := range r.comp.mapped.Groups {
 		base := len(out)
@@ -854,12 +938,12 @@ func (r *Report) LayerSpans() []LayerSpan {
 			out = append(out, LayerSpan{
 				Name: g.Node.Name, Replica: rep, DupCount: g.Dup,
 				PEs:    g.PEsPerReplica(),
-				Active: r.sched.ReplicaActive[li][rep],
+				Active: r.comp.replicaActive[li][rep],
 				Start:  -1,
 			})
 		}
-		for si := range r.sched.ItemsOf(li) {
-			it := r.sched.At(li, si)
+		for si := range t.ItemsOf(li) {
+			it := t.At(li, si)
 			span := &out[base+it.Replica]
 			if span.Start < 0 || it.Start < span.Start {
 				span.Start = it.Start
@@ -877,7 +961,11 @@ func (r *Report) LayerSpans() []LayerSpan {
 // analogue of paper Fig. 6a/6b) to w. width is the number of time
 // buckets (0 for the default).
 func (r *Report) RenderGantt(w io.Writer, width int) error {
-	rows := gantt.FromSchedule(r.comp.depGraph, r.sched)
+	t, err := r.timeline()
+	if err != nil {
+		return err
+	}
+	rows := gantt.FromSchedule(r.comp.depGraph, t)
 	title := fmt.Sprintf("%s, F=%d (%s, %s)", r.Model, r.F, mappingLabel(r.comp.cfg), r.Mode)
 	return gantt.Render(w, title, rows, r.MakespanCycles, gantt.Options{Width: width, ShowPEs: true})
 }
@@ -905,7 +993,7 @@ type CriticalStep struct {
 // set). It answers "which layers limit inference latency" — the
 // duplication candidates for the next extra PEs.
 func (r *Report) CriticalPath() ([]CriticalStep, error) {
-	path, err := r.sched.CriticalPath(r.comp.depGraph, r.comp.schedOptions(r.Mode))
+	path, err := r.criticalPath()
 	if err != nil {
 		return nil, err
 	}
@@ -923,10 +1011,18 @@ func (r *Report) CriticalPath() ([]CriticalStep, error) {
 	return out, nil
 }
 
+func (r *Report) criticalPath() ([]schedule.PathStep, error) {
+	t, err := r.timeline()
+	if err != nil {
+		return nil, err
+	}
+	return t.CriticalPath(r.comp.depGraph, r.comp.schedOptions(r.Mode))
+}
+
 // CriticalLayers aggregates the critical path per layer, sorted along
 // the path: how many makespan cycles each layer chain contributes.
 func (r *Report) CriticalLayers() ([]CriticalStep, error) {
-	path, err := r.sched.CriticalPath(r.comp.depGraph, r.comp.schedOptions(r.Mode))
+	path, err := r.criticalPath()
 	if err != nil {
 		return nil, err
 	}
@@ -940,23 +1036,28 @@ func (r *Report) CriticalLayers() ([]CriticalStep, error) {
 // PEActive returns the busy cycles of each of the F PEs over the
 // schedule (the per-PE terms of paper Eq. 2). PEs shared between layers
 // under weight virtualization sum the activity of every layer placed on
-// them.
+// them. Stage III fixes which replica runs each set, so this needs no
+// timeline.
 func (r *Report) PEActive() []int64 {
-	return metrics.PEActive(r.sched, r.comp.mapped)
+	return metrics.PEActive(r.comp.replicaActive, r.comp.mapped)
 }
 
 // PeakLiveElems returns the largest number of intermediate OFM elements
 // buffered at one instant of the schedule: a set's output is live from
 // its end to the end of its last reader.
 func (r *Report) PeakLiveElems() int64 {
-	return metrics.PeakLiveElems(r.sched, r.comp.depGraph)
+	return metrics.PeakLiveElems(r.mustTimeline(), r.comp.depGraph)
 }
 
 // WriteScheduleJSON serializes the full set-level schedule (layer names,
 // replica assignment, per-set timing and OFM boxes) as indented JSON for
 // external tooling.
 func (r *Report) WriteScheduleJSON(w io.Writer) error {
-	return r.sched.WriteJSON(w, r.comp.depGraph)
+	t, err := r.timeline()
+	if err != nil {
+		return err
+	}
+	return t.WriteJSON(w, r.comp.depGraph)
 }
 
 // Evaluation compares one configuration against the paper's reference:

@@ -208,7 +208,7 @@ func main() {
 
 	if *stats {
 		s := h.Engine().Stats()
-		fmt.Fprintf(w, "engine: %d compiles, %d cache hits, %d misses, %d evaluations, %d cached entries, %d Stage II graph builds\n",
-			s.Compiles, s.CacheHits, s.CacheMisses, s.Evaluations, s.CachedEntries, s.GraphBuilds)
+		fmt.Fprintf(w, "engine: %d compiles, %d cache hits, %d misses, %d evaluations, %d cached entries, %d front-end builds, %d Stage II graph builds\n",
+			s.Compiles, s.CacheHits, s.CacheMisses, s.Evaluations, s.CachedEntries, s.FrontEndBuilds, s.GraphBuilds)
 	}
 }

@@ -33,16 +33,25 @@ import (
 // immutable *Compiled across all subsequent requests; Stats exposes the
 // hit accounting. All methods are safe for concurrent use.
 //
-// Under the compile cache sits a graph tier. Stage II reads a mapping
-// only through its Stage I set grid, and at the default fine
-// granularity that grid ignores the duplication vector, so a model's
-// baseline and all its wdup variants depend identically. The tier keeps
-// one Stage II dependency CSR per (model, WeightBits, crossbar dims,
-// exact set grid), built once with the same single-flight as a compile
-// and shared by every cache entry with that grid; each compilation
-// still keeps its own Stage I plan. A graph lives only as long as a
-// cached or in-flight compilation holds it, so the cache bound also
-// bounds the tier (Stats.GraphBuilds and GraphHits count its use).
+// Under the compile cache sit two tiers of shared artifacts, each
+// built once with the same single-flight as a compile and reference
+// counted by the cache entries that use it:
+//
+//   - The front-end tier keeps one canonical graph and im2col plan
+//     (frontEnd) per (model, WeightBits, crossbar dims). Only the
+//     mapping differs between a model's compilations, so a sweep
+//     builds, canonicalizes and analyzes each model once.
+//   - The graph tier keeps one Stage II dependency CSR per front end
+//     and exact Stage I set grid. Stage II reads a mapping only through
+//     its grid, and at the default fine granularity that grid ignores
+//     the duplication vector, so a model's baseline and all its wdup
+//     variants share one CSR; each compilation keeps its own Stage I
+//     plan.
+//
+// An artifact lives only as long as a cached or in-flight compilation
+// holds it, so the cache bound also bounds both tiers (Stats counts
+// their builds and hits). Below the cache, each compilation keeps one
+// makespan per scheduling mode (see Report), not a timeline.
 //
 // Two properties make the cache safe under sustained multi-tenant
 // traffic (e.g. behind the serve package's HTTP daemon):
@@ -65,8 +74,9 @@ type Engine struct {
 
 	mu     sync.Mutex
 	cache  map[string]*compileEntry
-	lru    *list.List             // *compileEntry values; front = most recently used
-	graphs map[string]*graphEntry // the graph tier, keyed by graphKey
+	lru    *list.List      // *compileEntry values; front = most recently used
+	fronts tier[frontEnd]  // keyed by frontKey
+	graphs tier[*deps.CSR] // keyed by graphKey
 
 	compiles    atomic.Int64
 	hits        atomic.Int64
@@ -74,8 +84,6 @@ type Engine struct {
 	misses      atomic.Int64
 	evictions   atomic.Int64
 	evaluations atomic.Int64
-	graphBuilds atomic.Int64
-	graphHits   atomic.Int64
 	streamEvals atomic.Int64
 	streamInfs  atomic.Int64
 }
@@ -94,23 +102,108 @@ type compileEntry struct {
 	// elem is the entry's LRU position, nil once evicted. Guarded by
 	// Engine.mu.
 	elem *list.Element
-	// graphs are the tier graphs the entry holds: while in flight,
-	// every one its compilation took; once done, only the one its
-	// Compiled uses. Guarded by Engine.mu.
-	graphs []*graphEntry
+	// fronts and graphs are the tier artifacts the entry holds: while
+	// in flight, every one its compilation took; once done, only those
+	// its Compiled uses. Guarded by Engine.mu.
+	fronts []*tierEntry[frontEnd]
+	graphs []*tierEntry[*deps.CSR]
 }
 
-// graphEntry is one shared Stage II CSR of the graph tier, filled with
-// the same single-flight as compileEntry: the first compilation that
-// needs it builds it, later ones wait on ready.
-type graphEntry struct {
+// tier is one level of an Engine's shared compile artifacts: a map of
+// single-flight entries, each built by the first compilation that needs
+// it and dropped with the last cache entry holding it. Its map and the
+// entries' reference counts are guarded by Engine.mu.
+type tier[T comparable] struct {
+	entries      map[string]*tierEntry[T]
+	builds, hits atomic.Int64
+}
+
+// tierEntry is one shared artifact of a tier; waiters block on ready.
+type tierEntry[T comparable] struct {
 	key   string
 	ready chan struct{}
-	csr   *deps.CSR
+	val   T
 	err   error
-	// refs counts the cache entries holding the graph; the tier drops
-	// it with the last one. Guarded by Engine.mu.
+	// refs counts the cache entries holding the artifact. Guarded by
+	// Engine.mu.
 	refs int
+}
+
+// share returns t's artifact for key, building it with build at most
+// once (single-flight), and records in *held that the caller's cache
+// entry holds it. A build that fails or panics leaves the tier, so a
+// later compilation retries it; its waiters see the error. what names
+// the artifact in the panic error.
+func share[T comparable](mu *sync.Mutex, t *tier[T], held *[]*tierEntry[T], key, what string, build func() (T, error)) (T, error) {
+	mu.Lock()
+	if t.entries == nil {
+		t.entries = make(map[string]*tierEntry[T])
+	}
+	te, ok := t.entries[key]
+	if !ok {
+		te = &tierEntry[T]{key: key, ready: make(chan struct{})}
+		t.entries[key] = te
+	}
+	if !slices.Contains(*held, te) {
+		*held = append(*held, te)
+		te.refs++
+	}
+	mu.Unlock()
+	if ok {
+		t.hits.Add(1)
+		<-te.ready
+		return te.val, te.err
+	}
+	t.builds.Add(1)
+	defer func() {
+		var zero T
+		if te.err == nil && te.val == zero {
+			te.err = fmt.Errorf("clsacim: %s panicked", what)
+		}
+		if te.err != nil {
+			mu.Lock()
+			if t.entries[key] == te {
+				delete(t.entries, key)
+			}
+			mu.Unlock()
+		}
+		close(te.ready)
+	}()
+	te.val, te.err = build()
+	return te.val, te.err
+}
+
+// releaseLocked drops one hold on every entry of *held but the one
+// whose artifact is keep (the zero value releases all), and removes an
+// artifact from the tier with its last holder. Callers hold Engine.mu;
+// a non-zero keep is passed only by the goroutine that compiled the
+// holder, after every artifact it took is ready.
+func (t *tier[T]) releaseLocked(held *[]*tierEntry[T], keep T) {
+	var zero T
+	kept := (*held)[:0]
+	for _, te := range *held {
+		if keep != zero && te.val == keep {
+			kept = append(kept, te)
+			continue
+		}
+		if te.refs--; te.refs == 0 && t.entries[te.key] == te {
+			delete(t.entries, te.key)
+		}
+	}
+	clear((*held)[len(kept):]) // let released artifacts be collected
+	*held = kept
+}
+
+// releaseLocked drops ent's holds on the tiers: all of them, or with
+// keepUsed only those its compilation does not use. Callers hold e.mu.
+func (e *Engine) releaseLocked(ent *compileEntry, keepUsed bool) {
+	var front frontEnd
+	var csr *deps.CSR
+	if keepUsed && ent.c != nil {
+		front, csr = ent.c.frontEnd, ent.c.depGraph.CSR
+	}
+	e.fronts.releaseLocked(&ent.fronts, front)
+	e.graphs.releaseLocked(&ent.graphs, csr)
 }
 
 // New builds an Engine from functional options. The zero option set
@@ -121,7 +214,6 @@ func New(opts ...Option) (*Engine, error) {
 		workers: runtime.GOMAXPROCS(0),
 		cache:   make(map[string]*compileEntry),
 		lru:     list.New(),
-		graphs:  make(map[string]*graphEntry),
 	}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
@@ -152,10 +244,10 @@ type Stats struct {
 	// (including requests that waited on an in-flight compilation).
 	CacheHits int64 `json:"cache_hits"`
 	// PartialHits counts the cache hits that still ran Stage III/IV
-	// because the requested scheduling mode had no cached timeline yet —
-	// the incremental re-simulation path (compile reused, event loop
+	// because the requested scheduling mode had no cached makespan yet —
+	// the incremental re-scheduling path (compile reused, Stage IV
 	// re-run). CacheHits - PartialHits are full hits serving both the
-	// compilation and the timeline from cache.
+	// compilation and the makespan from cache.
 	PartialHits int64 `json:"partial_hits"`
 	// CacheMisses counts compile requests that had to compile.
 	CacheMisses int64 `json:"cache_misses"`
@@ -178,6 +270,11 @@ type Stats struct {
 	// candidates) that took an existing graph instead.
 	GraphBuilds int64 `json:"graph_builds"`
 	GraphHits   int64 `json:"graph_hits"`
+	// FrontEndBuilds counts the front ends (canonical graph and im2col
+	// plan) the front-end tier built, and FrontEndHits the compilations
+	// that took an existing one instead.
+	FrontEndBuilds int64 `json:"front_end_builds"`
+	FrontEndHits   int64 `json:"front_end_hits"`
 }
 
 // Stats returns a consistent-enough snapshot of the Engine counters.
@@ -192,8 +289,10 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:       e.misses.Load(),
 		Evictions:         e.evictions.Load(),
 		Evaluations:       e.evaluations.Load(),
-		GraphBuilds:       e.graphBuilds.Load(),
-		GraphHits:         e.graphHits.Load(),
+		GraphBuilds:       e.graphs.builds.Load(),
+		GraphHits:         e.graphs.hits.Load(),
+		FrontEndBuilds:    e.fronts.builds.Load(),
+		FrontEndHits:      e.fronts.hits.Load(),
 		StreamEvaluations: e.streamEvals.Load(),
 		StreamInferences:  e.streamInfs.Load(),
 		CachedEntries:     entries,
@@ -256,7 +355,7 @@ func normalizeCfg(cfg Config) (Config, int) {
 // normalized (normalizeCfg): a no-duplication ExtraPEs request compiles
 // the x = 0 base once and returns a derived F-view of it. The Engine
 // marks each compilation with its WithValidation setting before
-// publishing it, so Compiled.timeline checks what it builds.
+// publishing it, so Compiled.makespan checks the timelines it builds.
 func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Compiled, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -305,11 +404,7 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 		}
 		e.mu.Lock()
 		ent.done = true
-		var keep *deps.CSR
-		if ent.c != nil {
-			keep = ent.c.depGraph.CSR
-		}
-		e.releaseGraphsLocked(ent, keep)
+		e.releaseLocked(ent, true)
 		// The in-flight guard may have held the cache over its bound
 		// while this key compiled; re-run the scan now that the entry
 		// is evictable.
@@ -317,8 +412,14 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 		e.mu.Unlock()
 		close(ent.ready)
 	}()
-	ent.c, ent.err = compile(m, norm, func(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
-		return e.sharedCSR(ent, graphKey(m.Name, norm, sp), g, sp)
+	ent.c, ent.err = compile(m, norm, func(m *Model, cfg Config) (frontEnd, error) {
+		return share(&e.mu, &e.fronts, &ent.fronts, frontKey(m.Name, cfg), "front end", func() (frontEnd, error) {
+			return buildFrontEnd(m, cfg)
+		})
+	}, func(g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
+		return share(&e.mu, &e.graphs, &ent.graphs, graphKey(m.Name, norm, sp), "stage II", func() (*deps.CSR, error) {
+			return buildCSR(g, sp)
+		})
 	})
 	if ent.c != nil {
 		ent.c.check = e.validate
@@ -326,17 +427,26 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 	return view(ent.c), false, ent.err
 }
 
-// graphKey encodes everything a Stage II CSR depends on: the model, the
-// weight width and crossbar dims that fix its canonical graph and base
-// layers, and every layer's exact Stage I grid (channel depth, row and
-// column bounds). Each part is length-prefixed, so distinct inputs give
-// distinct keys, and the tier's map compares keys in full.
-func graphKey(model string, cfg Config, sp *sets.Plan) string {
+// frontKey encodes everything a front end depends on: the model, and
+// the weight width and crossbar dims that fix its canonical graph and
+// base-layer tiling. Each part is length-prefixed, so distinct inputs
+// give distinct keys.
+func frontKey(model string, cfg Config) string {
 	b := binary.AppendUvarint(nil, uint64(len(model)))
 	b = append(b, model...)
-	for _, v := range []int{cfg.WeightBits, cfg.PERows, cfg.PECols, len(sp.Layers)} {
+	for _, v := range []int{cfg.WeightBits, cfg.PERows, cfg.PECols} {
 		b = binary.AppendVarint(b, int64(v))
 	}
+	return string(b)
+}
+
+// graphKey encodes everything a Stage II CSR depends on: the front end
+// (frontKey) and every layer's exact Stage I grid (channel depth, row
+// and column bounds), length-prefixed like frontKey, so the tier's map
+// compares keys in full.
+func graphKey(model string, cfg Config, sp *sets.Plan) string {
+	b := []byte(frontKey(model, cfg))
+	b = binary.AppendVarint(b, int64(len(sp.Layers)))
 	for i := range sp.Layers {
 		ls := &sp.Layers[i]
 		b = binary.AppendVarint(b, int64(ls.C))
@@ -350,80 +460,29 @@ func graphKey(model string, cfg Config, sp *sets.Plan) string {
 	return string(b)
 }
 
-// sharedCSR returns the graph tier's CSR for key, building it from
-// (g, sp) at most once (single-flight), and records that ent holds it.
-// A build that fails or panics leaves the tier, so a later compilation
-// retries it; its waiters see the error.
-func (e *Engine) sharedCSR(ent *compileEntry, key string, g *nn.Graph, sp *sets.Plan) (*deps.CSR, error) {
-	e.mu.Lock()
-	ge, ok := e.graphs[key]
-	if !ok {
-		ge = &graphEntry{key: key, ready: make(chan struct{})}
-		e.graphs[key] = ge
-	}
-	if !slices.Contains(ent.graphs, ge) {
-		ent.graphs = append(ent.graphs, ge)
-		ge.refs++
-	}
-	e.mu.Unlock()
-	if ok {
-		e.graphHits.Add(1)
-		<-ge.ready
-		return ge.csr, ge.err
-	}
-	e.graphBuilds.Add(1)
-	defer func() {
-		if ge.err == nil && ge.csr == nil {
-			ge.err = fmt.Errorf("clsacim: stage II panicked")
-		}
-		if ge.err != nil {
-			e.mu.Lock()
-			if e.graphs[key] == ge {
-				delete(e.graphs, key)
-			}
-			e.mu.Unlock()
-		}
-		close(ge.ready)
-	}()
-	ge.csr, ge.err = buildCSR(g, sp)
-	return ge.csr, ge.err
-}
-
-// releaseGraphsLocked drops ent's hold on every tier graph but the one
-// whose CSR is keep (nil releases all), and removes a graph from the
-// tier with its last holder. Callers hold e.mu; keep is read only by
-// the goroutine that compiled ent, after every graph it took is ready.
-func (e *Engine) releaseGraphsLocked(ent *compileEntry, keep *deps.CSR) {
-	held := ent.graphs[:0]
-	for _, ge := range ent.graphs {
-		if keep != nil && ge.csr == keep {
-			held = append(held, ge)
-			continue
-		}
-		if ge.refs--; ge.refs == 0 && e.graphs[ge.key] == ge {
-			delete(e.graphs, ge.key)
-		}
-	}
-	clear(ent.graphs[len(held):]) // let released graphs be collected
-	ent.graphs = held
-}
-
 // evictLocked drops least-recently-used finished entries until the
-// cache respects the configured bound. In-flight compilations are
-// skipped: evicting one would detach its waiters from the single-flight
-// slot and recompile the same key concurrently. Callers hold e.mu.
+// cache respects the configured bound; an unbounded engine evicts
+// nothing. Callers hold e.mu.
 func (e *Engine) evictLocked() {
-	if e.cacheLimit <= 0 {
-		return
+	if e.cacheLimit > 0 {
+		e.evictToLocked(e.cacheLimit)
 	}
-	for el := e.lru.Back(); el != nil && len(e.cache) > e.cacheLimit; {
+}
+
+// evictToLocked drops least-recently-used finished entries, and their
+// holds on the tiers, until at most n remain. In-flight compilations
+// are skipped: evicting one would detach its waiters from the
+// single-flight slot and recompile the same key concurrently. Callers
+// hold e.mu.
+func (e *Engine) evictToLocked(n int) {
+	for el := e.lru.Back(); el != nil && len(e.cache) > n; {
 		ent := el.Value.(*compileEntry)
 		prev := el.Prev()
 		if ent.done {
 			delete(e.cache, ent.key)
 			e.lru.Remove(el)
 			ent.elem = nil
-			e.releaseGraphsLocked(ent, nil)
+			e.releaseLocked(ent, false)
 			e.evictions.Add(1)
 		}
 		el = prev
@@ -495,17 +554,17 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Compiled, error) {
 
 // scheduleCounted is the step every request path runs on a compilation
 // returned by compileCounted: fail on a blown deadline, count a partial
-// hit, and schedule (Stage III/IV, built, checked and cached per
-// canonical mode by Compiled.timeline).
+// hit, and schedule (Stage III/IV makespan, computed, checked and
+// cached per canonical mode by Compiled.makespan).
 //
-// The partial-hit check races benignly with concurrent builders of the
-// same timeline — a request that loses that race did wait on
+// The partial-hit check races benignly with concurrent schedulers of
+// the same mode — a request that loses that race did wait on
 // scheduling work, which is exactly what the counter measures.
 func (e *Engine) scheduleCounted(ctx context.Context, comp *Compiled, hit bool, mode ScheduleMode) (*Report, error) {
 	if err := deadlineErr(ctx); err != nil {
 		return nil, err
 	}
-	if hit && !comp.hasTimeline(mode) {
+	if hit && !comp.hasMakespan(mode) {
 		e.partialHits.Add(1)
 	}
 	return comp.Schedule(mode)

@@ -89,7 +89,7 @@ func TestStatsPartialHits(t *testing.T) {
 	if s := eng.Stats(); s.PartialHits != 0 || s.CacheHits != 0 {
 		t.Fatalf("after miss: partial=%d hits=%d, want 0/0", s.PartialHits, s.CacheHits)
 	}
-	schedule(ModeCrossLayer) // full hit: compile and timeline cached
+	schedule(ModeCrossLayer) // full hit: compile and makespan cached
 	if s := eng.Stats(); s.PartialHits != 0 || s.CacheHits != 1 {
 		t.Fatalf("after full hit: partial=%d hits=%d, want 0/1", s.PartialHits, s.CacheHits)
 	}
@@ -101,7 +101,7 @@ func TestStatsPartialHits(t *testing.T) {
 	if s := eng.Stats(); s.PartialHits != 1 || s.CacheHits != 3 {
 		t.Fatalf("after repeat: partial=%d hits=%d, want 1/3", s.PartialHits, s.CacheHits)
 	}
-	// An ExtraPEs view shares the base's timeline cache: both halves of
+	// An ExtraPEs view shares the base's makespan cache: both halves of
 	// this evaluation are full hits and nothing recompiles.
 	if _, err := eng.Evaluate(ctx, Request{Model: "tinybranchnet", Mode: ModeCrossLayer, ExtraPEs: 3}); err != nil {
 		t.Fatal(err)
@@ -857,11 +857,11 @@ func BenchmarkEngineSweep(b *testing.B) {
 		}
 		// Distinct keys: the shared baseline (which also serves every
 		// no-duplication x point as an F-view) plus the 5 wdup points.
-		// Every key shares one fine-granularity set grid, so the graph
-		// tier builds Stage II once.
-		if s := eng.Stats(); s.Compiles != sweepPoints/2+1 || s.GraphBuilds != 1 {
-			b.Fatalf("engine compiled %d times with %d Stage II builds, want %d (one per distinct key) and 1",
-				s.Compiles, s.GraphBuilds, sweepPoints/2+1)
+		// They share the one model's front end and its fine-granularity
+		// set grid, so the tiers build each once.
+		if s := eng.Stats(); s.Compiles != sweepPoints/2+1 || s.FrontEndBuilds != 1 || s.GraphBuilds != 1 {
+			b.Fatalf("engine compiled %d times with %d front ends and %d Stage II builds, want %d (one per distinct key), 1 and 1",
+				s.Compiles, s.FrontEndBuilds, s.GraphBuilds, sweepPoints/2+1)
 		}
 	}
 }

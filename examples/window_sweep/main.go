@@ -29,7 +29,7 @@ func main() {
 		WeightDuplication: true,
 	}
 	// One compilation serves every mode below: the engine caches it, and
-	// the compiled artifact caches one validated timeline per mode.
+	// the compiled artifact caches one validated makespan per mode.
 	comp, err := eng.Compile(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)

@@ -23,50 +23,64 @@ func tierSweep() []Request {
 	return reqs
 }
 
-// graphModel decodes the model name that prefixes a graph-tier key.
+// graphModel decodes the model name that prefixes a front-end or
+// graph-tier key.
 func graphModel(key string) string {
 	n, k := binary.Uvarint([]byte(key))
 	return key[k : k+int(n)]
 }
 
-// checkGraphTier asserts the tier's lifetime invariants on an idle
-// Engine: every graph is held by a cached entry and its count of
-// holders is exact, each entry holds only the graph its compilation
-// uses, and so the tier never holds more graphs than there are entries.
-// It returns the number of graphs per model.
+// checkGraphTier asserts the lifetime invariants of both tiers on an
+// idle Engine (checkTier) and returns the number of graphs per model.
 func checkGraphTier(t *testing.T, e *Engine) map[string]int {
 	t.Helper()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	holders := make(map[*graphEntry]int)
+	checkTier(t, e, "front end", &e.fronts,
+		func(ent *compileEntry) []*tierEntry[frontEnd] { return ent.fronts },
+		func(c *Compiled) frontEnd { return c.frontEnd })
+	return checkTier(t, e, "graph", &e.graphs,
+		func(ent *compileEntry) []*tierEntry[*deps.CSR] { return ent.graphs },
+		func(c *Compiled) *deps.CSR { return c.depGraph.CSR })
+}
+
+// checkTier asserts one tier's lifetime invariants: every artifact is
+// held by a cached entry and its count of holders is exact, each entry
+// holds only the artifact its compilation uses, and so the tier never
+// holds more artifacts than there are entries. It returns the number
+// of artifacts per model. Callers hold e.mu.
+func checkTier[T comparable](t *testing.T, e *Engine, name string, tr *tier[T],
+	held func(*compileEntry) []*tierEntry[T], uses func(*Compiled) T) map[string]int {
+	t.Helper()
+	holders := make(map[*tierEntry[T]]int)
 	for key, ent := range e.cache {
-		if len(ent.graphs) > 1 {
-			t.Errorf("entry %q holds %d graphs", key, len(ent.graphs))
+		if len(held(ent)) > 1 {
+			t.Errorf("entry %q holds %d %ss", key, len(held(ent)), name)
 		}
-		for _, ge := range ent.graphs {
-			if ent.c == nil || ent.c.depGraph.CSR != ge.csr {
-				t.Errorf("entry %q holds a graph its compilation does not use", key)
+		for _, te := range held(ent) {
+			if ent.c == nil || uses(ent.c) != te.val {
+				t.Errorf("entry %q holds a %s its compilation does not use", key, name)
 			}
-			holders[ge]++
+			holders[te]++
 		}
 	}
 	perModel := make(map[string]int)
-	for key, ge := range e.graphs {
-		if ge.refs < 1 || holders[ge] != ge.refs {
-			t.Errorf("graph of %q: refs %d, held by %d entries", graphModel(key), ge.refs, holders[ge])
+	for key, te := range tr.entries {
+		if te.refs < 1 || holders[te] != te.refs {
+			t.Errorf("%s of %q: refs %d, held by %d entries", name, graphModel(key), te.refs, holders[te])
 		}
 		perModel[graphModel(key)]++
 	}
-	if len(e.graphs) > len(e.cache) {
-		t.Errorf("tier holds %d graphs for %d cache entries", len(e.graphs), len(e.cache))
+	if len(tr.entries) > len(e.cache) {
+		t.Errorf("%s tier holds %d artifacts for %d cache entries", name, len(tr.entries), len(e.cache))
 	}
 	return perModel
 }
 
-// TestEngineGraphTierSweep: at fine granularity a model's baseline and
-// wdup variants share one Stage I grid, so the 35 compilations of the
-// zoo sweep build 7 Stage II graphs, one per model, and take the rest
-// from the tier.
+// TestEngineGraphTierSweep: a model's baseline and wdup variants share
+// one front end, and at fine granularity one Stage I grid, so the 35
+// compilations of the zoo sweep build 7 front ends and 7 Stage II
+// graphs, one per model, and take the rest from the tiers.
 func TestEngineGraphTierSweep(t *testing.T) {
 	eng := MustNew()
 	results, err := eng.EvaluateBatch(context.Background(), tierSweep())
@@ -83,6 +97,9 @@ func TestEngineGraphTierSweep(t *testing.T) {
 	if s.Compiles != 5*n || s.GraphBuilds != n || s.GraphHits != 4*n {
 		t.Errorf("compiles %d, graph builds %d, graph hits %d; want %d, %d, %d",
 			s.Compiles, s.GraphBuilds, s.GraphHits, 5*n, n, 4*n)
+	}
+	if s.FrontEndBuilds != n || s.FrontEndHits != 4*n {
+		t.Errorf("front-end builds %d, hits %d; want %d, %d", s.FrontEndBuilds, s.FrontEndHits, n, 4*n)
 	}
 	for model, graphs := range checkGraphTier(t, eng) {
 		if graphs != 1 {

@@ -53,7 +53,7 @@ func (h *Harness) compile(model string, cfg clsacim.Config) (*clsacim.Compiled, 
 }
 
 // Baseline returns the layer-by-layer, no-duplication, x=0 reference for
-// a model. The engine caches both the compilation and its timeline, so
+// a model. The engine caches both the compilation and its makespan, so
 // repeated calls compile and schedule nothing.
 func (h *Harness) Baseline(name string) (*clsacim.Report, error) {
 	cfg := h.Base

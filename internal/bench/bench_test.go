@@ -132,7 +132,7 @@ func TestFig6cPoints(t *testing.T) {
 }
 
 // TestHarnessBaselineCaching: a repeated baseline is served whole from
-// the engine's compile and timeline caches.
+// the engine's compile and makespan caches.
 func TestHarnessBaselineCaching(t *testing.T) {
 	h := coarse()
 	a, err := h.Baseline("tinyyolov4")

@@ -15,9 +15,9 @@
 // (FuzzScheduleVsSim) drives it over randomized models. No engine
 // package calls it; the public Engine does, and only under
 // clsacim.WithValidation (clsaserved -validate), at one site per
-// result: Compiled.timeline runs Timeline on each single-inference
-// timeline when it first builds it, and EvaluateStream runs Stream on
-// each stream. It is the Engine's only schedule checker: with
+// result: Compiled.makespan runs Timeline on the single-inference
+// timeline of each (compilation, mode) before it caches the makespan,
+// and EvaluateStream runs Stream on each stream. It is the Engine's only schedule checker: with
 // validation off, nothing re-checks a timeline.
 //
 // The invariant set:
@@ -392,7 +392,7 @@ func checkMakespan(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) er
 	if last := lastEnd(tl, dg.CSR); tl.Makespan != last {
 		return violation(KindMakespan, -1, -1, "makespan %d != latest item end %d", tl.Makespan, last)
 	}
-	ut, err := metrics.Utilization(tl, m)
+	ut, err := metrics.Utilization(tl.Makespan, tl.LayerActive, m)
 	if err != nil {
 		return violation(KindMakespan, -1, -1, "utilization (Eq. 2): %v", err)
 	}

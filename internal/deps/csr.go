@@ -80,27 +80,29 @@ func (c *CSR) buildSucc() {
 	c.succ = s
 }
 
-// assemble concatenates the per-layer edge streams (already sorted and
-// deduplicated per set) into Pred/PredVol and rebases each layer's
-// PredOff run onto its first edge. The concatenation is positional in
-// plan-layer order, so the result does not depend on the order the
-// layers were built in.
-func (c *CSR) assemble(results []layerEdges) {
-	edges := 0
-	for li := range results {
-		edges += len(results[li].pred)
-	}
-	c.Pred = make([]int32, 0, edges)
-	c.PredVol = make([]int32, 0, edges)
-	for li := range results {
-		base := int32(len(c.Pred))
+// assemble closes the gaps between the per-layer edge runs that
+// BuildOpt wrote into Pred/PredVol: layer li's edges[li] edges start at
+// window[li]. It moves each run left to follow the previous layer's, in
+// plan order, and rebases each layer's PredOff run onto its first
+// edge, so the result does not depend on the order the layers were
+// built in. Where a bound was loose the arrays are reallocated at their
+// exact length, so the CSR retains no slack.
+func (c *CSR) assemble(window, edges []int) {
+	n := 0
+	for li, e := range edges {
+		lo := window[li]
+		copy(c.Pred[n:], c.Pred[lo:lo+e])
+		copy(c.PredVol[n:], c.PredVol[lo:lo+e])
 		for id := c.LayerOff[li]; id < c.LayerOff[li+1]; id++ {
-			c.PredOff[id] += base
+			c.PredOff[id] += int32(n)
 		}
-		c.Pred = append(c.Pred, results[li].pred...)
-		c.PredVol = append(c.PredVol, results[li].vol...)
+		n += e
 	}
-	c.PredOff[c.NumSets()] = int32(edges)
+	c.PredOff[c.NumSets()] = int32(n)
+	if n < len(c.Pred) {
+		c.Pred = append(make([]int32, 0, n), c.Pred[:n]...)
+		c.PredVol = append(make([]int32, 0, n), c.PredVol[:n]...)
+	}
 }
 
 // ID returns the flat id of set si of layer li.

@@ -18,16 +18,15 @@
 // consumer layer into flattened route transforms (xform.go), layers are
 // processed by a bounded worker pool with pooled per-worker scratch
 // (they only read the immutable plan), and each layer's edges are
-// accumulated in that scratch and copied out once at their exact length
-// — no per-set intermediate slices. The merge is positional (results
-// land in per-layer slots concatenated in plan order), so the CSR output
-// is byte-identical at any worker count.
+// written straight into the final CSR arrays, in a window sized by an
+// upper bound taken in a first pass — no per-set or per-layer
+// intermediate slices. The merge is positional (windows lie in plan
+// order), so the CSR output is byte-identical at any worker count.
 package deps
 
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,15 +63,6 @@ func Build(g *nn.Graph, plan *sets.Plan) (*Graph, error) {
 	return BuildOpt(g, plan, Options{})
 }
 
-// layerEdges is one layer's slice of the predecessor arrays: flat
-// predecessor ids and volumes, each set's run in raster order. The
-// per-set run offsets are written straight into the CSR's PredOff,
-// relative to the layer's first edge.
-type layerEdges struct {
-	pred []int32
-	vol  []int32
-}
-
 // routeTab is one route evaluated against one consumer layer's set
 // grid: the route's axis chains applied to every grid row and column.
 // Consumer sets are grid cells, so set (r, c) of the layer reads, via
@@ -93,22 +83,26 @@ type routeTab struct {
 
 // buildScratch is the reusable state of one worker. Workers take it
 // from scratchPool, so repeated Builds (a sweep compiles many graphs)
-// reuse the buffers instead of regrowing them per layer.
+// reuse the buffers instead of regrowing them per layer. It holds
+// per-layer and per-set state only: no buffer the size of a graph's
+// edges outlives a Build in the pool.
 type buildScratch struct {
-	routes []route
-	tabs   []routeTab
-	ids    []int32 // per-set edge accumulator (flat ids)
-	vols   []int32
-	pred   []int32 // per-layer edge accumulator, copied out once
-	vol    []int32
+	tabs []routeTab
+	ids  []int32 // per-set edge accumulator (flat ids)
+	vols []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // BuildOpt computes Stage II for plan over graph g. Consumer layers are
 // independent given the immutable plan, so they are fanned out over a
-// bounded worker pool; per-layer results are merged positionally into
-// the CSR, keeping the output deterministic regardless of parallelism.
+// bounded worker pool, twice. The first pass bounds each layer's edge
+// count by its raw route hits, before merging (boundLayer); the second
+// writes each layer's merged edges straight into its window of the
+// final Pred/PredVol arrays (buildLayer), and assemble closes the gaps
+// in place. The merge is positional, so the CSR output is identical
+// regardless of parallelism, and no edge is copied through a
+// per-layer buffer.
 func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 	nl := len(plan.Layers)
 	layerOff := make([]int32, nl+1)
@@ -125,9 +119,48 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 		PredOff:  make([]int32, total+1),
 	}
 
-	results := make([]layerEdges, nl)
+	// edges[li] is first layer li's bound, then its merged edge count;
+	// window[li] is the prefix sum of the bounds.
+	routes := make([][]route, nl)
+	edges := make([]int, nl)
 	errs := make([]error, nl)
-	workers := opt.Workers
+	forLayers(nl, opt.Workers, func(li int, sc *buildScratch) {
+		routes[li], edges[li], errs[li] = boundLayer(plan, li, layerOff, sc)
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+	window := make([]int, nl+1)
+	for li, n := range edges {
+		window[li+1] = window[li] + n
+	}
+	c.Pred = make([]int32, window[nl])
+	c.PredVol = make([]int32, window[nl])
+	forLayers(nl, opt.Workers, func(li int, sc *buildScratch) {
+		lo, hi := window[li], window[li+1]
+		edges[li], errs[li] = buildLayer(plan, li, routes[li], c, sc, c.Pred[lo:lo:hi], c.PredVol[lo:lo:hi])
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+	c.assemble(window, edges)
+	return &Graph{Plan: plan, CSR: c}, nil
+}
+
+// firstErr returns the error of the first failed layer, in plan order.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forLayers runs fn on every layer index of [0, nl) over at most
+// workers goroutines (0 means GOMAXPROCS), each with its own pooled
+// scratch.
+func forLayers(nl, workers int, fn func(li int, sc *buildScratch)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -141,74 +174,94 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 			if li >= nl {
 				return
 			}
-			results[li], errs[li] = buildLayer(plan, li, c, sc)
+			fn(li, sc)
 		}
 	}
 	if workers == 1 {
 		work()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
+		return
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	c.assemble(results)
-	return &Graph{Plan: plan, CSR: c}, nil
+	wg.Wait()
 }
 
-// buildLayer computes the dependency edges of every set of layer li and
-// fills the layer's id range of csr's per-set arrays (SetLayer, Cycles,
-// and PredOff relative to the layer's first edge); workers own disjoint
-// ranges. The layer's receptive-field transform and backward routes are
-// compiled once; each route's axis chains are then evaluated once per
-// consumer grid row and column (all transforms act on H, W, and C
-// independently, and sets are grid cells spanning the full channel
-// depth), so the per-set loop is pure table lookup. Edges come out
-// sorted by flat predecessor id with duplicates merged at maximum
-// volume (a set can be reached over several routes), matching the
-// recursive formulation exactly. They accumulate in the worker's
-// scratch and are copied out once, at their final length.
-func buildLayer(plan *sets.Plan, li int, csr *CSR, sc *buildScratch) (layerEdges, error) {
+// routeTabs evaluates each of layer li's backward routes (compileRoutes)
+// once per consumer grid row and column into sc's route tables (all
+// transforms act on H, W, and C independently, and sets are grid cells
+// spanning the full channel depth). It returns the tables of the routes
+// that can contribute an edge.
+func routeTabs(plan *sets.Plan, li int, routes []route, layerOff []int32, sc *buildScratch) ([]routeTab, error) {
 	ls := &plan.Layers[li]
-	node := ls.Group.Node
-	ifm, err := compileIFM(node)
+	ifm, err := compileIFM(ls.Group.Node)
 	if err != nil {
-		return layerEdges{}, fmt.Errorf("deps: %v set 0: %w", node, err)
+		return nil, fmt.Errorf("deps: %v set 0: %w", ls.Group.Node, err)
 	}
-	sc.routes, err = compileRoutes(node.Inputs[0], plan, sc.routes[:0])
-	if err != nil {
-		return layerEdges{}, fmt.Errorf("deps: %v: %w", node, err)
-	}
-	if len(sc.tabs) < len(sc.routes) {
-		sc.tabs = append(sc.tabs, make([]routeTab, len(sc.routes)-len(sc.tabs))...)
+	if len(sc.tabs) < len(routes) {
+		sc.tabs = append(sc.tabs, make([]routeTab, len(routes)-len(sc.tabs))...)
 	}
 	ntabs := 0
-	for ri := range sc.routes {
-		if fillTab(&sc.tabs[ntabs], plan, &ifm, &sc.routes[ri], ls, csr.LayerOff) {
+	for ri := range routes {
+		if fillTab(&sc.tabs[ntabs], plan, &ifm, &routes[ri], ls, layerOff) {
 			ntabs++
 		}
 	}
-	tabs := sc.tabs[:ntabs]
+	return sc.tabs[:ntabs], nil
+}
 
+// boundLayer compiles layer li's backward routes and returns them with
+// an upper bound on the layer's edge count: its route hits before
+// duplicates are merged. Set (r, c) reaches the predecessor sets
+// {rows[r]} x {cols[c]} of each route table, so the layer's hits are,
+// per table, the product of its row and column hit counts. The bound is
+// exact unless two routes reach one predecessor set.
+func boundLayer(plan *sets.Plan, li int, layerOff []int32, sc *buildScratch) ([]route, int, error) {
+	node := plan.Layers[li].Group.Node
+	routes, err := compileRoutes(node.Inputs[0], plan, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("deps: %v: %w", node, err)
+	}
+	tabs, err := routeTabs(plan, li, routes, layerOff, sc)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := 0
+	for ti := range tabs {
+		n += len(tabs[ti].rowPred) * len(tabs[ti].colPred)
+	}
+	return routes, n, nil
+}
+
+// buildLayer computes the dependency edges of every set of layer li
+// over its routes, appends them to pred and vol (the layer's window of the CSR's edge
+// arrays, with capacity boundLayer's bound), and returns their count.
+// It fills the layer's id range of csr's per-set arrays (SetLayer,
+// Cycles, and PredOff relative to the layer's first edge); workers own
+// disjoint ranges. The per-set loop is pure lookup in the route tables
+// (routeTabs). Edges come out sorted by flat predecessor id with
+// duplicates merged at maximum volume (a set can be reached over
+// several routes), matching the recursive formulation exactly.
+func buildLayer(plan *sets.Plan, li int, routes []route, csr *CSR, sc *buildScratch, pred, vol []int32) (int, error) {
+	tabs, err := routeTabs(plan, li, routes, csr.LayerOff, sc)
+	if err != nil {
+		return 0, err
+	}
+	ls := &plan.Layers[li]
 	base := csr.LayerOff[li]
-	sc.pred, sc.vol = sc.pred[:0], sc.vol[:0]
+	bound := cap(pred)
 	si := 0
 	for r := 0; r < ls.GH; r++ {
 		for c := 0; c < ls.GW; c++ {
 			id := base + int32(si)
 			csr.SetLayer[id] = int32(li)
 			csr.Cycles[id] = ls.Cycles(si)
-			csr.PredOff[id] = int32(len(sc.pred))
+			csr.PredOff[id] = int32(len(pred))
 			si++
 			sc.ids, sc.vols = sc.ids[:0], sc.vols[:0]
 			for ti := range tabs {
@@ -224,10 +277,13 @@ func buildLayer(plan *sets.Plan, li int, csr *CSR, sc *buildScratch) (layerEdges
 					}
 				}
 			}
-			sc.pred, sc.vol = mergeEdges(sc.ids, sc.vols, sc.pred, sc.vol)
+			if len(pred)+len(sc.ids) > bound {
+				return 0, fmt.Errorf("deps: %v: edges exceed their bound %d", ls.Group.Node, bound)
+			}
+			pred, vol = mergeEdges(sc.ids, sc.vols, pred, vol)
 		}
 	}
-	return layerEdges{pred: slices.Clone(sc.pred), vol: slices.Clone(sc.vol)}, nil
+	return len(pred), nil
 }
 
 // fillTab evaluates one route against the consumer layer's grid,

@@ -212,16 +212,19 @@ func buildWithDup(t *testing.T, g *nn.Graph, plan *mapping.Plan, f int, d []int,
 }
 
 // TestBuildAllocsPerLayer pins Stage II's memory model: a warm Build
-// allocates the CSR arrays plus a few objects per layer (routes, the
-// layer's exact-length edge copy), never per set or per edge. The fixed
-// term absorbs the scratch regrowth when the race detector makes
+// allocates the CSR arrays plus a few objects per layer (its compiled
+// routes), never per set or per edge, and copies no edge through a
+// buffer of its own: its bytes are the CSR's plus a constant. The fixed
+// terms absorb the scratch regrowth when the race detector makes
 // sync.Pool drop the warm scratch.
 func TestBuildAllocsPerLayer(t *testing.T) {
-	const perLayer, fixed = 8, 64
+	const perLayer, fixed, fixedBytes = 5, 64, 64 << 10
 	for _, target := range []int{sets.DefaultTargetSets, sets.FineGranularity} {
 		g, plan := planFor(t, models.TinyYOLOv4, 416, target)
+		var dg *Graph
 		build := func() {
-			if _, err := BuildOpt(g, plan, Options{Workers: 1}); err != nil {
+			var err error
+			if dg, err = BuildOpt(g, plan, Options{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -229,12 +232,18 @@ func TestBuildAllocsPerLayer(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, build)
 		limit := float64(perLayer*len(plan.Layers) + fixed)
 		if allocs > limit {
-			ns := 0
-			for li := range plan.Layers {
-				ns += plan.Layers[li].NumSets()
-			}
 			t.Errorf("target %d: warm Build made %.0f allocs over %d layers (%d sets); want <= %.0f",
-				target, allocs, len(plan.Layers), ns, limit)
+				target, allocs, len(plan.Layers), dg.NumSets(), limit)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		c := dg.CSR
+		csrBytes := 4*(len(c.LayerOff)+len(c.SetLayer)+len(c.PredOff)+len(c.Pred)+len(c.PredVol)) + 8*len(c.Cycles)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(csrBytes+fixedBytes) {
+			t.Errorf("target %d: warm Build allocated %d B for a %d B CSR (%d edges); want at most %d more",
+				target, got, csrBytes, c.NumEdges(), fixedBytes)
 		}
 	}
 }

@@ -13,10 +13,14 @@ import (
 	"slices"
 	"testing"
 
+	"clsacim/internal/frontend"
+	"clsacim/internal/im2col"
+	"clsacim/internal/mapping"
 	"clsacim/internal/models"
 	"clsacim/internal/nn"
 	"clsacim/internal/region"
 	"clsacim/internal/sets"
+	"clsacim/internal/tensor"
 )
 
 type srcRegion struct {
@@ -269,5 +273,66 @@ func TestBuildMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBuildMergesRouteDuplicates covers the one case where Build's
+// first-pass edge bound is loose: two routes of one consumer reach the
+// same predecessor set (here a concat of a layer's output with a
+// stride-1 pooling of it), so Build merges duplicate hits. The result
+// must equal the recursive reference, and the CSR must keep no slack
+// from the bound.
+func TestBuildMergesRouteDuplicates(t *testing.T) {
+	g := nn.NewGraph()
+	in := g.AddInput("input", tensor.NewShape(12, 12, 4))
+	a := g.Add("a", &nn.Conv2D{KH: 1, KW: 1, SH: 1, SW: 1, KI: 4, KO: 8}, in)
+	pool := g.Add("pool", &nn.MaxPool{KH: 3, KW: 3, SH: 1, SW: 1, Pad: nn.Padding{Top: 1, Bottom: 1, Left: 1, Right: 1}}, a)
+	cat := g.Add("cat", &nn.Concat{Axis: nn.AxisC}, a, pool)
+	b := g.Add("b", &nn.Conv2D{KH: 1, KW: 1, SH: 1, SW: 1, KI: 16, KO: 8}, cat)
+	g.MarkOutput(b)
+	if _, err := frontend.Canonicalize(g, frontend.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mapping.Analyze(g, im2col.PEDims{Rows: 256, Cols: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := mapping.Solve(plan, plan.MinPEs, mapping.SolverNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapping.Apply(g, plan, sol, plan.MinPEs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := sets.Determine(g, m, sets.Options{TargetSets: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := Build(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 0
+	for li := range sp.Layers {
+		_, n, err := boundLayer(sp, li, dg.CSR.LayerOff, new(buildScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound += n
+	}
+	if bound <= dg.NumEdges() {
+		t.Fatalf("edge bound %d is tight on %d edges; the graph does not exercise the merge", bound, dg.NumEdges())
+	}
+	if cap(dg.CSR.Pred) != dg.NumEdges() || cap(dg.CSR.PredVol) != dg.NumEdges() {
+		t.Errorf("edge arrays keep capacity %d/%d for %d edges", cap(dg.CSR.Pred), cap(dg.CSR.PredVol), dg.NumEdges())
+	}
+	want := referenceDeps(t, sp)
+	for li := range want {
+		for si := range want[li] {
+			if got := dg.DepsOf(li, si); !slices.Equal(got, want[li][si]) {
+				t.Fatalf("layer %d set %d: deps diverge\n got %v\nwant %v", li, si, got, want[li][si])
+			}
+		}
 	}
 }

@@ -103,11 +103,11 @@ func TestFuzzPipeline(t *testing.T) {
 			// Eq. 3 consistency between the two schedules of the same
 			// mapping: S = t_lbl/t_xinf must equal Ut_xinf/Ut_lbl (same
 			// F), since total PE-cycles are invariant.
-			utL, err := metrics.Utilization(lbl, m)
+			utL, err := metrics.Utilization(lbl.Makespan, lbl.LayerActive, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			utX, err := metrics.Utilization(xinf, m)
+			utX, err := metrics.Utilization(xinf.Makespan, xinf.LayerActive, m)
 			if err != nil {
 				t.Fatal(err)
 			}

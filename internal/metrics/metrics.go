@@ -15,39 +15,51 @@ import (
 	"clsacim/internal/schedule"
 )
 
-// Utilization evaluates paper Eq. 2 over a schedule: the mean over all F
-// PEs of the architecture of (active cycles / total inference cycles).
-// PEs of one group are active exactly while the group executes a set;
-// PEs not allocated to any group contribute zero.
-func Utilization(s *schedule.Timeline, m *mapping.Mapping) (float64, error) {
-	if s.Makespan <= 0 {
-		return 0, fmt.Errorf("metrics: empty schedule (makespan %d)", s.Makespan)
+// Utilization evaluates paper Eq. 2 for a schedule of makespan t_NN
+// whose layers were busy layerActive cycles (schedule.Activity, summed
+// over each layer's replicas): the mean over all F PEs of the
+// architecture of (active cycles / total inference cycles). PEs of one
+// group are active exactly while the group executes a set; PEs not
+// allocated to any group contribute zero.
+func Utilization(makespan int64, layerActive []int64, m *mapping.Mapping) (float64, error) {
+	if makespan <= 0 {
+		return 0, fmt.Errorf("metrics: empty schedule (makespan %d)", makespan)
 	}
-	if len(s.LayerActive) != len(m.Groups) {
-		return 0, fmt.Errorf("metrics: schedule has %d layers, mapping %d groups",
-			len(s.LayerActive), len(m.Groups))
+	activePE, err := peCycles(layerActive, m)
+	if err != nil {
+		return 0, err
 	}
 	if m.F <= 0 {
 		return 0, fmt.Errorf("metrics: mapping has F=%d PEs", m.F)
 	}
-	var activePE int64 // sum over PEs of active cycles
-	for li, g := range m.Groups {
-		// Each replica's c_i PEs are active while that replica executes
-		// a set; LayerActive sums busy time across replicas.
-		activePE += int64(g.PEsPerReplica()) * s.LayerActive[li]
-	}
-	return float64(activePE) / (float64(m.F) * float64(s.Makespan)), nil
+	return float64(activePE) / (float64(m.F) * float64(makespan)), nil
 }
 
-// PEActive returns the busy cycles of each of the mapping's F PEs: every
+// peCycles is the Eq. 2 numerator: each replica's c_i PEs are active
+// while that replica executes a set, and layerActive sums busy time
+// across replicas.
+func peCycles(layerActive []int64, m *mapping.Mapping) (int64, error) {
+	if len(layerActive) != len(m.Groups) {
+		return 0, fmt.Errorf("metrics: schedule has %d layers, mapping %d groups",
+			len(layerActive), len(m.Groups))
+	}
+	var sum int64
+	for li, g := range m.Groups {
+		sum += int64(g.PEsPerReplica()) * layerActive[li]
+	}
+	return sum, nil
+}
+
+// PEActive returns the busy cycles of each of the mapping's F PEs given
+// each replica's busy cycles (schedule.Activity's replica rows): every
 // PE of a replica is active exactly while the replica executes a set.
 // PEs that virtualization pools share between layers sum the activity
 // of every replica placed on them, so the total is the Eq. 2 numerator
 // sum(c_i * LayerActive_i).
-func PEActive(s *schedule.Timeline, m *mapping.Mapping) []int64 {
+func PEActive(replicaActive [][]int64, m *mapping.Mapping) []int64 {
 	out := make([]int64, m.F)
 	for li, g := range m.Groups {
-		for r, a := range s.ReplicaActive[li] {
+		for r, a := range replicaActive[li] {
 			for _, pe := range g.ReplicaPEs(r) {
 				out[pe] += a
 			}
@@ -132,14 +144,10 @@ func LatencyNanos(cycles int64, tMVMNanos float64) float64 {
 // and each crossbar programming operation (weight virtualization)
 // consumes writeNanoJ. Idle/leakage power is excluded — the result is
 // the dynamic compute energy the utilization metric is about.
-func EnergyNanoJoule(s *schedule.Timeline, m *mapping.Mapping, mvmNanoJ, writeNanoJ float64, writes int) (float64, error) {
-	if len(s.LayerActive) != len(m.Groups) {
-		return 0, fmt.Errorf("metrics: schedule has %d layers, mapping %d groups",
-			len(s.LayerActive), len(m.Groups))
+func EnergyNanoJoule(layerActive []int64, m *mapping.Mapping, mvmNanoJ, writeNanoJ float64, writes int) (float64, error) {
+	cycles, err := peCycles(layerActive, m)
+	if err != nil {
+		return 0, err
 	}
-	var peCycles int64
-	for li, g := range m.Groups {
-		peCycles += int64(g.PEsPerReplica()) * s.LayerActive[li]
-	}
-	return float64(peCycles)*mvmNanoJ + float64(writes)*writeNanoJ, nil
+	return float64(cycles)*mvmNanoJ + float64(writes)*writeNanoJ, nil
 }

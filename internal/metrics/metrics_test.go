@@ -55,7 +55,7 @@ func TestUtilizationLayerByLayerClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ut, err := Utilization(s, m)
+	ut, err := Utilization(s.Makespan, s.LayerActive, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestUtilizationLayerByLayerClosedForm(t *testing.T) {
 func TestUtilizationErrors(t *testing.T) {
 	m, dg := pipeline(t, models.TinyBranchNet, 16, 0, 4)
 	s := &schedule.Timeline{LayerActive: make([]int64, len(m.Groups))}
-	if _, err := Utilization(s, m); err == nil {
+	if _, err := Utilization(s.Makespan, s.LayerActive, m); err == nil {
 		t.Error("zero makespan accepted")
 	}
 	s2, err := schedule.Schedule(dg, schedule.CrossLayer, schedule.Options{})
@@ -86,7 +86,7 @@ func TestUtilizationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	badMap := &mapping.Mapping{F: m.F}
-	if _, err := Utilization(s2, badMap); err == nil {
+	if _, err := Utilization(s2.Makespan, s2.LayerActive, badMap); err == nil {
 		t.Error("group count mismatch accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestEq3ConsistencyAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		utBase, err := Utilization(sBase, mBase)
+		utBase, err := Utilization(sBase.Makespan, sBase.LayerActive, mBase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestEq3ConsistencyAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ut, err := Utilization(s, m)
+		ut, err := Utilization(s.Makespan, s.LayerActive, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestPEActivityConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		act := PEActive(s, m)
+		act := PEActive(s.ReplicaActive, m)
 		if len(act) != m.F {
 			t.Fatalf("%v: PEActive length %d, want F = %d", p, len(act), m.F)
 		}
@@ -204,7 +204,7 @@ func TestPEActivityConsistency(t *testing.T) {
 				t.Errorf("%v: unallocated PE %d has activity %d", p, pe, act[pe])
 			}
 		}
-		ut, err := Utilization(s, m)
+		ut, err := Utilization(s.Makespan, s.LayerActive, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,10 @@ func TestMakespanAllocs(t *testing.T) {
 // TestScheduleBytesPerSet pins the compact timeline: a warm Schedule
 // allocates one 8-byte start cycle per set, plus per-layer activity rows
 // and a constant (page rounding of the start array, the Timeline
-// header). A per-set Item would cost five times as much.
+// header). A per-set Item would cost five times as much. The test
+// schedules on its own warm Scratch rather than Schedule's pooled one:
+// sync.Pool may drop an item across a GC, and at random under -race,
+// and a run that regrows the scratch is not the steady state.
 func TestScheduleBytesPerSet(t *testing.T) {
 	_, _, dg := compileDeps(t, models.TinyYOLOv4, 416, 32, sets.FineGranularity)
 	ns, nl, reps := dg.CSR.NumSets(), len(dg.Plan.Layers), 0
@@ -53,23 +56,20 @@ func TestScheduleBytesPerSet(t *testing.T) {
 		reps += ls.Group.Dup
 	}
 	limit := uint64(8*ns + 64*(nl+reps) + 16<<10)
+	var s Scratch
 	for _, p := range []Policy{LayerByLayer, Windowed(4), CrossLayer} {
-		// The least of several runs: sync.Pool may drop the scheduler's
-		// scratch (always possible across a GC, randomly under -race),
-		// and a run that regrows it is not the steady state.
-		least := ^uint64(0)
-		var before, after runtime.MemStats
-		for i := 0; i < 5; i++ {
-			runtime.ReadMemStats(&before)
-			if _, err := Schedule(dg, p, Options{}); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if _, err := s.schedule(dg, p, Options{}); err != nil {
+			t.Fatal(err)
 		}
-		if least > limit {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.schedule(dg, p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 			t.Errorf("%v: Schedule allocates %d B for %d sets in %d layers (%.1f B/set), want at most %d",
-				p, least, ns, nl, float64(least)/float64(ns), limit)
+				p, got, ns, nl, float64(got)/float64(ns), limit)
 		}
 	}
 }
@@ -94,8 +94,8 @@ func TestMakespanRejectsBadInput(t *testing.T) {
 // from cycle 0 is Schedule's timeline, and reusing its timeline for a
 // second job released at the first one's end, on the replica free
 // times the first left, shifts it by exactly that end (the replicas
-// are all idle by then). Job rejects free times or a timeline shaped
-// after another graph.
+// are all idle by then), with or without a timeline to record into. Job
+// rejects free times or a timeline shaped after another graph.
 func TestJobExtendsSchedule(t *testing.T) {
 	_, _, dg := compileDeps(t, models.TinyBranchNet, 16, 4, 4)
 	reps := 0
@@ -128,6 +128,34 @@ func TestJobExtendsSchedule(t *testing.T) {
 				t.Fatalf("%v: second job set %d starts at %d, want %d", p, id, st, want.Items[id]+want.Makespan)
 			}
 		}
+	}
+	// Without a timeline Job returns the same bounds and, warm,
+	// allocates nothing.
+	free := make([]int64, reps)
+	for _, p := range []Policy{LayerByLayer, Windowed(2), CrossLayer} {
+		want, err := Schedule(dg, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(free)
+		for job := int64(0); job < 2; job++ {
+			start, end, err := s.Job(dg, p, nil, 1+job*want.Makespan, free, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if start != 1+job*want.Makespan || end != 1+(job+1)*want.Makespan {
+				t.Fatalf("%v: job %d without a timeline: [%d, %d], want [%d, %d]",
+					p, job, start, end, 1+job*want.Makespan, 1+(job+1)*want.Makespan)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		clear(free)
+		if _, _, err := s.Job(dg, CrossLayer, nil, 0, free, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Job without a timeline allocates %v objects per run, want 0", allocs)
 	}
 	if _, _, err := s.Job(dg, CrossLayer, nil, 0, make([]int64, reps-1), NewTimeline(dg, CrossLayer)); err == nil {
 		t.Error("short free-time vector accepted")

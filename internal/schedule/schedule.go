@@ -54,13 +54,19 @@ type Options struct {
 // serializes layers entirely at window 1 and imposes nothing at
 // Unbounded.
 func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	return s.schedule(dg, p, opt)
+}
+
+// schedule is Schedule on s's working memory: once s has scheduled a
+// workload of this size, it allocates only the returned Timeline.
+func (s *Scratch) schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
 	if err := checkInputs(dg); err != nil {
 		return nil, err
 	}
 	t := NewTimeline(dg, p)
-	s := scratchPool.Get().(*Scratch)
 	t.Makespan = s.run(dg, nil, p, opt.EdgeCost, 0, t)
-	scratchPool.Put(s)
 	return t, nil
 }
 
@@ -113,10 +119,11 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 // inference. free[g] is the free time of replica group g, numbered
 // layer-major (layer li's Group.Dup groups follow layer li-1's, as in
 // Dispatch); Job reads it and leaves each group's last finish there
-// for the next inference. Job overwrites t, a timeline shaped after dg
-// (NewTimeline) that may be reused across jobs, with the job's starts,
-// activity rows and last finish, and returns the job's earliest start
-// and last finish.
+// for the next inference. Job returns the job's earliest start and
+// last finish. When t is non-nil, a timeline shaped after dg
+// (NewTimeline) that may be reused across jobs, Job also overwrites it
+// with the job's starts, activity rows and last finish; with a nil t a
+// warm Scratch schedules the job without allocating.
 //
 // Scheduling a stream's jobs one after another in issue order is exact
 // when every replica group serves its jobs FIFO in issue order and
@@ -133,25 +140,32 @@ func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, 
 	if len(free) != reps {
 		return 0, 0, fmt.Errorf("schedule: %d replica free times, plan has %d replica groups", len(free), reps)
 	}
-	if t == nil || len(t.Items) != dg.CSR.NumSets() {
-		return 0, 0, fmt.Errorf("schedule: job timeline is not shaped after the dependency graph")
-	}
-	for _, row := range t.ReplicaActive {
-		clear(row)
-	}
-	s.free = free
-	t.Makespan = s.run(dg, nil, p, edge, release, t)
-	s.free = nil
-	// A replica runs its sets in raster order, so a layer's earliest
-	// start is among its first Group.Dup sets.
-	start = math.MaxInt64
-	for li := range dg.Plan.Layers {
-		starts := t.ItemsOf(li)
-		for _, st := range starts[:min(len(starts), len(t.ReplicaActive[li]))] {
-			start = min(start, st)
+	if t != nil {
+		if len(t.Items) != dg.CSR.NumSets() {
+			return 0, 0, fmt.Errorf("schedule: job timeline is not shaped after the dependency graph")
+		}
+		for _, row := range t.ReplicaActive {
+			clear(row)
 		}
 	}
-	return start, t.Makespan, nil
+	s.free = free
+	end = s.run(dg, nil, p, edge, release, t)
+	s.free = nil
+	if t != nil {
+		t.Makespan = end
+	}
+	// A replica runs its sets in raster order, so a layer's earliest
+	// start is among its first Group.Dup sets; run leaves every set's
+	// finish in s.end.
+	csr := dg.CSR
+	start = math.MaxInt64
+	for li, ls := range dg.Plan.Layers {
+		first := int(csr.LayerOff[li])
+		for id := first; id < first+min(ls.NumSets(), ls.Group.Dup); id++ {
+			start = min(start, s.end[id]-csr.Cycles[id])
+		}
+	}
+	return start, end, nil
 }
 
 func checkInputs(dg *deps.Graph) error {
@@ -164,9 +178,10 @@ func checkInputs(dg *deps.Graph) error {
 // run is the Stage IV recursion shared by Schedule, Makespan and Job.
 // Layer li has dup[li] replicas (the plan's Group.Dup when dup is nil).
 // No set starts before release, and each replica's sets start no
-// earlier than its ready time from layerReady. When t is non-nil every
-// set's start and the activity counters are recorded into it; the
-// makespan is returned either way.
+// earlier than its ready time from layerReady. Every set's finish is
+// left in s.end (outside Job, only where a dependency scan ran). When t
+// is non-nil every set's start and the activity counters are recorded
+// into it; the makespan is returned either way.
 func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, release int64, t *Timeline) int64 {
 	csr := dg.CSR
 	k := p.Window()
@@ -180,8 +195,9 @@ func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, rele
 	prefixEnd[0] = release
 	// At window 1 with idealized edges every predecessor (always in an
 	// earlier layer) finishes no later than the gate, so the dependency
-	// scan is provably redundant.
-	skipDeps := k == 1 && edge == nil
+	// scan is provably redundant, and so are the finishes it reads. Job
+	// reads the finishes afterwards, so it keeps both.
+	skipDeps := k == 1 && edge == nil && s.free == nil
 	var makespan int64
 	for li, ls := range dg.Plan.Layers {
 		d := ls.Group.Dup

@@ -55,20 +55,27 @@ type Timeline struct {
 }
 
 // NewTimeline allocates an empty timeline shaped after dg's set plan.
-// The per-layer ReplicaActive rows are views into one backing array
+func NewTimeline(dg *deps.Graph, p Policy) *Timeline {
+	t := &Timeline{
+		Policy: p,
+		Items:  make([]int64, dg.CSR.NumSets()),
+		Off:    dg.CSR.LayerOff,
+		Cycles: dg.CSR.Cycles,
+	}
+	t.LayerActive, t.ReplicaActive = activityRows(dg)
+	return t
+}
+
+// activityRows allocates zeroed activity rows shaped after dg's set
+// plan: one entry per layer, and one row per layer with an entry per
+// replica. The replica rows are views into one backing array
 // (full-capacity slices, so an append on a row would copy rather than
 // clobber its neighbor), keeping the allocation count independent of
 // the layer count.
-func NewTimeline(dg *deps.Graph, p Policy) *Timeline {
+func activityRows(dg *deps.Graph) (layer []int64, replica [][]int64) {
 	nl := len(dg.Plan.Layers)
-	t := &Timeline{
-		Policy:        p,
-		Items:         make([]int64, dg.CSR.NumSets()),
-		Off:           dg.CSR.LayerOff,
-		Cycles:        dg.CSR.Cycles,
-		LayerActive:   make([]int64, nl),
-		ReplicaActive: make([][]int64, nl),
-	}
+	layer = make([]int64, nl)
+	replica = make([][]int64, nl)
 	total := 0
 	for li := range dg.Plan.Layers {
 		total += dg.Plan.Layers[li].Group.Dup
@@ -77,10 +84,28 @@ func NewTimeline(dg *deps.Graph, p Policy) *Timeline {
 	off := 0
 	for li := range dg.Plan.Layers {
 		d := dg.Plan.Layers[li].Group.Dup
-		t.ReplicaActive[li] = backing[off : off+d : off+d]
+		replica[li] = backing[off : off+d : off+d]
 		off += d
 	}
-	return t
+	return layer, replica
+}
+
+// Activity returns the busy cycles that every timeline of dg records:
+// per layer (LayerActive) and per replica PE group (ReplicaActive).
+// Stage III fixes the replica of each set (Replica), so neither depends
+// on the policy, the edge costs or when the sets start; a caller that
+// needs only activity and the makespan (Scratch.Makespan) builds no
+// timeline.
+func Activity(dg *deps.Graph) (layer []int64, replica [][]int64) {
+	layer, replica = activityRows(dg)
+	csr := dg.CSR
+	for li, row := range replica {
+		for si, c := range csr.Cycles[csr.LayerOff[li]:csr.LayerOff[li+1]] {
+			row[Replica(si, len(row))] += c
+			layer[li] += c
+		}
+	}
+	return layer, replica
 }
 
 // NumLayers returns the layer count.

@@ -28,13 +28,11 @@ func conflictFree(models []ModelSpec) bool {
 var scratchPool = sync.Pool{New: func() any { return new(schedule.Scratch) }}
 
 // listModel is one model class's state in runList: the free time of
-// each of its replica groups after the model's last scheduled job, its
-// scheduled jobs in issue order, and the last job's timeline, which the
-// next job reuses when none is kept.
+// each of its replica groups after the model's last scheduled job, and
+// its scheduled jobs in issue order.
 type listModel struct {
 	free []int64
 	jobs []int32
-	last *schedule.Timeline
 }
 
 // runList schedules a conflict-free workload job by job in issue order.
@@ -42,8 +40,9 @@ type listModel struct {
 // job's sets only wait on earlier jobs of the same model, through its
 // groups' free times and its admission. Stage IV (schedule.Scratch.Job)
 // places each job's sets; around it runList derives admission,
-// closed-loop arrivals, the queue trace and the PE activity. The
-// result equals the event loop's on every conflict-free workload.
+// closed-loop arrivals, the queue trace and the PE activity. Under
+// DropTimelines it builds no timeline. The result equals the event
+// loop's on every conflict-free workload.
 func runList(w Workload, opt Options) (*Result, error) {
 	nj := len(w.Sequence)
 	res := &Result{Jobs: make([]JobStat, nj), PEActive: make([]int64, w.FabricPEs)}
@@ -90,17 +89,14 @@ func runList(w Workload, opt Options) (*Result, error) {
 			release = max(release, res.Jobs[m.jobs[len(m.jobs)-g]].End)
 		}
 		spec := w.Models[mi]
-		tl := m.last
-		if tl == nil || res.Timelines != nil {
+		var tl *schedule.Timeline
+		if res.Timelines != nil {
 			tl = schedule.NewTimeline(spec.Graph, spec.Policy)
+			res.Timelines[j] = tl
 		}
 		start, end, err := sc.Job(spec.Graph, spec.Policy, spec.Edge, release, m.free, tl)
 		if err != nil {
 			return nil, err
-		}
-		m.last = tl
-		if res.Timelines != nil {
-			res.Timelines[j] = tl
 		}
 		res.Jobs[j] = JobStat{Model: mi, Arrival: arrival, Start: start, End: end}
 		res.MakespanCycles = max(res.MakespanCycles, end)
@@ -111,15 +107,15 @@ func runList(w Workload, opt Options) (*Result, error) {
 	}
 	res.Queue = queueTrace(res.Jobs)
 	// Every job of a model keeps each replica group busy for the same
-	// cycles, those of the last job's timeline, and every PE of the
-	// replica is busy while it is.
+	// cycles (schedule.Activity), and every PE of the replica is busy
+	// while it is.
 	for mi, spec := range w.Models {
-		m := &ms[mi]
-		if m.last == nil {
+		n := int64(len(ms[mi].jobs))
+		if n == 0 {
 			continue
 		}
-		n := int64(len(m.jobs))
-		for li, row := range m.last.ReplicaActive {
+		_, active := schedule.Activity(spec.Graph)
+		for li, row := range active {
 			for r, a := range row {
 				for _, pe := range spec.Mapping.Groups[li].ReplicaPEs(r) {
 					res.PEActive[spec.PEBase+pe] += n * a

@@ -26,15 +26,18 @@ func WithConfig(cfg Config) Option {
 // exclusion (with the Stage III raster order of each replica), window
 // admission legality, Stage III/IV active-cycle conservation, and
 // makespan/metrics consistency. A violation fails the request with a
-// typed error instead of returning wrong numbers. Each timeline is
-// checked once, when the Engine first builds it, and cached only if it
-// passes; every stream is checked as a whole (check.Stream).
+// typed error instead of returning wrong numbers. Each (compilation,
+// mode) is checked once: the Engine builds its timeline, checks it and
+// caches the makespan only if it passes, where an Engine without
+// validation runs the makespan pass alone. Every stream is checked as a
+// whole (check.Stream).
 //
 // Validation is opt-in: without it nothing re-checks the scheduler's
-// output. It costs one more pass over each new timeline's dependency
-// edges: about 3.5 ms and under 1 KB per fine-grained TinyYOLOv4
-// wdup+32 timeline (BenchmarkCheckTimeline, GOMAXPROCS=1 on a 2-vCPU
-// Xeon), some three times the cost of scheduling it. Production services normally leave it off and rely on
+// output. It costs one timeline and one more pass over its dependency
+// edges per new (compilation, mode): about 3.5 ms and under 1 KB per
+// fine-grained TinyYOLOv4 wdup+32 timeline (BenchmarkCheckTimeline,
+// GOMAXPROCS=1 on a 2-vCPU Xeon), some three times the cost of
+// scheduling it. Production services normally leave it off and rely on
 // the fuzz/CI coverage, while debugging and canary deployments turn it
 // on.
 func WithValidation() Option {

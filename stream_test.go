@@ -288,7 +288,7 @@ func TestEvaluateStreamStatsCountServedJobs(t *testing.T) {
 		t.Errorf("StreamInferences = %d after two streams of %d", s2.StreamInferences, res.Inferences)
 	}
 	// Streaming the same key under a new mode is a partial hit: cached
-	// compile, uncached timeline — the accounting Evaluate uses, which
+	// compile, uncached makespan — the accounting Evaluate uses, which
 	// EvaluateStream bypassed before routing through compileCounted.
 	lbl := req
 	lbl.Mode = ModeLayerByLayer
@@ -301,10 +301,10 @@ func TestEvaluateStreamStatsCountServedJobs(t *testing.T) {
 }
 
 // TestEvaluateStreamAllocationBound is the allocation guard of the lean
-// stream engine: on a warm Engine, per-job state is pooled and
-// timelines are not kept without validation, so a stream allocates a
-// constant per in-flight job plus a small per-inference record, with no
-// per-set term per inference.
+// stream engine: on a warm Engine a conflict-free stream runs on pooled
+// Stage IV working memory and builds no timeline without validation, so
+// it allocates only a small per-inference record (its JobStat, its
+// queue samples and its share of the end heap), with no per-set term.
 func TestEvaluateStreamAllocationBound(t *testing.T) {
 	e := MustNew()
 	req := StreamRequest{
@@ -316,34 +316,38 @@ func TestEvaluateStreamAllocationBound(t *testing.T) {
 	if _, err := e.EvaluateStream(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	alloc := func(inferences, concurrency int) uint64 {
+	// alloc returns the bytes one stream allocates, measured again (up
+	// to five runs) while over want: sync.Pool may drop the stream's
+	// Stage IV scratch across a GC, and at random under -race, and a run
+	// that regrows it is not the steady state.
+	alloc := func(inferences, concurrency int, want uint64) uint64 {
 		r := req
 		r.Inferences = inferences
 		r.Arrival.Concurrency = concurrency
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := e.EvaluateStream(context.Background(), r); err != nil {
-			t.Fatal(err)
+		least := ^uint64(0)
+		for try := 0; try < 5 && least > want; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := e.EvaluateStream(context.Background(), r); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return least
 	}
-	c1x16, c1x64, c4x16 := alloc(16, 1), alloc(64, 1), alloc(16, 4)
-	t.Logf("c1x16 %d B, c1x64 %d B, c4x16 %d B", c1x16, c1x64, c4x16)
-	if c1x16 >= 10<<20 {
-		t.Errorf("16 inferences at c1 allocated %d B, want < 10 MB", c1x16)
+	const perInference = 512
+	c1x16 := alloc(16, 1, 32<<10)
+	if c1x16 > 32<<10 {
+		t.Errorf("16 inferences at c1 allocated %d B, want at most 32 KB", c1x16)
 	}
-	if c1x64 > c1x16+48*4096 {
-		t.Errorf("64 inferences allocated %d B, over 16 inferences' %d B plus 4 KB per extra inference", c1x64, c1x16)
+	if c1x64 := alloc(64, 1, c1x16+48*perInference); c1x64 > c1x16+48*perInference {
+		t.Errorf("64 inferences allocated %d B, over 16 inferences' %d B plus %d B per extra inference",
+			c1x64, c1x16, perInference)
 	}
-	// Three more jobs in flight cost three more job states: 12 bytes
-	// per set, plus slack for the per-group and per-layer counters and
-	// for allocation size classes.
-	c, err := e.Compile(context.Background(), Request{Model: "tinyyolov4", WeightDuplication: true, ExtraPEs: 32, Mode: ModeCrossLayer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perJob := uint64(16*c.depGraph.CSR.NumSets() + 16<<10); c4x16 > c1x16+3*perJob {
-		t.Errorf("c4 allocated %d B, over c1's %d B plus 3 in-flight jobs of %d B", c4x16, c1x16, perJob)
+	// More jobs in flight change only the order jobs retire in, so they
+	// cost no more memory.
+	if c4x16 := alloc(16, 4, c1x16+4<<10); c4x16 > c1x16+4<<10 {
+		t.Errorf("c4 allocated %d B, over c1's %d B plus 4 KB", c4x16, c1x16)
 	}
 }

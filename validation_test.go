@@ -9,9 +9,10 @@ import (
 	"clsacim/internal/mapping"
 )
 
-// validation_test.go covers the WithValidation engine option: every
-// timeline the Engine produces is machine-checked by the
-// engine-independent invariant checker (internal/check).
+// validation_test.go covers the WithValidation engine option: the
+// timeline of every (compilation, mode) the Engine schedules is
+// machine-checked by the engine-independent invariant checker
+// (internal/check).
 
 // TestWithValidationAcceptsAllModes: validation-on evaluation succeeds
 // across the policy family, mapping knobs, and data-movement costs —
@@ -29,7 +30,7 @@ func TestWithValidationAcceptsAllModes(t *testing.T) {
 		{coarse, Request{Model: "tinyconvnet", Mode: ModeWindow(2)}},
 		{coarse, Request{Model: "tinybranchnet", Mode: ModeCrossLayer, ExtraPEs: 6, WeightDuplication: true}},
 		{coarse, Request{Model: "tinyyolov4", Mode: ModeCrossLayer, ExtraPEs: 16, WeightDuplication: true}},
-		// Repeated request: served from the timeline cache, exercising
+		// Repeated request: served from the makespan cache, exercising
 		// the validate-once memoization path.
 		{coarse, Request{Model: "tinyconvnet", Mode: ModeLayerByLayer}},
 		// No duplication: served as an F-view of the x = 0 compilation,
@@ -91,7 +92,7 @@ func TestWithValidationVirtualized(t *testing.T) {
 	}
 }
 
-// TestValidatingTimelineRunsCheck: Compiled.timeline is where a
+// TestValidatingTimelineRunsCheck: Compiled.makespan is where a
 // validating Engine runs check.Timeline, and the only check a timeline
 // gets. Two replica groups of one layer made to share a PE schedule
 // fine — the scheduler orders each replica on its own — but fail
@@ -132,8 +133,8 @@ func TestValidatingTimelineRunsCheck(t *testing.T) {
 		if !errors.As(err, &v) || v.Kind != check.KindExclusivity {
 			t.Fatalf("validation on: err = %v, want an exclusivity violation", err)
 		}
-		if comp.hasTimeline(req.Mode) {
-			t.Error("a timeline that failed the check was cached")
+		if comp.hasMakespan(req.Mode) {
+			t.Error("the makespan of a timeline that failed the check was cached")
 		}
 	}
 }

@@ -94,7 +94,7 @@ func TestVirtualizedReportMetrics(t *testing.T) {
 		sum += a
 	}
 	for li, g := range c.mapped.Groups {
-		numerator += int64(g.PEsPerReplica()) * rep.sched.LayerActive[li]
+		numerator += int64(g.PEsPerReplica()) * rep.mustTimeline().LayerActive[li]
 	}
 	if sum != numerator || sum != 217503 {
 		t.Errorf("sum of PEActive = %d, Eq. 2 numerator = %d, want both 217503", sum, numerator)
