@@ -91,7 +91,7 @@ func TestOnDemandTimelineMatchesSchedule(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The reference Report reads ref and derives every metric
-			// from it, as the Report of a cached timeline did.
+			// from it.
 			want := *rep
 			want.tl = new(lazyTimeline)
 			want.tl.once.Do(func() { want.tl.t = ref })
