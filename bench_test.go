@@ -420,19 +420,17 @@ func BenchmarkCheckTimeline(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulate measures the steady-state discrete-event simulator
-// on the same workload and policies: a reused sim.State, which keeps its
-// scratch and its Stage III dispatch plan across runs of one workload.
-// The cold path (fresh scratch, dispatch built per run) is sim.Run.
+// BenchmarkSimulate measures the discrete-event simulator on the same
+// workload and policies: one inference through the stream event loop
+// (sim is its one-inference view), which builds the Stage III dispatch
+// plan and its scratch afresh on every run, so a sim.State carries
+// nothing across runs.
 func BenchmarkSimulate(b *testing.B) {
 	m, dg, arch := stageIVWorkload(b)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
 		b.Run(p.Name(), func(b *testing.B) {
 			st := sim.NewState()
 			var opt sim.Options
-			if _, err := st.Run(arch, dg, m, p, opt); err != nil {
-				b.Fatal(err) // warm the scratch so allocs/op is steady-state
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -448,18 +446,15 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateCoarse measures the scalar-only fast path: same
-// event loop, no Timeline materialization, zero steady-state
-// allocations.
+// BenchmarkSimulateCoarse measures the scalar-only path: the same event
+// loop without Timeline materialization (stream.Options.DropTimelines);
+// it still allocates the run's per-job scratch and queue buckets.
 func BenchmarkSimulateCoarse(b *testing.B) {
 	m, dg, arch := stageIVWorkload(b)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
 		b.Run(p.Name(), func(b *testing.B) {
 			st := sim.NewState()
 			var opt sim.Options
-			if _, err := st.RunCoarse(arch, dg, m, p, opt); err != nil {
-				b.Fatal(err) // warm the scratch so allocs/op is steady-state
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -19,8 +19,8 @@ import (
 // FuzzScheduleVsSim is the differential fuzz harness over the whole
 // scheduling stack: a fuzzed random CNN is compiled (canonicalize →
 // map → Stage I/II) and executed by BOTH engines — the analytic Stage IV
-// list scheduler and the event-driven simulator — under a fuzzed policy
-// and mapping. Every timeline must pass the independent invariant
+// list scheduler and the stream event loop (through package sim) —
+// under a fuzzed policy and mapping. Every timeline must pass the independent invariant
 // checker, and the two engines must agree item-for-item. Any divergence
 // is a bug in one of the three subsystems. The list scheduler's
 // makespan pass (the scored solver's cost model) must match both, with

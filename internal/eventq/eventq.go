@@ -1,7 +1,8 @@
-// Package eventq is the bucketed calendar event queue shared by the
-// discrete-event engines (internal/sim, internal/stream).
+// Package eventq is the bucketed calendar event queue of the
+// discrete-event stream engine (internal/stream), which internal/sim
+// runs single inferences through.
 //
-// Both engines schedule set completions whose timestamps advance
+// The engine schedules set completions whose timestamps advance
 // monotonically and whose increments are bounded: a completion pushed
 // at simulation time `now` lands at `start + cycles`, where start is at
 // most a few edge-cost cycles past now and cycles is bounded by the
@@ -11,9 +12,9 @@
 // width, the pop scan walks the ring from the current bucket, and the
 // bounded increment guarantees every live event sits within one lap.
 //
-// Each bucket is kept sorted by (Time, Seq) on insertion. Engines push
-// in nearly ascending order — sequence numbers only grow, and at the
-// finest granularity a bucket is one cycle wide — so the backward
+// Each bucket is kept sorted by (Time, Seq) on insertion. The engine
+// pushes in nearly ascending order — sequence numbers only grow, and at
+// the finest granularity a bucket is one cycle wide — so the backward
 // insertion walk is O(1) in the common case. Pop then takes the
 // bucket's head through a per-bucket head index, with no scan inside
 // the bucket.
@@ -27,9 +28,8 @@
 // and migrate back once the clock catches up, so correctness never
 // depends on the increment bound — only speed does.
 //
-// A Queue is reusable: Init reshapes the ring for a workload's bound
-// and keeps the bucket storage of earlier runs, so a warm queue
-// allocates nothing. It is not safe for concurrent use.
+// Init shapes the ring for a workload's bound; a Queue is not safe for
+// concurrent use.
 package eventq
 
 // Event is one queue element: ordered by (Time, Seq), carrying the
@@ -81,8 +81,7 @@ func less[P any](a, b Event[P]) bool {
 // (an upper bound on e.Time - now at push time; pushes beyond it are
 // still correct, just slower), and width the expected number of
 // concurrently pending events. Events still pending from an abandoned
-// run are discarded; bucket storage from earlier runs is kept, so a
-// warm Init allocates only when the shape grows.
+// run are discarded.
 func (q *Queue[P]) Init(span int64, width int) {
 	if span < 1 {
 		span = 1
@@ -97,15 +96,7 @@ func (q *Queue[P]) Init(span int64, width int) {
 	for span>>shift > int64(nb-2) {
 		shift++
 	}
-	if cap(q.buckets) < nb {
-		q.buckets = make([]bucket[P], nb)
-	} else {
-		q.buckets = q.buckets[:nb]
-		for i := range q.buckets {
-			q.buckets[i].ev = q.buckets[i].ev[:0]
-			q.buckets[i].head = 0
-		}
-	}
+	q.buckets = make([]bucket[P], nb)
 	q.mask = int64(nb - 1)
 	q.shift = shift
 	q.now = 0

@@ -19,8 +19,8 @@ type Item struct {
 }
 
 // Timeline is the executed set-level timetable shared by the analytic
-// scheduler (Schedule), the event-driven engines (sim, stream) and the
-// weight-virtualized baseline. Stage IV decides one thing per set, its
+// scheduler (Schedule), the stream event loop (and package sim, its
+// one-inference view) and the weight-virtualized baseline. Stage IV decides one thing per set, its
 // start cycle, so that is all a timeline stores: one int64 per set in
 // flat CSR order. Everything else follows from the plan:
 //
@@ -30,7 +30,7 @@ type Item struct {
 //   - the end from Start + Cycles[id].
 //
 // Gantt rendering, JSON export, critical-path analysis and the
-// schedule-vs-sim equality check all read this one representation
+// schedule-vs-event-loop equality check all read this one representation
 // through Item, At and End.
 type Timeline struct {
 	// Policy is the scheduling mode that produced the timeline; its

@@ -1,14 +1,14 @@
 package sim
 
-// This file keeps the previous production simulator — a binary-heap
+// This file keeps an earlier production simulator — a binary-heap
 // event loop that recomputes its dispatch plan and books replica
-// activity per event — as a test-only reference implementation. The
-// calendar queue in sim.go reorders nothing (it preserves the exact
-// (time, seq) total order the heap produced) and its deferred
-// per-replica activity accounting sums to the same totals, so both
-// engines must produce byte-identical results. TestSimMatchesReference checks that
-// on randomized workloads; if the fast path ever diverges, this oracle
-// pinpoints the first differing item.
+// activity per event — as a test-only reference implementation. Run
+// drives one inference through the stream event loop, whose calendar
+// queue preserves the heap's (time, seq) total order and whose deferred
+// per-group activity accounting sums to the same totals, so both
+// engines must produce byte-identical results. TestSimMatchesReference
+// checks that on randomized workloads; if the event loop ever diverges,
+// this oracle pinpoints the first differing item.
 
 import (
 	"fmt"
@@ -312,11 +312,12 @@ func compileGraph(t *testing.T, g *nn.Graph, extra, targetSets int) compiled {
 	return compiled{m: m, dg: dg, arch: arch}
 }
 
-// TestSimMatchesReference differentially tests the calendar-queue
-// simulator against the retired binary-heap engine on randomized CNNs:
-// every scheduling mode and set granularity must produce byte-identical
-// timelines and identical utilization. Run under -race
-// in CI it also exercises the State scratch reuse across workloads.
+// TestSimMatchesReference differentially tests the stream event loop,
+// one inference at a time, against the retired binary-heap engine on
+// randomized CNNs: every scheduling mode and set granularity must
+// produce byte-identical timelines and identical utilization, and
+// RunCoarse, alternating lbl, x4 and xinf on one State, the same
+// makespan and utilization. CI runs it under -race.
 func TestSimMatchesReference(t *testing.T) {
 	policies := []schedule.Policy{
 		schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer,

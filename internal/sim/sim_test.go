@@ -145,8 +145,8 @@ func checkMakespanPass(t *testing.T, label string, c compiled, p schedule.Policy
 	}
 }
 
-// TestSimMatchesAnalytic is the central cross-validation: the
-// discrete-event simulator and the analytic Stage IV recursion must
+// TestSimMatchesAnalytic is the central cross-validation: the stream
+// event loop and the analytic Stage IV recursion must
 // produce identical timelines (makespan, every item, every activity
 // counter) under every policy, across models and configurations.
 func TestSimMatchesAnalytic(t *testing.T) {

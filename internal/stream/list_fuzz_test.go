@@ -18,7 +18,8 @@ import (
 
 // FuzzStreamListVsEvents is the differential oracle of the two stream
 // engines: on conflict-free workloads the job-by-job Stage IV path
-// (runList) must return a Result deep-equal to the event loop's. The
+// (runList) must return a Result deep-equal to the event loop's
+// (RunEvents, the entry package sim runs single inferences through). The
 // inputs pick a RandomCNN or builtin graph at coarse or fine
 // granularity, one model (offset inside a larger fabric) or two models
 // on disjoint pools, a window (lbl, xK, xinf), an edge cost, closed-loop
@@ -91,7 +92,7 @@ func FuzzStreamListVsEvents(f *testing.F) {
 		if err != nil {
 			t.Fatalf("list path: %v", err)
 		}
-		want, err := newEngine(w, opt).run()
+		want, err := RunEvents(w, opt)
 		if err != nil {
 			t.Fatalf("event loop: %v", err)
 		}

@@ -38,8 +38,9 @@
 //     arrivals are the retirements in time order, popped from a
 //     min-heap of job ends. The queue trace and
 //     the PE activity follow from the job lifecycles.
-//   - Shared pools keep a discrete-event loop in the style of
-//     internal/sim. Every job instantiates its model's immutable Stage
+//   - Shared pools keep a discrete-event loop, also exported as
+//     RunEvents for any workload (internal/sim runs single inferences
+//     through it). Every job instantiates its model's immutable Stage
 //     III dispatch plan (schedule.Dispatch) and keeps only per-job
 //     cursors, dependency counters and window state: 12 bytes per set,
 //     taken from a per-model free list at admission and returned at
@@ -52,10 +53,10 @@
 //     resource, and busy resources always complete.
 //
 // On conflict-free workloads the two schedulers return deep-equal
-// results (FuzzStreamListVsEvents): a greedy flow shop without
-// arbitration starts every set at the latest of the same terms the
-// recurrence takes. Both poll Options.Context, the recurrence once per
-// job and the event loop every few thousand events.
+// results (FuzzStreamListVsEvents, through RunEvents): a greedy flow
+// shop without arbitration starts every set at the latest of the same
+// terms the recurrence takes. Both poll Options.Context, the recurrence
+// once per job and the event loop every few thousand events.
 //
 // The oracle for all of this is check.Stream, which revalidates every
 // per-job timeline plus the cross-inference invariants from scratch.
@@ -67,6 +68,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"clsacim/internal/deps"
 	"clsacim/internal/eventq"
@@ -274,6 +276,17 @@ func Run(w Workload, opt Options) (*Result, error) {
 	return newEngine(w, opt).run()
 }
 
+// RunEvents executes the workload with the discrete-event loop, whatever
+// its PE layout; Run takes it only for shared pools. Its results on
+// conflict-free workloads equal Run's (FuzzStreamListVsEvents), which
+// makes it the event-driven reference for the Stage IV recurrence.
+func RunEvents(w Workload, opt Options) (*Result, error) {
+	if err := validate(w, opt); err != nil {
+		return nil, err
+	}
+	return newEngine(w, opt).run()
+}
+
 func validate(w Workload, opt Options) error {
 	if w.FabricPEs <= 0 {
 		return fmt.Errorf("stream: fabric has %d PEs", w.FabricPEs)
@@ -368,7 +381,7 @@ func newEngine(w Workload, opt Options) *engine {
 	e.busy = make([]bool, total)
 	e.fifo = make([]fifoQueue, total)
 	e.grpAct = make([]int64, total)
-	e.conflicts = buildConflicts(w.Models, e.models, total)
+	e.conflicts = buildConflicts(w.Models, e.models, w.FabricPEs, total)
 	for j, mi := range w.Sequence {
 		e.models[mi].jobs = append(e.models[mi].jobs, int32(j))
 	}
@@ -378,49 +391,47 @@ func newEngine(w Workload, opt Options) *engine {
 
 // buildConflicts maps every physical PE to the replica groups mapped
 // onto it and records, per group, the distinct other groups it shares a
-// PE with. Within one (non-virtualized) model the groups are disjoint,
-// so conflicts only arise between models on a shared pool.
-func buildConflicts(specs []ModelSpec, models []modelRun, total int) [][]int32 {
-	owners := map[int][]int32{}
+// PE with, in ascending order. Within one (non-virtualized) model the
+// groups are disjoint, so conflicts only arise between models on a
+// shared pool.
+func buildConflicts(specs []ModelSpec, models []modelRun, fabricPEs, total int) [][]int32 {
+	// owners[pe] lists the groups on PE pe. A PE's first owner sits in
+	// first, so only shared PEs allocate.
+	owners := make([][]int32, fabricPEs)
+	first := make([]int32, fabricPEs)
 	for mi, s := range specs {
 		gid := int32(models[mi].base)
 		for _, g := range s.Mapping.Groups {
 			for r := 0; r < g.Dup; r++ {
 				for _, pe := range g.ReplicaPEs(r) {
-					owners[s.PEBase+pe] = append(owners[s.PEBase+pe], gid)
+					p := s.PEBase + pe
+					if owners[p] == nil {
+						first[p] = gid
+						owners[p] = first[p : p+1 : p+1]
+					} else {
+						owners[p] = append(owners[p], gid)
+					}
 				}
 				gid++
 			}
 		}
 	}
-	sets := make([]map[int32]bool, total)
+	conflicts := make([][]int32, total)
 	for _, os := range owners {
 		if len(os) < 2 {
 			continue
 		}
 		for _, a := range os {
 			for _, b := range os {
-				if a == b {
-					continue
+				if a != b {
+					conflicts[a] = append(conflicts[a], b)
 				}
-				if sets[a] == nil {
-					sets[a] = map[int32]bool{}
-				}
-				sets[a][b] = true
 			}
 		}
 	}
-	conflicts := make([][]int32, total)
-	for g, set := range sets {
-		for b := range set {
-			conflicts[g] = append(conflicts[g], b)
-		}
-		// Deterministic retry order.
-		for i := 1; i < len(conflicts[g]); i++ {
-			for k := i; k > 0 && conflicts[g][k] < conflicts[g][k-1]; k-- {
-				conflicts[g][k], conflicts[g][k-1] = conflicts[g][k-1], conflicts[g][k]
-			}
-		}
+	for g, c := range conflicts {
+		slices.Sort(c)
+		conflicts[g] = slices.Compact(c)
 	}
 	return conflicts
 }
@@ -559,7 +570,7 @@ func (m *modelRun) newJob(mi int) *jobState {
 
 // openGates admits every layer of job j the window allows and tries to
 // start their replica groups; empty layers complete immediately and may
-// advance the frontier further (mirrors sim.openGates, per job).
+// advance the frontier further.
 func (e *engine) openGates(j int32, now int64) {
 	jb := e.jobs[j]
 	m := &e.models[jb.model]
