@@ -3,6 +3,7 @@ package clsacim
 import (
 	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"clsacim/internal/deps"
@@ -111,7 +112,7 @@ func TestEngineGraphTierSweep(t *testing.T) {
 // TestGraphTierMatchesFreshBuild is the tier's equivalence oracle: every
 // compilation's shared CSR must equal a fresh Stage II build over that
 // compilation's own Stage I plan. At fine granularity the baseline and
-// wdup+8/+32 share one CSR; at 26 sets duplication rounds the set
+// wdup+8/+32 share one CSR, but not its dominant view; at 26 sets duplication rounds the set
 // targets, the grids differ, and the two must not share.
 func TestGraphTierMatchesFreshBuild(t *testing.T) {
 	ctx := context.Background()
@@ -142,6 +143,12 @@ func TestGraphTierMatchesFreshBuild(t *testing.T) {
 				}
 				if c.depGraph.Plan != c.setsPlan || c.setsPlan == base.setsPlan {
 					t.Errorf("wdup+%d does not keep its own Stage I plan", x)
+				}
+				// The dominant view follows the plan's duplication, so
+				// the compilations sharing the CSR each get their own.
+				dv, bv := c.depGraph.Dominant(), base.depGraph.Dominant()
+				if slices.Equal(dv.PredOff, bv.PredOff) && slices.Equal(dv.Pred, bv.Pred) {
+					t.Errorf("wdup+%d has the baseline's dominant view", x)
 				}
 			}
 			if s := eng.Stats(); s.GraphBuilds != 1 || s.GraphHits != 2 {

@@ -25,7 +25,8 @@ type CSR struct {
 
 	// Predecessor edges: flat set i depends on the sets
 	// Pred[PredOff[i]:PredOff[i+1]], sorted ascending; PredVol carries
-	// the per-edge read volume (SetRef.Vol).
+	// the per-edge read volume (SetRef.Vol), and is nil in a
+	// Graph.Dominant view.
 	PredOff []int32
 	Pred    []int32
 	PredVol []int32
@@ -36,7 +37,8 @@ type CSR struct {
 
 // SuccView is the successor view of a CSR, the exact reverse of its
 // predecessor relation: flat set i is read by Succ[Off[i]:Off[i+1]],
-// sorted ascending, with the matching volumes in Vol.
+// sorted ascending, with the matching volumes in Vol (nil for a view
+// without volumes, such as Graph.Dominant).
 type SuccView struct {
 	Off  []int32
 	Succ []int32
@@ -59,7 +61,9 @@ func (c *CSR) buildSucc() {
 	s := SuccView{
 		Off:  make([]int32, total+1),
 		Succ: make([]int32, len(c.Pred)),
-		Vol:  make([]int32, len(c.Pred)),
+	}
+	if c.PredVol != nil {
+		s.Vol = make([]int32, len(c.Pred))
 	}
 	for _, p := range c.Pred {
 		s.Off[p+1]++
@@ -73,7 +77,9 @@ func (c *CSR) buildSucc() {
 		for e := c.PredOff[i]; e < c.PredOff[i+1]; e++ {
 			p := c.Pred[e]
 			s.Succ[cursor[p]] = i
-			s.Vol[cursor[p]] = c.PredVol[e]
+			if s.Vol != nil {
+				s.Vol[cursor[p]] = c.PredVol[e]
+			}
 			cursor[p]++
 		}
 	}

@@ -104,20 +104,31 @@ func TestCSRMirrorsDeps(t *testing.T) {
 
 // checkTranspose reports whether sv is the exact transpose of c's
 // predecessor arrays: every (pred, succ, vol) triple appears once on
-// each side, and every successor run is strictly ascending.
+// each side, and every successor run is strictly ascending. A CSR
+// without volumes (a dominant view) must get a view without them.
 func checkTranspose(c *CSR, sv *SuccView) error {
 	type edge struct {
 		p, s int32
 		v    int32
 	}
-	if len(sv.Off) != c.NumSets()+1 || len(sv.Succ) != c.NumEdges() || len(sv.Vol) != c.NumEdges() {
+	vols := c.NumEdges()
+	if c.PredVol == nil {
+		vols = 0
+	}
+	if len(sv.Off) != c.NumSets()+1 || len(sv.Succ) != c.NumEdges() || len(sv.Vol) != vols {
 		return fmt.Errorf("successor view sized %d/%d/%d for %d sets, %d edges",
 			len(sv.Off), len(sv.Succ), len(sv.Vol), c.NumSets(), c.NumEdges())
+	}
+	vol := func(v []int32, e int32) int32 {
+		if v == nil {
+			return 0
+		}
+		return v[e]
 	}
 	fwd := make(map[edge]int)
 	for id := int32(0); int(id) < c.NumSets(); id++ {
 		for e := c.PredOff[id]; e < c.PredOff[id+1]; e++ {
-			fwd[edge{c.Pred[e], id, c.PredVol[e]}]++
+			fwd[edge{c.Pred[e], id, vol(c.PredVol, e)}]++
 		}
 	}
 	for id := int32(0); int(id) < c.NumSets(); id++ {
@@ -127,7 +138,7 @@ func checkTranspose(c *CSR, sv *SuccView) error {
 				return fmt.Errorf("successors of %d not strictly ascending", id)
 			}
 			prev = sv.Succ[e]
-			k := edge{id, sv.Succ[e], sv.Vol[e]}
+			k := edge{id, sv.Succ[e], vol(sv.Vol, e)}
 			if fwd[k] == 0 {
 				return fmt.Errorf("successor edge %v has no forward twin", k)
 			}

@@ -43,12 +43,17 @@ type SetRef struct {
 }
 
 // Graph is the set-level dependency DAG over a Stage I plan, stored as
-// flat CSR arrays (see CSR). Use DepsOf for a per-set SetRef view.
+// flat CSR arrays (see CSR). Use DepsOf for a per-set SetRef view. A
+// Graph is one compilation's: its plan fixes the duplication that the
+// dominant-predecessor view (Dominant) is built for.
 type Graph struct {
 	Plan *sets.Plan
 	// CSR is the compressed-sparse-row dependency graph; the scheduler
 	// and simulator hot paths consume it.
 	CSR *CSR
+
+	domOnce sync.Once
+	dom     *CSR
 }
 
 // Options configures Build.

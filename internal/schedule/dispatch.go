@@ -6,8 +6,15 @@ import "clsacim/internal/deps"
 // workload: which sets each replica PE group executes, in raster
 // order, laid out flat in the CSR's offset-indexed style.
 // Replicas are numbered globally (layer li owns the replica ids
-// [RepOff[li], RepOff[li+1])); replica g executes the layer-local set
-// indices Order[OrderOff[g]:OrderOff[g+1]] in dispatch order.
+// [RepOff[li], RepOff[li+1])); replica g executes the flat CSR set ids
+// Order[OrderOff[g]:OrderOff[g+1]] in dispatch order, so an event
+// engine reads a replica's next set without resolving its layer.
+//
+// Because each replica runs its sets in raster order, of a set's
+// predecessors on one replica of one layer the last in raster order
+// finishes last, and with zero-cost edges only it can delay the set.
+// The dependency graph's dominant view (deps.Graph.Dominant) keeps only
+// that one, for the plan's duplication.
 //
 // The plan depends only on the dependency graph's set plan (Stage III
 // dispatch is the fixed Replica rule), so event engines executing many
@@ -72,7 +79,7 @@ func NewDispatch(dg *deps.Graph) *Dispatch {
 		dup := ls.Group.Dup
 		for si := 0; si < ls.NumSets(); si++ {
 			g := base + int32(Replica(si, dup))
-			d.Order[cnt[g]] = int32(si)
+			d.Order[cnt[g]] = id
 			cnt[g]++
 			d.RepOf[id] = g
 			id++

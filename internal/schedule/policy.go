@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"clsacim/internal/deps"
 )
 
 // Unbounded is the Window of policies that never gate layer admission.
@@ -32,8 +34,9 @@ type Policy struct {
 // Replica is the Stage III dispatch rule of every policy: set si of a
 // layer with d replica PE groups runs on replica si % d, so sets go to
 // the replicas round-robin in raster order ("the input vectors are
-// evenly distributed among the duplicates", paper §III-C).
-func Replica(si, d int) int { return si % d }
+// evenly distributed among the duplicates", paper §III-C). The rule is
+// deps.Replica, which the dependency graph's dominant view rests on.
+func Replica(si, d int) int { return deps.Replica(si, d) }
 
 // LayerByLayer is the paper's §II-B baseline: layers execute strictly
 // sequentially; only the replicas of the current layer overlap.

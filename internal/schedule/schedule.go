@@ -66,7 +66,7 @@ func (s *Scratch) schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, er
 		return nil, err
 	}
 	t := NewTimeline(dg, p)
-	t.Makespan = s.run(dg, nil, p, opt.EdgeCost, 0, t)
+	t.Makespan = s.run(dg.CSR, dg, nil, p, opt.EdgeCost, 0, t)
 	return t, nil
 }
 
@@ -109,7 +109,7 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 			return 0, fmt.Errorf("schedule: layer %d duplication %d < 1", li, d)
 		}
 	}
-	return s.run(dg, dup, p, edge, 0, nil), nil
+	return s.run(dg.CSR, dg, dup, p, edge, 0, nil), nil
 }
 
 // Job schedules one inference of a stream of back-to-back inferences
@@ -129,6 +129,13 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 // when every replica group serves its jobs FIFO in issue order and
 // shares no PE with another group: no resource is then ever
 // arbitrated, so each set's start is the max-plus recurrence above.
+//
+// With a nil edge, Job scans dg's dominant-predecessor view
+// (deps.Graph.Dominant) instead of the full CSR: of a set's
+// predecessors on one replica of one layer, the last in raster order
+// finishes last, because the replica runs them in that order, so the
+// others never bind. That holds only for zero-cost edges and for the
+// plan's own duplication, which is what Job schedules.
 func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, free []int64, t *Timeline) (start, end int64, err error) {
 	if err := checkInputs(dg); err != nil {
 		return 0, 0, err
@@ -148,8 +155,12 @@ func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, 
 			clear(row)
 		}
 	}
+	csr := dg.CSR
+	if edge == nil {
+		csr = dg.Dominant()
+	}
 	s.free = free
-	end = s.run(dg, nil, p, edge, release, t)
+	end = s.run(csr, dg, nil, p, edge, release, t)
 	s.free = nil
 	if t != nil {
 		t.Makespan = end
@@ -157,7 +168,6 @@ func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, 
 	// A replica runs its sets in raster order, so a layer's earliest
 	// start is among its first Group.Dup sets; run leaves every set's
 	// finish in s.end.
-	csr := dg.CSR
 	start = math.MaxInt64
 	for li, ls := range dg.Plan.Layers {
 		first := int(csr.LayerOff[li])
@@ -175,15 +185,15 @@ func checkInputs(dg *deps.Graph) error {
 	return nil
 }
 
-// run is the Stage IV recursion shared by Schedule, Makespan and Job.
+// run is the Stage IV recursion shared by Schedule, Makespan and Job,
+// over csr: dg's CSR, or its dominant view (Job with a nil edge).
 // Layer li has dup[li] replicas (the plan's Group.Dup when dup is nil).
 // No set starts before release, and each replica's sets start no
 // earlier than its ready time from layerReady. Every set's finish is
 // left in s.end (outside Job, only where a dependency scan ran). When t
 // is non-nil every set's start and the activity counters are recorded
 // into it; the makespan is returned either way.
-func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, release int64, t *Timeline) int64 {
-	csr := dg.CSR
+func (s *Scratch) run(csr *deps.CSR, dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, release int64, t *Timeline) int64 {
 	k := p.Window()
 	nl := len(dg.Plan.Layers)
 	s.end = grow(s.end, csr.NumSets())
@@ -219,15 +229,17 @@ func (s *Scratch) run(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, rele
 			id := base + si
 			r := Replica(si, d)
 			start := ready[r]
-			for e := csr.PredOff[id]; !skipDeps && e < csr.PredOff[id+1]; e++ {
-				pid := csr.Pred[e]
-				pt := end[pid]
-				if edge != nil {
-					pl, ps := csr.Set(pid)
-					pt += edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
+			switch {
+			case skipDeps:
+			case edge == nil:
+				for _, pid := range csr.Pred[csr.PredOff[id]:csr.PredOff[id+1]] {
+					start = max(start, end[pid])
 				}
-				if pt > start {
-					start = pt
+			default:
+				for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
+					pid := csr.Pred[e]
+					pl, ps := csr.Set(pid)
+					start = max(start, end[pid]+edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li))
 				}
 			}
 			c := csr.Cycles[id]

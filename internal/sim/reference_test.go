@@ -212,8 +212,7 @@ func (st *refState) tryStart(li, rep int, now int64) {
 	if next >= st.disp.OrderOff[g+1] {
 		return
 	}
-	si := st.disp.Order[next]
-	id := st.csr.ID(li, int(si))
+	id := st.disp.Order[next]
 	if st.depsLeft[id] > 0 {
 		return
 	}

@@ -137,6 +137,18 @@ func fuzzCompile(t *testing.T, seed int64, src, gran, extra byte) fuzzCompiled {
 	} else if g, err = models.RandomCNN(models.RandomOptions{Seed: seed, MaxBaseLayers: 2 + int(seed&7)%6, MaxInput: 24}); err != nil {
 		t.Fatalf("generator: %v", err)
 	}
+	c := compileGraph(t, g, pe, target, x)
+	if key != nil {
+		builtinCache.Store(key, c)
+	}
+	return c
+}
+
+// compileGraph runs g through the shape-only compilation pipeline on
+// crossbars of size pe at the given Stage I granularity, spending x
+// extra PEs on weight duplication.
+func compileGraph(t *testing.T, g *nn.Graph, pe im2col.PEDims, target, x int) fuzzCompiled {
+	t.Helper()
 	if _, err := frontend.Canonicalize(g, frontend.Options{}); err != nil {
 		t.Fatalf("canonicalize: %v", err)
 	}
@@ -164,9 +176,5 @@ func fuzzCompile(t *testing.T, seed int64, src, gran, extra byte) fuzzCompiled {
 	if err != nil {
 		t.Fatalf("stage II: %v", err)
 	}
-	c := fuzzCompiled{m: m, dg: dg}
-	if key != nil {
-		builtinCache.Store(key, c)
-	}
-	return c
+	return fuzzCompiled{m: m, dg: dg}
 }

@@ -42,15 +42,29 @@
 //     RunEvents for any workload (internal/sim runs single inferences
 //     through it). Every job instantiates its model's immutable Stage
 //     III dispatch plan (schedule.Dispatch) and keeps only per-job
-//     cursors, dependency counters and window state: 12 bytes per set,
-//     taken from a per-model free list at admission and returned at
-//     retirement, so memory scales with the jobs in flight. The loop is
-//     greedy: after every event, every group whose head set can start
-//     has started. A head becomes startable only when its last
-//     dependency completes, its layer's gate opens, its group or a
-//     conflicting group frees, or its FIFO head changes. The loop is
-//     deadlock-free: a blocked group only ever waits on a busy
-//     resource, and busy resources always complete.
+//     cursors, dependency counters and window state: 4 bytes per set
+//     (12 when timelines are kept or edges cost, which add each set's
+//     ready time), taken from a per-model free list at admission and
+//     returned at retirement, so memory scales with the jobs in flight.
+//     The loop is greedy: after every event, every group whose head set
+//     can start has started. A head becomes startable only when its
+//     last dependency completes, its layer's gate opens, its group or a
+//     conflicting group frees, or its FIFO head changes; a freed group
+//     retries only the conflicting groups that the busy check alone
+//     held back. The loop is deadlock-free: a blocked group only ever
+//     waits on a busy resource, and busy resources always complete.
+//
+// With idealized (nil) edge costs both schedulers walk the model's
+// dominant-predecessor view (deps.Graph.Dominant) instead of its full
+// dependency graph. Of a set's predecessors on one replica group of one
+// layer, that group runs the last in raster order after all the others,
+// so it alone can bind: dropping the others changes neither a
+// recurrence start nor the completion event that makes a set ready. On
+// TinyYOLOv4 wdup+32 at fine granularity the view keeps 181,623 of
+// 384,579 edges. It is exact only for zero-cost edges and the plan's own
+// duplication, so an edge cost selects the full graph, and check.Stream
+// validates against the full graph (FuzzStreamDominantVsFull holds the
+// two to deep-equal results).
 //
 // On conflict-free workloads the two schedulers return deep-equal
 // results (FuzzStreamListVsEvents, through RunEvents): a greedy flow
@@ -177,7 +191,8 @@ type jobState struct {
 
 	depsLeft []int32 // unmet dependency count per flat set
 	// readyAt is the max dependency completion (+edge cost) of a set
-	// until the set starts, and its start time from then on.
+	// until the set starts, and its start time from then on; nil when
+	// the model needs neither (modelRun.readyAt).
 	readyAt []int64
 	pos     []int32 // completed-set cursor per model-local replica group
 
@@ -200,18 +215,22 @@ type fifoQueue struct {
 // list of its retired job states.
 type modelRun struct {
 	disp *schedule.Dispatch
+	// csr is the graph the loop walks: the model's dominant view
+	// (deps.Graph.Dominant) with idealized edges, its full CSR with an
+	// edge cost.
 	csr  *deps.CSR
 	succ *deps.SuccView // csr.Successors()
 	edge schedule.EdgeCostFn
 	// base is the global id of the model's first replica group.
 	base int
-	// grpLayer[lg] is the layer of model-local replica group lg.
-	grpLayer []int32
 	// preds and layerSets are the templates a job's depsLeft and
 	// setsLeft reset from: predecessors per set, sets per layer.
 	preds     []int32
 	layerSets []int32
 	window    int
+	// readyAt reports whether the model's jobs keep per-set ready
+	// times: only an edge cost or a kept timeline reads them.
+	readyAt bool
 
 	jobs []int32 // job indices, issue order
 	// nextAdmit indexes jobs: the first job not yet admitted.
@@ -230,7 +249,11 @@ type engine struct {
 	// physical PE with group G (shared crossbar pools).
 	conflicts [][]int32
 	busy      []bool
-	fifo      []fifoQueue
+	// blocked[G] reports that G's last tryStart found a startable head
+	// set but a busy conflicting group: only such groups can start when
+	// a conflicting group frees.
+	blocked []bool
+	fifo    []fifoQueue
 	// grpAct[G] accumulates the busy cycles of global replica group G
 	// across all jobs; the per-PE fan-out happens once at the end of the
 	// run instead of once per completion event.
@@ -355,16 +378,16 @@ func newEngine(w Workload, opt Options) *engine {
 		m := &e.models[mi]
 		m.disp = schedule.NewDispatch(s.Graph)
 		m.csr = s.Graph.CSR
+		if s.Edge == nil {
+			m.csr = s.Graph.Dominant()
+		}
 		m.succ = m.csr.Successors()
 		m.edge = s.Edge
+		m.readyAt = s.Edge != nil || e.timelines
 		m.base = total
 		total += m.disp.NumReplicas()
-		m.grpLayer = make([]int32, m.disp.NumReplicas())
 		m.layerSets = make([]int32, len(s.Graph.Plan.Layers))
 		for li := range m.layerSets {
-			for g := m.disp.RepOff[li]; g < m.disp.RepOff[li+1]; g++ {
-				m.grpLayer[g] = int32(li)
-			}
 			m.layerSets[li] = int32(s.Graph.Plan.Layers[li].NumSets())
 		}
 		m.preds = make([]int32, m.csr.NumSets())
@@ -379,6 +402,7 @@ func newEngine(w Workload, opt Options) *engine {
 		}
 	}
 	e.busy = make([]bool, total)
+	e.blocked = make([]bool, total)
 	e.fifo = make([]fifoQueue, total)
 	e.grpAct = make([]int64, total)
 	e.conflicts = buildConflicts(w.Models, e.models, w.FabricPEs, total)
@@ -537,9 +561,10 @@ func (e *engine) admit(j int32, mi int, now int64) {
 }
 
 // newJob takes a jobState from the free list, or allocates one when
-// every recycled state is in flight, and resets its counters. readyAt
-// is not cleared: a stale entry is a start time of an earlier job, no
-// later than this admission, so it can never delay a start.
+// every recycled state is in flight, and resets its counters. readyAt,
+// when the model keeps it, is not cleared: a stale entry is a start
+// time of an earlier job, no later than this admission, so it can never
+// delay a start.
 func (m *modelRun) newJob(mi int) *jobState {
 	var jb *jobState
 	if n := len(m.free); n > 0 {
@@ -553,11 +578,13 @@ func (m *modelRun) newJob(mi int) *jobState {
 		jb = &jobState{
 			model:     mi,
 			depsLeft:  make([]int32, len(m.preds)),
-			readyAt:   make([]int64, len(m.preds)),
 			pos:       make([]int32, m.disp.NumReplicas()),
 			gateOpen:  make([]bool, nl),
 			setsLeft:  make([]int32, nl),
 			layerDone: make([]bool, nl),
+		}
+		if m.readyAt {
+			jb.readyAt = make([]int64, len(m.preds))
 		}
 	}
 	copy(jb.depsLeft, m.preds)
@@ -607,12 +634,14 @@ func (e *engine) openGates(j int32, now int64) {
 
 // tryStart launches the head set of global replica group G if the
 // group's FIFO head job has an admitted, dependency-ready set and no
-// conflicting group is busy. Jobs that have exhausted their share of
-// the group are popped on the way.
+// conflicting group is busy, and records in blocked[G] whether only a
+// conflicting group stood in the way. Jobs that have exhausted their
+// share of the group are popped on the way.
 func (e *engine) tryStart(G int, now int64) {
 	if e.busy[G] {
 		return
 	}
+	e.blocked[G] = false
 	f := &e.fifo[G]
 	for f.head < len(f.q) {
 		j := f.q[f.head]
@@ -628,25 +657,22 @@ func (e *engine) tryStart(G int, now int64) {
 			f.pop()
 			continue // job done with this group; serve the next one
 		}
-		li := int(m.grpLayer[lg])
-		if !jb.gateOpen[li] {
-			return
-		}
-		id := m.csr.ID(li, int(m.disp.Order[next]))
-		if jb.depsLeft[id] > 0 {
+		id := m.disp.Order[next]
+		if jb.depsLeft[id] > 0 || !jb.gateOpen[m.csr.SetLayer[id]] {
 			return
 		}
 		for _, c := range e.conflicts[G] {
 			if e.busy[c] {
+				e.blocked[G] = true
 				return
 			}
 		}
 		start := now
-		if jb.readyAt[id] > start {
-			start = jb.readyAt[id]
+		if jb.readyAt != nil {
+			start = max(start, jb.readyAt[id])
+			jb.readyAt[id] = start
 		}
 		e.busy[G] = true
-		jb.readyAt[id] = start
 		if jb.start < 0 || start < jb.start {
 			jb.start = start
 		}
@@ -684,7 +710,7 @@ func (e *engine) complete(ev payload, now int64) (retired bool) {
 
 	// Without edge costs a successor is ready when its last dependency
 	// completes, so its readyAt is never above the clock and stays
-	// untouched.
+	// untouched (or absent, see modelRun.readyAt).
 	sv := m.succ
 	for x := sv.Off[ev.id]; x < sv.Off[ev.id+1]; x++ {
 		cid := sv.Succ[x]
@@ -714,8 +740,13 @@ func (e *engine) complete(ev payload, now int64) (retired bool) {
 	}
 
 	e.tryStart(G, now)
+	// Freeing G changes nothing for a conflicting group but the busy
+	// check, so only the groups it blocked can start now; every other
+	// condition of a start is retried by the event that changes it.
 	for _, c := range e.conflicts[G] {
-		e.tryStart(int(c), now)
+		if e.blocked[c] {
+			e.tryStart(int(c), now)
+		}
 	}
 	return retired
 }
