@@ -705,7 +705,7 @@ func (s *candidateScorer) score(d []int) (int64, error) {
 	if s.edges {
 		edge = edgeCostFn(s.arch, mapped)
 	}
-	return s.scratch.Makespan(s.dg, d, s.policy, edge)
+	return s.scratch.Makespan(s.dg, d, s.policy, schedule.Options{EdgeCost: edge})
 }
 
 // PEmin returns the minimum PE count storing every weight once.
@@ -773,11 +773,15 @@ func (r *Report) timeline() (*schedule.Timeline, error) {
 // schedOptions returns the scheduling options of a mode: dependency
 // edges carry the NoC/GPEU cost only under cross-layer overlap (any
 // window above 1); the layer-by-layer baseline stays idealized as in
-// the paper.
+// the paper. A virtualized compilation charges each swapped layer's
+// reload before the layer starts.
 func (c *Compiled) schedOptions(mode ScheduleMode) schedule.Options {
 	var opt schedule.Options
 	if mode.Window() > 1 {
 		opt.EdgeCost = c.edgeCost
+	}
+	if c.virtual != nil {
+		opt.Reload = c.virtual.ReloadCycles
 	}
 	return opt
 }
@@ -793,9 +797,6 @@ func (c *Compiled) normalizeMode(mode ScheduleMode) ScheduleMode {
 // canonical mode it can run. It caches nothing: Compiled.makespan and
 // Report.timeline call it.
 func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
-	if c.virtual != nil {
-		return schedule.LayerByLayerVirtual(c.depGraph, c.virtual.ReloadCycles)
-	}
 	return schedule.Schedule(c.depGraph, mode.p, c.schedOptions(mode))
 }
 
@@ -815,8 +816,7 @@ var makespanScratch = sync.Pool{New: func() any { return new(schedule.Scratch) }
 // makespan is cached, and a makespan whose timeline fails is never
 // cached; otherwise nothing re-checks the scheduler's output.
 // Virtualized compilations (F < PEmin) support only window-1
-// scheduling, and their reload-charging baseline has no makespan pass,
-// so they always build the timeline.
+// scheduling.
 func (c *Compiled) makespan(mode ScheduleMode) (int64, error) {
 	mode = c.normalizeMode(mode)
 	c.sched.mu.Lock()
@@ -829,22 +829,21 @@ func (c *Compiled) makespan(mode ScheduleMode) (int64, error) {
 		return 0, fmt.Errorf("clsacim: %q runs on %d < PEmin=%d PEs; cross-layer scheduling requires full weight residency",
 			c.ModelName, c.arch.NumPEs, c.peMin)
 	}
+	opt := c.schedOptions(mode)
 	var ms int64
-	if c.check || c.virtual != nil {
+	if c.check {
 		t, err := c.timeline(mode)
 		if err != nil {
 			return 0, err
 		}
-		if c.check {
-			if err := check.Timeline(c.mapped, c.depGraph, t.Policy, t, check.Options{EdgeCost: c.schedOptions(mode).EdgeCost}); err != nil {
-				return 0, fmt.Errorf("clsacim: %q %s timeline failed validation: %w", c.ModelName, mode, err)
-			}
+		if err := check.Timeline(c.mapped, c.depGraph, t.Policy, t, check.Options{EdgeCost: opt.EdgeCost}); err != nil {
+			return 0, fmt.Errorf("clsacim: %q %s timeline failed validation: %w", c.ModelName, mode, err)
 		}
 		ms = t.Makespan
 	} else {
 		sc := makespanScratch.Get().(*schedule.Scratch)
 		var err error
-		ms, err = sc.Makespan(c.depGraph, c.mapped.Dup, mode.p, c.schedOptions(mode).EdgeCost)
+		ms, err = sc.Makespan(c.depGraph, c.mapped.Dup, mode.p, opt)
 		makespanScratch.Put(sc)
 		if err != nil {
 			return 0, err

@@ -78,10 +78,11 @@ type Engine struct {
 	fronts tier[frontEnd]  // keyed by frontKey
 	graphs tier[*deps.CSR] // keyed by graphKey
 
-	compiles    atomic.Int64
+	// misses counts the cache misses, each of which compiles once: it
+	// feeds both Stats.Compiles and Stats.CacheMisses.
+	misses      atomic.Int64
 	hits        atomic.Int64
 	partialHits atomic.Int64
-	misses      atomic.Int64
 	evictions   atomic.Int64
 	evaluations atomic.Int64
 	streamEvals atomic.Int64
@@ -238,7 +239,9 @@ func MustNew(opts ...Option) *Engine {
 // package's /v1/stats.
 type Stats struct {
 	// Compiles counts full pipeline compilations actually executed —
-	// one per distinct (model, architecture, mapping) key requested.
+	// one per distinct (model, architecture, mapping) key requested, or
+	// again after its eviction. Every cache miss compiles once, so it
+	// always equals CacheMisses.
 	Compiles int64 `json:"compiles"`
 	// CacheHits counts compile requests served from the cache
 	// (including requests that waited on an in-flight compilation).
@@ -283,7 +286,7 @@ func (e *Engine) Stats() Stats {
 	entries := len(e.cache)
 	e.mu.Unlock()
 	return Stats{
-		Compiles:          e.compiles.Load(),
+		Compiles:          e.misses.Load(),
 		CacheHits:         e.hits.Load(),
 		PartialHits:       e.partialHits.Load(),
 		CacheMisses:       e.misses.Load(),
@@ -394,7 +397,6 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 	e.evictLocked()
 	e.mu.Unlock()
 
-	e.compiles.Add(1)
 	// Close ready even if Compile panics (e.g. inside a custom solver):
 	// a never-closed entry would block every later request for this key
 	// forever once a recover() higher up keeps the process alive.

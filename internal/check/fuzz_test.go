@@ -151,7 +151,7 @@ func FuzzScheduleVsSim(f *testing.F) {
 				if err != nil {
 					t.Fatalf("coarse sim: %v", err)
 				}
-				got, err := sc.Makespan(dg, c.m.Dup, p, e)
+				got, err := sc.Makespan(dg, c.m.Dup, p, schedule.Options{EdgeCost: e})
 				if err != nil {
 					t.Fatalf("makespan pass: %v", err)
 				}

@@ -87,7 +87,7 @@ func (c *CSR) buildSucc() {
 }
 
 // assemble closes the gaps between the per-layer edge runs that
-// BuildOpt wrote into Pred/PredVol: layer li's edges[li] edges start at
+// Build wrote into Pred/PredVol: layer li's edges[li] edges start at
 // window[li]. It moves each run left to follow the previous layer's, in
 // plan order, and rebases each layer's PredOff run onto its first
 // edge, so the result does not depend on the order the layers were

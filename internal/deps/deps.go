@@ -56,18 +56,6 @@ type Graph struct {
 	dom     *CSR
 }
 
-// Options configures Build.
-type Options struct {
-	// Workers bounds the number of layers processed concurrently;
-	// 0 means GOMAXPROCS. The output is identical for every value.
-	Workers int
-}
-
-// Build computes Stage II for plan over graph g with default options.
-func Build(g *nn.Graph, plan *sets.Plan) (*Graph, error) {
-	return BuildOpt(g, plan, Options{})
-}
-
 // routeTab is one route evaluated against one consumer layer's set
 // grid: the route's axis chains applied to every grid row and column.
 // Consumer sets are grid cells, so set (r, c) of the layer reads, via
@@ -99,16 +87,16 @@ type buildScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
-// BuildOpt computes Stage II for plan over graph g. Consumer layers are
-// independent given the immutable plan, so they are fanned out over a
-// bounded worker pool, twice. The first pass bounds each layer's edge
+// Build computes Stage II for plan over graph g. Consumer layers are
+// independent given the immutable plan, so they are fanned out over
+// GOMAXPROCS workers, twice. The first pass bounds each layer's edge
 // count by its raw route hits, before merging (boundLayer); the second
 // writes each layer's merged edges straight into its window of the
 // final Pred/PredVol arrays (buildLayer), and assemble closes the gaps
 // in place. The merge is positional, so the CSR output is identical
 // regardless of parallelism, and no edge is copied through a
 // per-layer buffer.
-func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
+func Build(g *nn.Graph, plan *sets.Plan) (*Graph, error) {
 	nl := len(plan.Layers)
 	layerOff := make([]int32, nl+1)
 	total := 0
@@ -129,7 +117,7 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 	routes := make([][]route, nl)
 	edges := make([]int, nl)
 	errs := make([]error, nl)
-	forLayers(nl, opt.Workers, func(li int, sc *buildScratch) {
+	forLayers(nl, func(li int, sc *buildScratch) {
 		routes[li], edges[li], errs[li] = boundLayer(plan, li, layerOff, sc)
 	})
 	if err := firstErr(errs); err != nil {
@@ -141,7 +129,7 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 	}
 	c.Pred = make([]int32, window[nl])
 	c.PredVol = make([]int32, window[nl])
-	forLayers(nl, opt.Workers, func(li int, sc *buildScratch) {
+	forLayers(nl, func(li int, sc *buildScratch) {
 		lo, hi := window[li], window[li+1]
 		edges[li], errs[li] = buildLayer(plan, li, routes[li], c, sc, c.Pred[lo:lo:hi], c.PredVol[lo:lo:hi])
 	})
@@ -163,13 +151,9 @@ func firstErr(errs []error) error {
 }
 
 // forLayers runs fn on every layer index of [0, nl) over at most
-// workers goroutines (0 means GOMAXPROCS), each with its own pooled
-// scratch.
-func forLayers(nl, workers int, fn func(li int, sc *buildScratch)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, nl), 1)
+// GOMAXPROCS goroutines, each with its own pooled scratch.
+func forLayers(nl int, fn func(li int, sc *buildScratch)) {
+	workers := max(min(runtime.GOMAXPROCS(0), nl), 1)
 	var next atomic.Int64
 	work := func() {
 		sc := scratchPool.Get().(*buildScratch)

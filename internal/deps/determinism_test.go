@@ -16,9 +16,9 @@ import (
 )
 
 // TestBuildDeterministic: Build must produce byte-identical CSR arrays
-// regardless of how the per-layer fan-out is scheduled — across worker
-// counts, across repeated runs, and across GOMAXPROCS settings. The
-// positional merge makes this structural, but a race or a
+// regardless of how the per-layer fan-out is scheduled — across
+// GOMAXPROCS settings, which set its worker count, and across repeated
+// runs. The positional merge makes this structural, but a race or a
 // scheduling-order dependence would show up here (run with -race).
 func TestBuildDeterministic(t *testing.T) {
 	cases := []struct {
@@ -43,22 +43,19 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Run(label, func(t *testing.T) {
 			g, plan := planFor(t, c.id, c.size, c.targetSets)
 			runtime.GOMAXPROCS(1)
-			serial, err := BuildOpt(g, plan, Options{Workers: 1})
+			serial, err := Build(g, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, gmp := range []int{1, 4, 8} {
+			for _, gmp := range []int{1, 2, 4, 7, 8} {
 				runtime.GOMAXPROCS(gmp)
-				for _, workers := range []int{0, 1, 2, 7} {
-					for run := 0; run < 2; run++ {
-						dg, err := BuildOpt(g, plan, Options{Workers: workers})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !dg.CSR.Equal(serial.CSR) {
-							t.Fatalf("GOMAXPROCS=%d workers=%d run=%d: CSR diverges from serial build",
-								gmp, workers, run)
-						}
+				for run := 0; run < 2; run++ {
+					dg, err := Build(g, plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !dg.CSR.Equal(serial.CSR) {
+						t.Fatalf("GOMAXPROCS=%d run=%d: CSR diverges from serial build", gmp, run)
 					}
 				}
 			}
@@ -216,15 +213,18 @@ func buildWithDup(t *testing.T, g *nn.Graph, plan *mapping.Plan, f int, d []int,
 // routes), never per set or per edge, and copies no edge through a
 // buffer of its own: its bytes are the CSR's plus a constant. The fixed
 // terms absorb the scratch regrowth when the race detector makes
-// sync.Pool drop the warm scratch.
+// sync.Pool drop the warm scratch. Build runs on one worker:
+// testing.AllocsPerRun pins GOMAXPROCS to 1, and so does the test
+// around its byte count.
 func TestBuildAllocsPerLayer(t *testing.T) {
 	const perLayer, fixed, fixedBytes = 5, 64, 64 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, target := range []int{sets.DefaultTargetSets, sets.FineGranularity} {
 		g, plan := planFor(t, models.TinyYOLOv4, 416, target)
 		var dg *Graph
 		build := func() {
 			var err error
-			if dg, err = BuildOpt(g, plan, Options{Workers: 1}); err != nil {
+			if dg, err = Build(g, plan); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package schedule
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"clsacim/internal/models"
@@ -49,12 +50,17 @@ func TestExportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLayerByLayerVirtualSchedule(t *testing.T) {
-	_, _, dg := compileDeps(t, models.TinyConvNet, 32, 0, 4)
+// TestScheduleReload: a reload vector delays each layer's admission
+// gate by its entry, which at window 1 shifts every later layer by the
+// reloads before it and adds them all to the makespan; busy cycles are
+// unchanged, and the makespan pass agrees.
+func TestScheduleReload(t *testing.T) {
+	_, m, dg := compileDeps(t, models.TinyConvNet, 32, 0, 4)
 	reload := make([]int64, len(dg.Plan.Layers))
 	reload[1] = 100
 	reload[2] = 50
-	s, err := LayerByLayerVirtual(dg, reload)
+	opt := Options{Reload: reload}
+	s, err := Schedule(dg, LayerByLayer, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,14 @@ func TestLayerByLayerVirtualSchedule(t *testing.T) {
 	if s.StartOf(1) != plain.StartOf(1)+100 {
 		t.Errorf("layer 1 starts at %d, want %d", s.StartOf(1), plain.StartOf(1)+100)
 	}
-	if _, err := LayerByLayerVirtual(dg, []int64{1}); err == nil {
+	if !slices.Equal(s.LayerActive, plain.LayerActive) {
+		t.Errorf("reload changed the busy cycles: %v, want %v", s.LayerActive, plain.LayerActive)
+	}
+	var sc Scratch
+	if ms, err := sc.Makespan(dg, m.Dup, LayerByLayer, opt); err != nil || ms != s.Makespan {
+		t.Errorf("makespan pass with reload = %d (%v), want %d", ms, err, s.Makespan)
+	}
+	if _, err := Schedule(dg, LayerByLayer, Options{Reload: []int64{1}}); err == nil {
 		t.Error("short reload vector accepted")
 	}
 }

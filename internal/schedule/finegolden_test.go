@@ -78,7 +78,7 @@ func TestFineGranularityGolden(t *testing.T) {
 		}
 	}
 	dg, reload := virtualDeps(t)
-	tl, err := LayerByLayerVirtual(dg, reload)
+	tl, err := Schedule(dg, LayerByLayer, Options{Reload: reload})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestMakespanAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Makespan(dg, m.Dup, p, e)
+			got, err := s.Makespan(dg, m.Dup, p, Options{EdgeCost: e})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +31,7 @@ func TestMakespanAllocs(t *testing.T) {
 				t.Errorf("%v edge=%t: makespan pass %d != Schedule %d", p, e != nil, got, want.Makespan)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := s.Makespan(dg, m.Dup, p, e); err != nil {
+				if _, err := s.Makespan(dg, m.Dup, p, Options{EdgeCost: e}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -77,16 +77,19 @@ func TestScheduleBytesPerSet(t *testing.T) {
 func TestMakespanRejectsBadInput(t *testing.T) {
 	_, m, dg := compileDeps(t, models.TinyBranchNet, 16, 0, 4)
 	var s Scratch
-	if _, err := s.Makespan(&deps.Graph{}, m.Dup, CrossLayer, nil); err == nil {
+	if _, err := s.Makespan(&deps.Graph{}, m.Dup, CrossLayer, Options{}); err == nil {
 		t.Error("graph without CSR accepted")
 	}
-	if _, err := s.Makespan(dg, m.Dup[1:], CrossLayer, nil); err == nil {
+	if _, err := s.Makespan(dg, m.Dup[1:], CrossLayer, Options{}); err == nil {
 		t.Error("short duplication vector accepted")
 	}
 	bad := append([]int(nil), m.Dup...)
 	bad[0] = 0
-	if _, err := s.Makespan(dg, bad, CrossLayer, nil); err == nil {
+	if _, err := s.Makespan(dg, bad, CrossLayer, Options{}); err == nil {
 		t.Error("zero duplication accepted")
+	}
+	if _, err := s.Makespan(dg, m.Dup, LayerByLayer, Options{Reload: []int64{1}}); err == nil {
+		t.Error("short reload vector accepted")
 	}
 }
 

@@ -44,6 +44,12 @@ type EdgeCostFn func(pred deps.SetRef, toLayer int) int64
 // Options configures scheduling.
 type Options struct {
 	EdgeCost EdgeCostFn
+	// Reload[li] delays layer li's admission gate by the cycles that
+	// reprogram its crossbars before it runs: the swap time of a
+	// weight-virtualized mapping (mapping.SolveVirtual), charged to the
+	// makespan but not to any replica's busy cycles. Nil charges
+	// nothing; otherwise it has one entry per layer.
+	Reload []int64
 }
 
 // Schedule computes the execution timeline of dg under policy p: list
@@ -62,11 +68,11 @@ func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
 // schedule is Schedule on s's working memory: once s has scheduled a
 // workload of this size, it allocates only the returned Timeline.
 func (s *Scratch) schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
-	if err := checkInputs(dg); err != nil {
+	if err := checkInputs(dg, opt); err != nil {
 		return nil, err
 	}
 	t := NewTimeline(dg, p)
-	t.Makespan = s.run(dg.CSR, dg, nil, p, opt.EdgeCost, 0, t)
+	t.Makespan = s.run(dg.CSR, dg, nil, p, opt, 0, t)
 	return t, nil
 }
 
@@ -97,8 +103,8 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // duplication vector with the same per-layer targets — the scored
 // duplication solver's cost model. Once s has scheduled a workload of
 // this size, Makespan does not allocate.
-func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn) (int64, error) {
-	if err := checkInputs(dg); err != nil {
+func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, opt Options) (int64, error) {
+	if err := checkInputs(dg, opt); err != nil {
 		return 0, err
 	}
 	if len(dup) != len(dg.Plan.Layers) {
@@ -109,7 +115,7 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 			return 0, fmt.Errorf("schedule: layer %d duplication %d < 1", li, d)
 		}
 	}
-	return s.run(dg.CSR, dg, dup, p, edge, 0, nil), nil
+	return s.run(dg.CSR, dg, dup, p, opt, 0, nil), nil
 }
 
 // Job schedules one inference of a stream of back-to-back inferences
@@ -121,9 +127,11 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 // Dispatch); Job reads it and leaves each group's last finish there
 // for the next inference. Job returns the job's earliest start and
 // last finish. When t is non-nil, a timeline shaped after dg
-// (NewTimeline) that may be reused across jobs, Job also overwrites it
-// with the job's starts, activity rows and last finish; with a nil t a
-// warm Scratch schedules the job without allocating.
+// (NewTimeline) that may be reused across jobs, Job also overwrites its
+// starts and makespan with the job's; its activity rows need no update,
+// since every job keeps each replica busy for the same cycles
+// (Activity). With a nil t a warm Scratch schedules the job without
+// allocating.
 //
 // Scheduling a stream's jobs one after another in issue order is exact
 // when every replica group serves its jobs FIFO in issue order and
@@ -137,7 +145,8 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn)
 // others never bind. That holds only for zero-cost edges and for the
 // plan's own duplication, which is what Job schedules.
 func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, free []int64, t *Timeline) (start, end int64, err error) {
-	if err := checkInputs(dg); err != nil {
+	opt := Options{EdgeCost: edge}
+	if err := checkInputs(dg, opt); err != nil {
 		return 0, 0, err
 	}
 	reps := 0
@@ -147,20 +156,15 @@ func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, 
 	if len(free) != reps {
 		return 0, 0, fmt.Errorf("schedule: %d replica free times, plan has %d replica groups", len(free), reps)
 	}
-	if t != nil {
-		if len(t.Items) != dg.CSR.NumSets() {
-			return 0, 0, fmt.Errorf("schedule: job timeline is not shaped after the dependency graph")
-		}
-		for _, row := range t.ReplicaActive {
-			clear(row)
-		}
+	if t != nil && len(t.Items) != dg.CSR.NumSets() {
+		return 0, 0, fmt.Errorf("schedule: job timeline is not shaped after the dependency graph")
 	}
 	csr := dg.CSR
 	if edge == nil {
 		csr = dg.Dominant()
 	}
 	s.free = free
-	end = s.run(csr, dg, nil, p, edge, release, t)
+	end = s.run(csr, dg, nil, p, opt, release, t)
 	s.free = nil
 	if t != nil {
 		t.Makespan = end
@@ -178,9 +182,12 @@ func (s *Scratch) Job(dg *deps.Graph, p Policy, edge EdgeCostFn, release int64, 
 	return start, end, nil
 }
 
-func checkInputs(dg *deps.Graph) error {
+func checkInputs(dg *deps.Graph, opt Options) error {
 	if dg == nil || dg.CSR == nil {
 		return fmt.Errorf("schedule: dependency graph has no CSR (build it with deps.Build)")
+	}
+	if opt.Reload != nil && len(opt.Reload) != len(dg.Plan.Layers) {
+		return fmt.Errorf("schedule: reload vector has %d entries, plan %d", len(opt.Reload), len(dg.Plan.Layers))
 	}
 	return nil
 }
@@ -189,11 +196,15 @@ func checkInputs(dg *deps.Graph) error {
 // over csr: dg's CSR, or its dominant view (Job with a nil edge).
 // Layer li has dup[li] replicas (the plan's Group.Dup when dup is nil).
 // No set starts before release, and each replica's sets start no
-// earlier than its ready time from layerReady. Every set's finish is
-// left in s.end (outside Job, only where a dependency scan ran). When t
-// is non-nil every set's start and the activity counters are recorded
-// into it; the makespan is returned either way.
-func (s *Scratch) run(csr *deps.CSR, dg *deps.Graph, dup []int, p Policy, edge EdgeCostFn, release int64, t *Timeline) int64 {
+// earlier than its ready time from layerReady. A layer's gate opens
+// opt.Reload[li] cycles late; with one replica per layer and window 1,
+// as under weight virtualization, that runs the layers back to back
+// with each reload in front of its layer. Every set's finish is left in
+// s.end (outside Job, only where a dependency scan ran). When t is
+// non-nil every set's start is recorded into it; the makespan is
+// returned either way.
+func (s *Scratch) run(csr *deps.CSR, dg *deps.Graph, dup []int, p Policy, opt Options, release int64, t *Timeline) int64 {
+	edge := opt.EdgeCost
 	k := p.Window()
 	nl := len(dg.Plan.Layers)
 	s.end = grow(s.end, csr.NumSets())
@@ -218,16 +229,17 @@ func (s *Scratch) run(csr *deps.CSR, dg *deps.Graph, dup []int, p Policy, edge E
 		if k < nl && li >= k {
 			gate = prefixEnd[li-k+1]
 		}
-		ready := s.layerReady(d, gate)
-		base := int(csr.LayerOff[li])
-		var active []int64
-		if t != nil {
-			active = t.ReplicaActive[li]
+		if opt.Reload != nil {
+			gate += opt.Reload[li]
 		}
-		var layerEnd, layerActive int64
-		for si := 0; si < ls.NumSets(); si++ {
-			id := base + si
-			r := Replica(si, d)
+		ready := s.layerReady(d, gate)
+		var layerEnd int64
+		// Set si of the layer runs on replica r = Replica(si, d): the
+		// replicas take the sets in turn.
+		for id, r := int(csr.LayerOff[li]), 0; id < int(csr.LayerOff[li+1]); id, r = id+1, r+1 {
+			if r == d {
+				r = 0
+			}
 			start := ready[r]
 			switch {
 			case skipDeps:
@@ -242,23 +254,17 @@ func (s *Scratch) run(csr *deps.CSR, dg *deps.Graph, dup []int, p Policy, edge E
 					start = max(start, end[pid]+edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li))
 				}
 			}
-			c := csr.Cycles[id]
-			fin := start + c
+			fin := start + csr.Cycles[id]
 			if !skipDeps {
 				end[id] = fin
 			}
 			ready[r] = fin
 			if t != nil {
 				t.Items[id] = start
-				active[r] += c
-				layerActive += c
 			}
 			if fin > layerEnd {
 				layerEnd = fin
 			}
-		}
-		if t != nil {
-			t.LayerActive[li] = layerActive
 		}
 		prefixEnd[li+1] = prefixEnd[li]
 		if layerEnd > prefixEnd[li+1] {
@@ -299,34 +305,4 @@ func grow(b []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return b[:n]
-}
-
-// LayerByLayerVirtual schedules a weight-virtualized mapping (paper
-// §V-C future work, see mapping.SolveVirtual): layers execute strictly
-// sequentially, and before every swapped layer its reload time is
-// charged while the swap-pool PEs are being programmed. reload[i] is the
-// per-layer programming cost (0 for resident layers). Reload time counts
-// toward the makespan but not toward active (computing) cycles, so it
-// depresses Eq. 2 utilization exactly as real crossbar writes would.
-func LayerByLayerVirtual(dg *deps.Graph, reload []int64) (*Timeline, error) {
-	if len(reload) != len(dg.Plan.Layers) {
-		return nil, fmt.Errorf("schedule: reload vector has %d entries, plan %d",
-			len(reload), len(dg.Plan.Layers))
-	}
-	csr := dg.CSR
-	t := NewTimeline(dg, LayerByLayer)
-	var cur int64
-	for li, ls := range dg.Plan.Layers {
-		cur += reload[li]
-		base := int(csr.LayerOff[li])
-		for si := 0; si < ls.NumSets(); si++ {
-			c := csr.Cycles[base+si]
-			t.Items[base+si] = cur
-			cur += c
-			t.LayerActive[li] += c
-			t.ReplicaActive[li][Replica(si, ls.Group.Dup)] += c
-		}
-	}
-	t.Makespan = cur
-	return t, nil
 }

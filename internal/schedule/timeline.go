@@ -19,10 +19,11 @@ type Item struct {
 }
 
 // Timeline is the executed set-level timetable shared by the analytic
-// scheduler (Schedule), the stream event loop (and package sim, its
-// one-inference view) and the weight-virtualized baseline. Stage IV decides one thing per set, its
-// start cycle, so that is all a timeline stores: one int64 per set in
-// flat CSR order. Everything else follows from the plan:
+// scheduler (Schedule, which also runs the weight-virtualized baseline)
+// and the stream schedulers (and package sim, their one-inference view).
+// Stage IV decides one thing per set, its start cycle, so that is all a
+// timeline records per set: one int64 in flat CSR order. Everything
+// else follows from the plan:
 //
 //   - the layer and the layer-local set index from the position and Off;
 //   - the replica from the Stage III rule, Replica(si, d), with
@@ -48,31 +49,42 @@ type Timeline struct {
 	Cycles []int64
 	// Makespan is the total inference time t_NN in cycles.
 	Makespan int64
-	// LayerActive[l] is the summed busy time of all replicas of layer l.
-	LayerActive []int64
-	// ReplicaActive[l][r] is the busy time of replica r of layer l.
+	// LayerActive[l] is the summed busy time of all replicas of layer l,
+	// and ReplicaActive[l][r] the busy time of replica r of layer l.
+	// Stage III fixes both before any set starts: NewTimeline fills
+	// them from Activity, and no scheduler writes them. Each timeline
+	// owns its rows.
+	LayerActive   []int64
 	ReplicaActive [][]int64
 }
 
-// NewTimeline allocates an empty timeline shaped after dg's set plan.
+// NewTimeline allocates a timeline shaped after dg's set plan, with
+// every start at 0 and the activity rows of Activity.
 func NewTimeline(dg *deps.Graph, p Policy) *Timeline {
-	t := &Timeline{
-		Policy: p,
-		Items:  make([]int64, dg.CSR.NumSets()),
-		Off:    dg.CSR.LayerOff,
-		Cycles: dg.CSR.Cycles,
+	layer, replica := Activity(dg)
+	return &Timeline{
+		Policy:        p,
+		Items:         make([]int64, dg.CSR.NumSets()),
+		Off:           dg.CSR.LayerOff,
+		Cycles:        dg.CSR.Cycles,
+		LayerActive:   layer,
+		ReplicaActive: replica,
 	}
-	t.LayerActive, t.ReplicaActive = activityRows(dg)
-	return t
 }
 
-// activityRows allocates zeroed activity rows shaped after dg's set
-// plan: one entry per layer, and one row per layer with an entry per
-// replica. The replica rows are views into one backing array
-// (full-capacity slices, so an append on a row would copy rather than
-// clobber its neighbor), keeping the allocation count independent of
-// the layer count.
-func activityRows(dg *deps.Graph) (layer []int64, replica [][]int64) {
+// Activity returns the busy cycles of dg's plan: per layer
+// (LayerActive) and per replica PE group (ReplicaActive). Stage III
+// fixes the replica of each set (Replica), so neither depends on the
+// policy, the edge costs or when the sets start, and every inference of
+// the plan, in a stream too, records the same; a caller that needs
+// only activity and the makespan (Scratch.Makespan) builds no timeline.
+// It is the one place set cycles are added into activity rows.
+//
+// The replica rows are views into one backing array (full-capacity
+// slices, so an append on a row would copy rather than clobber its
+// neighbor), keeping the allocation count independent of the layer
+// count.
+func Activity(dg *deps.Graph) (layer []int64, replica [][]int64) {
 	nl := len(dg.Plan.Layers)
 	layer = make([]int64, nl)
 	replica = make([][]int64, nl)
@@ -82,27 +94,21 @@ func activityRows(dg *deps.Graph) (layer []int64, replica [][]int64) {
 	}
 	backing := make([]int64, total)
 	off := 0
+	csr := dg.CSR
 	for li := range dg.Plan.Layers {
 		d := dg.Plan.Layers[li].Group.Dup
 		replica[li] = backing[off : off+d : off+d]
 		off += d
-	}
-	return layer, replica
-}
-
-// Activity returns the busy cycles that every timeline of dg records:
-// per layer (LayerActive) and per replica PE group (ReplicaActive).
-// Stage III fixes the replica of each set (Replica), so neither depends
-// on the policy, the edge costs or when the sets start; a caller that
-// needs only activity and the makespan (Scratch.Makespan) builds no
-// timeline.
-func Activity(dg *deps.Graph) (layer []int64, replica [][]int64) {
-	layer, replica = activityRows(dg)
-	csr := dg.CSR
-	for li, row := range replica {
-		for si, c := range csr.Cycles[csr.LayerOff[li]:csr.LayerOff[li+1]] {
-			row[Replica(si, len(row))] += c
-			layer[li] += c
+		// Replica r runs the sets si with Replica(si, d) == r: r, r+d,
+		// r+2d and so on.
+		cycles := csr.Cycles[csr.LayerOff[li]:csr.LayerOff[li+1]]
+		for r := range replica[li] {
+			var a int64
+			for si := r; si < len(cycles); si += d {
+				a += cycles[si]
+			}
+			replica[li][r] = a
+			layer[li] += a
 		}
 	}
 	return layer, replica

@@ -144,7 +144,11 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 		queue:     make(refQueue, 0, totalReps),
 		res:       &Result{Timeline: schedule.NewTimeline(dg, p)},
 	}
+	// The reference adds up its own busy cycles (chargePEs), so its
+	// activity rows start from zero rather than from schedule.Activity.
+	clear(st.res.LayerActive)
 	for li, ls := range dg.Plan.Layers {
+		clear(st.res.ReplicaActive[li])
 		st.setsLeft[li] = int32(ls.NumSets())
 	}
 	for i := 0; i < ns; i++ {

@@ -126,7 +126,7 @@ func checkMakespanPass(t *testing.T, label string, c compiled, p schedule.Policy
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Makespan(c.dg, d, p, edge)
+		got, err := s.Makespan(c.dg, d, p, schedule.Options{EdgeCost: edge})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package stream
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clsacim/internal/check"
@@ -120,9 +121,11 @@ func dominantCompile(t *testing.T, seed int64, src, gran, extra byte) fuzzCompil
 }
 
 // checkStream revalidates a result with its timelines against
-// check.Stream over the models' full CSRs.
+// check.Stream over the models' full CSRs, and its PE activity against
+// checkPEActive.
 func checkStream(t *testing.T, w Workload, opt Options, res *Result) {
 	t.Helper()
+	checkPEActive(t, w, res)
 	ms := make([]check.StreamModel, len(w.Models))
 	for mi, s := range w.Models {
 		ms[mi] = check.StreamModel{Graph: s.Graph, Mapping: s.Mapping, Policy: s.Policy, PEBase: s.PEBase}
@@ -133,5 +136,28 @@ func checkStream(t *testing.T, w Workload, opt Options, res *Result) {
 	}
 	if err := check.Stream(ms, infs, check.StreamOptions{MaxInFlight: opt.MaxInFlight}); err != nil {
 		t.Fatalf("check.Stream: %v", err)
+	}
+}
+
+// checkPEActive recounts a result's PE activity from its per-job
+// timelines, without schedule.Activity: every executed set adds its
+// cycles to each PE of the replica that ran it, offset by its model's
+// PEBase.
+func checkPEActive(t *testing.T, w Workload, res *Result) {
+	t.Helper()
+	want := make([]int64, w.FabricPEs)
+	for j, tl := range res.Timelines {
+		spec := w.Models[res.Jobs[j].Model]
+		for li := 0; li < tl.NumLayers(); li++ {
+			for si := range tl.ItemsOf(li) {
+				it := tl.At(li, si)
+				for _, pe := range spec.Mapping.Groups[li].ReplicaPEs(it.Replica) {
+					want[spec.PEBase+pe] += it.End - it.Start
+				}
+			}
+		}
+	}
+	if !slices.Equal(res.PEActive, want) {
+		t.Fatalf("PE activity differs from the timelines' recount\ngot  %v\nwant %v", res.PEActive, want)
 	}
 }

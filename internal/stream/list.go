@@ -40,12 +40,12 @@ type listModel struct {
 // job's sets only wait on earlier jobs of the same model, through its
 // groups' free times and its admission. Stage IV (schedule.Scratch.Job)
 // places each job's sets; around it runList derives admission,
-// closed-loop arrivals, the queue trace and the PE activity. Under
+// closed-loop arrivals and the queue trace. Under
 // DropTimelines it builds no timeline. The result equals the event
 // loop's on every conflict-free workload.
 func runList(w Workload, opt Options) (*Result, error) {
 	nj := len(w.Sequence)
-	res := &Result{Jobs: make([]JobStat, nj), PEActive: make([]int64, w.FabricPEs)}
+	res := &Result{Jobs: make([]JobStat, nj)}
 	if !opt.DropTimelines {
 		res.Timelines = make([]*schedule.Timeline, nj)
 	}
@@ -106,24 +106,37 @@ func runList(w Workload, opt Options) (*Result, error) {
 		}
 	}
 	res.Queue = queueTrace(res.Jobs)
-	// Every job of a model keeps each replica group busy for the same
-	// cycles (schedule.Activity), and every PE of the replica is busy
-	// while it is.
+	res.PEActive = peActive(w)
+	return res, nil
+}
+
+// peActive returns the busy cycles of every fabric PE over a run that
+// retired every job of w. Each job runs every set of its model exactly
+// once on the set's Stage III replica, so a model's jobs each keep a
+// replica busy for the cycles schedule.Activity gives it, whenever they
+// run, and every PE of a replica is busy while the replica is.
+func peActive(w Workload) []int64 {
+	out := make([]int64, w.FabricPEs)
 	for mi, spec := range w.Models {
-		n := int64(len(ms[mi].jobs))
-		if n == 0 {
+		var jobs int64
+		for _, m := range w.Sequence {
+			if m == mi {
+				jobs++
+			}
+		}
+		if jobs == 0 {
 			continue
 		}
 		_, active := schedule.Activity(spec.Graph)
 		for li, row := range active {
 			for r, a := range row {
 				for _, pe := range spec.Mapping.Groups[li].ReplicaPEs(r) {
-					res.PEActive[spec.PEBase+pe] += n * a
+					out[spec.PEBase+pe] += jobs * a
 				}
 			}
 		}
 	}
-	return res, nil
+	return out
 }
 
 // queueTrace is the queue-depth trace of a finished stream: one sample

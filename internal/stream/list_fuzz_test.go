@@ -24,7 +24,8 @@ import (
 // granularity, one model (offset inside a larger fabric) or two models
 // on disjoint pools, a window (lbl, xK, xinf), an edge cost, closed-loop
 // concurrency or open-loop arrival gaps (ties included), the admission
-// gate, and whether timelines are kept.
+// gate, and whether timelines are kept. When they are, both results'
+// PE activity is recounted from their timelines (checkPEActive).
 func FuzzStreamListVsEvents(f *testing.F) {
 	f.Add(int64(1), byte(0), byte(0), byte(3), byte(0), byte(0), false, byte(1), byte(0), byte(5))
 	f.Add(int64(2), byte(1), byte(4), byte(7), byte(1), byte(1), true, byte(6), byte(2), byte(7))
@@ -95,6 +96,10 @@ func FuzzStreamListVsEvents(f *testing.F) {
 		want, err := RunEvents(w, opt)
 		if err != nil {
 			t.Fatalf("event loop: %v", err)
+		}
+		if !opt.DropTimelines {
+			checkPEActive(t, w, got)
+			checkPEActive(t, w, want)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("list path and event loop disagree (makespan %d vs %d)\nlist jobs  %v\nevent jobs %v\nlist queue  %v\nevent queue %v",

@@ -36,8 +36,8 @@
 //     and its job's admission. Admission is the later of the arrival
 //     and the end of the model's job k-MaxInFlight; closed-loop
 //     arrivals are the retirements in time order, popped from a
-//     min-heap of job ends. The queue trace and
-//     the PE activity follow from the job lifecycles.
+//     min-heap of job ends. The queue trace follows from the job
+//     lifecycles.
 //   - Shared pools keep a discrete-event loop, also exported as
 //     RunEvents for any workload (internal/sim runs single inferences
 //     through it). Every job instantiates its model's immutable Stage
@@ -70,7 +70,10 @@
 // results (FuzzStreamListVsEvents, through RunEvents): a greedy flow
 // shop without arbitration starts every set at the latest of the same
 // terms the recurrence takes. Both poll Options.Context, the recurrence
-// once per job and the event loop every few thousand events.
+// once per job and the event loop every few thousand events. Neither
+// adds up busy cycles: every retired job ran each set of its model
+// once, on the set's Stage III replica, so a run's PE activity is each
+// model's schedule.Activity times its job count (peActive).
 //
 // The oracle for all of this is check.Stream, which revalidates every
 // per-job timeline plus the cross-inference invariants from scratch.
@@ -254,10 +257,6 @@ type engine struct {
 	// a conflicting group frees.
 	blocked []bool
 	fifo    []fifoQueue
-	// grpAct[G] accumulates the busy cycles of global replica group G
-	// across all jobs; the per-PE fan-out happens once at the end of the
-	// run instead of once per completion event.
-	grpAct []int64
 
 	// jobs[j] is job j's state while it is in flight, nil before
 	// admission and after retirement.
@@ -364,10 +363,7 @@ func newEngine(w Workload, opt Options) *engine {
 		phase:     make([]jobPhase, len(w.Sequence)),
 		timelines: !opt.DropTimelines,
 		ctx:       opt.Context,
-		res: &Result{
-			Jobs:     make([]JobStat, len(w.Sequence)),
-			PEActive: make([]int64, w.FabricPEs),
-		},
+		res:       &Result{Jobs: make([]JobStat, len(w.Sequence))},
 	}
 	if e.timelines {
 		e.res.Timelines = make([]*schedule.Timeline, len(w.Sequence))
@@ -404,7 +400,6 @@ func newEngine(w Workload, opt Options) *engine {
 	e.busy = make([]bool, total)
 	e.blocked = make([]bool, total)
 	e.fifo = make([]fifoQueue, total)
-	e.grpAct = make([]int64, total)
 	e.conflicts = buildConflicts(w.Models, e.models, w.FabricPEs, total)
 	for j, mi := range w.Sequence {
 		e.models[mi].jobs = append(e.models[mi].jobs, int32(j))
@@ -497,7 +492,6 @@ func (e *engine) run() (*Result, error) {
 			e.admitAll(now)
 		}
 	}
-	e.bookPEActivity()
 	for j, ph := range e.phase {
 		if ph < jobAdmitted {
 			return nil, fmt.Errorf("stream: job %d (model %d) never admitted (deadlock)", j, e.w.Sequence[j])
@@ -508,6 +502,7 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 	e.res.MakespanCycles = now
+	e.res.PEActive = peActive(e.w)
 	return e.res, nil
 }
 
@@ -691,11 +686,11 @@ func (f *fifoQueue) pop() {
 	}
 }
 
-// complete processes one set completion: it books the busy cycles,
-// frees the group, releases in-job successors, advances the job's
-// window, and — when the job's last set finishes — retires the job,
-// releases its admission-gate slot, and (closed loop) spawns the next
-// arrival. It reports whether the job retired.
+// complete processes one set completion: it frees the group, releases
+// in-job successors, advances the job's window, and — when the job's
+// last set finishes — retires the job, releases its admission-gate
+// slot, and (closed loop) spawns the next arrival. It reports whether
+// the job retired.
 func (e *engine) complete(ev payload, now int64) (retired bool) {
 	jb := e.jobs[ev.job]
 	m := &e.models[jb.model]
@@ -704,7 +699,6 @@ func (e *engine) complete(ev payload, now int64) (retired bool) {
 	lg := m.disp.RepOf[ev.id] // O(1) inverse of the policy's Replica rule
 	G := m.base + int(lg)
 
-	e.grpAct[G] += csr.Cycles[ev.id]
 	e.busy[G] = false
 	jb.pos[lg]++
 
@@ -751,28 +745,6 @@ func (e *engine) complete(ev payload, now int64) (retired bool) {
 	return retired
 }
 
-// bookPEActivity distributes the accumulated per-group busy cycles onto
-// the global fabric PEs once at the end of the run — every PE of a
-// replica is active exactly while the replica executes, so the fan-out
-// commutes with per-event accumulation.
-func (e *engine) bookPEActivity() {
-	for mi, s := range e.w.Models {
-		m := &e.models[mi]
-		for li := range s.Graph.Plan.Layers {
-			for lg := m.disp.RepOff[li]; lg < m.disp.RepOff[li+1]; lg++ {
-				a := e.grpAct[m.base+int(lg)]
-				if a == 0 {
-					continue
-				}
-				rep := int(lg - m.disp.RepOff[li])
-				for _, pe := range s.Mapping.Groups[li].ReplicaPEs(rep) {
-					e.res.PEActive[s.PEBase+pe] += a
-				}
-			}
-		}
-	}
-}
-
 // retire finalizes a completed job: lifecycle stats, the job's
 // timeline (when kept), queue sample, admission-gate release, and the
 // closed-loop respawn. The job's state goes back to its model's free
@@ -799,20 +771,11 @@ func (e *engine) retire(j int32, t int64) {
 }
 
 // timeline builds a retired job's executed timeline: readyAt holds
-// every set's start time by now, so the starts are a copy of it, and
-// the activity rows follow from each set's replica and duration.
+// every set's start time by now, so the starts are a copy of it.
 func (e *engine) timeline(jb *jobState, makespan int64) *schedule.Timeline {
 	s := e.w.Models[jb.model]
-	m := &e.models[jb.model]
 	tl := schedule.NewTimeline(s.Graph, s.Policy)
 	tl.Makespan = makespan
 	copy(tl.Items, jb.readyAt)
-	for li := range s.Graph.Plan.Layers {
-		for id := m.csr.LayerOff[li]; id < m.csr.LayerOff[li+1]; id++ {
-			c := m.csr.Cycles[id]
-			tl.LayerActive[li] += c
-			tl.ReplicaActive[li][m.disp.RepOf[id]-m.disp.RepOff[li]] += c
-		}
-	}
 	return tl
 }

@@ -47,8 +47,8 @@ func answersOf(t *testing.T, r *Report) reportAnswers {
 // makespan-first Report: under every mode, with and without a NoC edge
 // cost, and on a virtualized compilation, every accessor of a Report
 // that builds its timeline on demand answers exactly what it answers
-// over a timeline from schedule.Schedule (schedule.LayerByLayerVirtual
-// below PEmin), and the makespan, Eq. 2 utilization, energy and per-PE
+// over a timeline from schedule.Schedule (charging the reloads below
+// PEmin), and the makespan, Eq. 2 utilization, energy and per-PE
 // activity taken without a timeline equal the reference timeline's.
 func TestOnDemandTimelineMatchesSchedule(t *testing.T) {
 	m := load(t, "tinyyolov4")
@@ -81,12 +81,7 @@ func TestOnDemandTimelineMatchesSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", r.name, mode, err)
 			}
-			var ref *schedule.Timeline
-			if c.Virtualized() {
-				ref, err = schedule.LayerByLayerVirtual(c.depGraph, c.virtual.ReloadCycles)
-			} else {
-				ref, err = schedule.Schedule(c.depGraph, c.normalizeMode(mode).p, c.schedOptions(mode))
-			}
+			ref, err := schedule.Schedule(c.depGraph, c.normalizeMode(mode).p, c.schedOptions(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
