@@ -301,11 +301,6 @@ type Compiled struct {
 	dup      mapping.Solution
 	peMin    int
 	edgeCost schedule.EdgeCostFn
-	// layerActive and replicaActive are the busy cycles of every layer
-	// and replica PE group (schedule.Activity): the same in every mode,
-	// so Eq. 2 and the energy estimate need only the makespan besides.
-	layerActive   []int64
-	replicaActive [][]int64
 	// virtual is non-nil when the network does not fit (F < PEmin) and
 	// weight virtualization is active.
 	virtual *mapping.VirtualMapping
@@ -524,7 +519,6 @@ func compile(model *Model, cfg Config, frontOf frontEndSource, csrOf csrSource) 
 		virtual:   virtual,
 	}
 	c.edgeCost = edgeCostFn(arch, mapped)
-	c.layerActive, c.replicaActive = schedule.Activity(depGraph)
 	return c, nil
 }
 
@@ -875,7 +869,10 @@ func (c *Compiled) Schedule(mode ScheduleMode) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ut, err := metrics.Utilization(ms, c.layerActive, c.mapped)
+	// The busy cycles are the same in every mode (deps.Graph.Activity),
+	// so Eq. 2 and the energy estimate need only the makespan besides.
+	layerActive, _ := c.depGraph.Activity()
+	ut, err := metrics.Utilization(ms, layerActive, c.mapped)
 	if err != nil {
 		return nil, err
 	}
@@ -893,7 +890,7 @@ func (c *Compiled) Schedule(mode ScheduleMode) (*Report, error) {
 		tl:             new(lazyTimeline),
 	}
 	if c.cfg.EnergyPerMVMNanoJ > 0 {
-		nj, err := metrics.EnergyNanoJoule(c.layerActive, c.mapped,
+		nj, err := metrics.EnergyNanoJoule(layerActive, c.mapped,
 			c.cfg.EnergyPerMVMNanoJ, c.cfg.EnergyPerWriteNanoJ, c.CrossbarWritesPerInference())
 		if err != nil {
 			return nil, err
@@ -930,6 +927,7 @@ type LayerSpan struct {
 // for Gantt rendering and analysis.
 func (r *Report) LayerSpans() []LayerSpan {
 	t := r.mustTimeline()
+	_, active := r.comp.depGraph.Activity()
 	var out []LayerSpan
 	for li, g := range r.comp.mapped.Groups {
 		base := len(out)
@@ -937,7 +935,7 @@ func (r *Report) LayerSpans() []LayerSpan {
 			out = append(out, LayerSpan{
 				Name: g.Node.Name, Replica: rep, DupCount: g.Dup,
 				PEs:    g.PEsPerReplica(),
-				Active: r.comp.replicaActive[li][rep],
+				Active: active[li][rep],
 				Start:  -1,
 			})
 		}
@@ -1038,7 +1036,8 @@ func (r *Report) CriticalLayers() ([]CriticalStep, error) {
 // them. Stage III fixes which replica runs each set, so this needs no
 // timeline.
 func (r *Report) PEActive() []int64 {
-	return metrics.PEActive(r.comp.replicaActive, r.comp.mapped)
+	_, active := r.comp.depGraph.Activity()
+	return metrics.PEActive(active, r.comp.mapped)
 }
 
 // PeakLiveElems returns the largest number of intermediate OFM elements

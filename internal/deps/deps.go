@@ -45,7 +45,8 @@ type SetRef struct {
 // Graph is the set-level dependency DAG over a Stage I plan, stored as
 // flat CSR arrays (see CSR). Use DepsOf for a per-set SetRef view. A
 // Graph is one compilation's: its plan fixes the duplication that the
-// dominant-predecessor view (Dominant) is built for.
+// dominant-predecessor view (Dominant) and the busy cycles (Activity)
+// are computed for.
 type Graph struct {
 	Plan *sets.Plan
 	// CSR is the compressed-sparse-row dependency graph; the scheduler
@@ -54,6 +55,10 @@ type Graph struct {
 
 	domOnce sync.Once
 	dom     *CSR
+
+	actOnce    sync.Once
+	layerAct   []int64
+	replicaAct [][]int64
 }
 
 // routeTab is one route evaluated against one consumer layer's set

@@ -87,14 +87,16 @@ func TestDominantView(t *testing.T) {
 }
 
 // TestDominantConcurrent: a cached compilation's Graph is shared by
-// concurrent streams, each of which asks for the dominant view and its
-// successors. Every caller must get the same, fully built view and
-// transpose (run under -race).
+// concurrent streams and reports, each of which asks for the dominant
+// view, its successors and the activity rows. Every caller must get the
+// same, fully built view, transpose and rows (run under -race), and the
+// rows must add up each replica's sets under the Replica rule.
 func TestDominantConcurrent(t *testing.T) {
 	_, dg := buildDeps(t, models.TinyYOLOv4, 0, 26, 32)
 	const callers = 16
 	views := make([]*CSR, callers)
 	succs := make([]*SuccView, callers)
+	rows := make([][][]int64, callers)
 	var wg sync.WaitGroup
 	wg.Add(callers)
 	for i := range views {
@@ -102,12 +104,26 @@ func TestDominantConcurrent(t *testing.T) {
 			defer wg.Done()
 			views[i] = dg.Dominant()
 			succs[i] = views[i].Successors()
+			_, rows[i] = dg.Activity()
 		}(i)
 	}
 	wg.Wait()
 	for i := range views {
-		if views[i] != views[0] || succs[i] != succs[0] {
+		if views[i] != views[0] || succs[i] != succs[0] || &rows[i][0] != &rows[0][0] {
 			t.Fatalf("caller %d got a different view", i)
+		}
+	}
+	layer, replica := dg.Activity()
+	for li, ls := range dg.Plan.Layers {
+		want := make([]int64, ls.Group.Dup)
+		var total int64
+		for si := 0; si < ls.NumSets(); si++ {
+			c := dg.CSR.Cycles[dg.CSR.ID(li, si)]
+			want[Replica(si, ls.Group.Dup)] += c
+			total += c
+		}
+		if !slices.Equal(replica[li], want) || layer[li] != total {
+			t.Fatalf("layer %d: activity %d %v, want %d %v", li, layer[li], replica[li], total, want)
 		}
 	}
 	if err := checkDominant(dg, views[0]); err != nil {

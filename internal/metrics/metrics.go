@@ -16,7 +16,7 @@ import (
 )
 
 // Utilization evaluates paper Eq. 2 for a schedule of makespan t_NN
-// whose layers were busy layerActive cycles (schedule.Activity, summed
+// whose layers were busy layerActive cycles (deps.Graph.Activity, summed
 // over each layer's replicas): the mean over all F PEs of the
 // architecture of (active cycles / total inference cycles). PEs of one
 // group are active exactly while the group executes a set; PEs not
@@ -51,7 +51,7 @@ func peCycles(layerActive []int64, m *mapping.Mapping) (int64, error) {
 }
 
 // PEActive returns the busy cycles of each of the mapping's F PEs given
-// each replica's busy cycles (schedule.Activity's replica rows): every
+// each replica's busy cycles (deps.Graph.Activity's replica rows): every
 // PE of a replica is active exactly while the replica executes a set.
 // PEs that virtualization pools share between layers sum the activity
 // of every replica placed on them, so the total is the Eq. 2 numerator

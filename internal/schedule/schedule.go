@@ -123,15 +123,15 @@ func (s *Scratch) Makespan(dg *deps.Graph, dup []int, p Policy, opt Options) (in
 // recurrence with two more terms per set, the job's release (no set
 // starts before it) and its replica's free time left by the previous
 // inference. free[g] is the free time of replica group g, numbered
-// layer-major (layer li's Group.Dup groups follow layer li-1's, as in
-// Dispatch); Job reads it and leaves each group's last finish there
-// for the next inference. Job returns the job's earliest start and
-// last finish. When t is non-nil, a timeline shaped after dg
-// (NewTimeline) that may be reused across jobs, Job also overwrites its
-// starts and makespan with the job's; its activity rows need no update,
-// since every job keeps each replica busy for the same cycles
-// (Activity). With a nil t a warm Scratch schedules the job without
-// allocating.
+// layer-major (layer li's Group.Dup groups follow layer li-1's), and
+// group r of a layer runs the sets Replica assigns it; Job reads free
+// and leaves each group's last finish there for the next inference.
+// Job returns the job's earliest start and last finish. When t is
+// non-nil, a timeline shaped after dg (NewTimeline) that may be reused
+// across jobs, Job also overwrites its starts and makespan with the
+// job's; its activity rows need no update, since every job keeps each
+// replica busy for the same cycles (deps.Graph.Activity). With a nil t
+// a warm Scratch schedules the job without allocating.
 //
 // Scheduling a stream's jobs one after another in issue order is exact
 // when every replica group serves its jobs FIFO in issue order and

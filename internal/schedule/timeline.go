@@ -51,67 +51,36 @@ type Timeline struct {
 	Makespan int64
 	// LayerActive[l] is the summed busy time of all replicas of layer l,
 	// and ReplicaActive[l][r] the busy time of replica r of layer l.
-	// Stage III fixes both before any set starts: NewTimeline fills
-	// them from Activity, and no scheduler writes them. Each timeline
-	// owns its rows.
+	// Stage III fixes both before any set starts: NewTimeline copies
+	// them from deps.Graph.Activity, and no scheduler writes them. Each
+	// timeline owns its rows.
 	LayerActive   []int64
 	ReplicaActive [][]int64
 }
 
 // NewTimeline allocates a timeline shaped after dg's set plan, with
-// every start at 0 and the activity rows of Activity.
+// every start at 0 and its own copy of the plan's activity rows
+// (deps.Graph.Activity), in three allocations whatever the layer count.
 func NewTimeline(dg *deps.Graph, p Policy) *Timeline {
-	layer, replica := Activity(dg)
-	return &Timeline{
+	layer, replica := dg.Activity()
+	t := &Timeline{
 		Policy:        p,
 		Items:         make([]int64, dg.CSR.NumSets()),
 		Off:           dg.CSR.LayerOff,
 		Cycles:        dg.CSR.Cycles,
-		LayerActive:   layer,
-		ReplicaActive: replica,
+		LayerActive:   slices.Clone(layer),
+		ReplicaActive: make([][]int64, len(replica)),
 	}
-}
-
-// Activity returns the busy cycles of dg's plan: per layer
-// (LayerActive) and per replica PE group (ReplicaActive). Stage III
-// fixes the replica of each set (Replica), so neither depends on the
-// policy, the edge costs or when the sets start, and every inference of
-// the plan, in a stream too, records the same; a caller that needs
-// only activity and the makespan (Scratch.Makespan) builds no timeline.
-// It is the one place set cycles are added into activity rows.
-//
-// The replica rows are views into one backing array (full-capacity
-// slices, so an append on a row would copy rather than clobber its
-// neighbor), keeping the allocation count independent of the layer
-// count.
-func Activity(dg *deps.Graph) (layer []int64, replica [][]int64) {
-	nl := len(dg.Plan.Layers)
-	layer = make([]int64, nl)
-	replica = make([][]int64, nl)
-	total := 0
-	for li := range dg.Plan.Layers {
-		total += dg.Plan.Layers[li].Group.Dup
+	n := 0
+	for _, row := range replica {
+		n += len(row)
 	}
-	backing := make([]int64, total)
-	off := 0
-	csr := dg.CSR
-	for li := range dg.Plan.Layers {
-		d := dg.Plan.Layers[li].Group.Dup
-		replica[li] = backing[off : off+d : off+d]
-		off += d
-		// Replica r runs the sets si with Replica(si, d) == r: r, r+d,
-		// r+2d and so on.
-		cycles := csr.Cycles[csr.LayerOff[li]:csr.LayerOff[li+1]]
-		for r := range replica[li] {
-			var a int64
-			for si := r; si < len(cycles); si += d {
-				a += cycles[si]
-			}
-			replica[li][r] = a
-			layer[li] += a
-		}
+	backing := make([]int64, 0, n)
+	for li, row := range replica {
+		backing = append(backing, row...)
+		t.ReplicaActive[li] = backing[len(backing)-len(row) : len(backing) : len(backing)]
 	}
-	return layer, replica
+	return t
 }
 
 // NumLayers returns the layer count.

@@ -1,8 +1,9 @@
 package sim
 
 // This file keeps an earlier production simulator — a binary-heap
-// event loop that recomputes its dispatch plan and books replica
-// activity per event — as a test-only reference implementation. Run
+// event loop that walks each replica's sets by the Stage III rule and
+// books replica activity per event — as a test-only reference
+// implementation. Run
 // drives one inference through the stream event loop, whose calendar
 // queue preserves the heap's (time, seq) total order and whose deferred
 // per-group activity accounting sums to the same totals, so both
@@ -90,9 +91,11 @@ type refState struct {
 	depsLeft []int32
 	readyAt  []int64
 
-	disp *schedule.Dispatch
-	pos  []int32
-	busy []bool
+	// Layer li owns the replica groups [repOff[li], repOff[li+1]);
+	// pos[g] counts group g's completed sets and busy[g] its state.
+	repOff []int32
+	pos    []int32
+	busy   []bool
 
 	window    int
 	gateOpen  []bool
@@ -126,15 +129,16 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 	csr := dg.CSR
 	nl := len(dg.Plan.Layers)
 	ns := csr.NumSets()
-	totalReps := 0
-	for li := range dg.Plan.Layers {
-		totalReps += dg.Plan.Layers[li].Group.Dup
+	repOff := make([]int32, nl+1)
+	for li, ls := range dg.Plan.Layers {
+		repOff[li+1] = repOff[li] + int32(ls.Group.Dup)
 	}
+	totalReps := int(repOff[nl])
 	st := &refState{
 		arch: arch, dg: dg, csr: csr, m: m, edge: edge,
 		depsLeft:  make([]int32, ns),
 		readyAt:   make([]int64, ns),
-		disp:      schedule.NewDispatch(dg),
+		repOff:    repOff,
 		pos:       make([]int32, totalReps),
 		busy:      make([]bool, totalReps),
 		window:    p.Window(),
@@ -145,7 +149,7 @@ func newRefState(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule
 		res:       &Result{Timeline: schedule.NewTimeline(dg, p)},
 	}
 	// The reference adds up its own busy cycles (chargePEs), so its
-	// activity rows start from zero rather than from schedule.Activity.
+	// activity rows start from zero rather than from deps.Graph.Activity.
 	clear(st.res.LayerActive)
 	for li, ls := range dg.Plan.Layers {
 		clear(st.res.ReplicaActive[li])
@@ -187,7 +191,7 @@ func (st *refState) openGates(now int64) {
 				progressed = true
 				continue
 			}
-			for rep := 0; rep < st.disp.Replicas(li); rep++ {
+			for rep := 0; rep < st.dg.Plan.Layers[li].Group.Dup; rep++ {
 				st.tryStart(li, rep, now)
 			}
 		}
@@ -208,15 +212,18 @@ func (st *refState) chargePEs(li, rep int, cycles int64) {
 }
 
 func (st *refState) tryStart(li, rep int, now int64) {
-	g := st.disp.RepOff[li] + int32(rep)
+	g := st.repOff[li] + int32(rep)
 	if !st.gateOpen[li] || st.busy[g] {
 		return
 	}
-	next := st.disp.OrderOff[g] + st.pos[g]
-	if next >= st.disp.OrderOff[g+1] {
+	// Replica rep of d runs its layer's sets rep, rep+d, rep+2d, ... in
+	// raster order (schedule.Replica); pos[g] of them are done.
+	d := int32(st.dg.Plan.Layers[li].Group.Dup)
+	si := int32(rep) + st.pos[g]*d
+	if si >= int32(st.dg.Plan.Layers[li].NumSets()) {
 		return
 	}
-	id := st.disp.Order[next]
+	id := st.csr.ID(li, int(si))
 	if st.depsLeft[id] > 0 {
 		return
 	}
@@ -235,7 +242,7 @@ func (st *refState) complete(e refEvent) {
 	li, si := st.csr.Set(e.id)
 	ls := st.dg.Plan.Layers[li]
 	rep := schedule.Replica(si, ls.Group.Dup)
-	g := st.disp.RepOff[li] + int32(rep)
+	g := st.repOff[li] + int32(rep)
 	st.chargePEs(li, rep, st.csr.Cycles[e.id])
 	st.busy[g] = false
 	st.pos[g]++

@@ -140,7 +140,7 @@ func checkStream(t *testing.T, w Workload, opt Options, res *Result) {
 }
 
 // checkPEActive recounts a result's PE activity from its per-job
-// timelines, without schedule.Activity: every executed set adds its
+// timelines, without deps.Graph.Activity: every executed set adds its
 // cycles to each PE of the replica that ran it, offset by its model's
 // PEBase.
 func checkPEActive(t *testing.T, w Workload, res *Result) {

@@ -113,8 +113,8 @@ func runList(w Workload, opt Options) (*Result, error) {
 // peActive returns the busy cycles of every fabric PE over a run that
 // retired every job of w. Each job runs every set of its model exactly
 // once on the set's Stage III replica, so a model's jobs each keep a
-// replica busy for the cycles schedule.Activity gives it, whenever they
-// run, and every PE of a replica is busy while the replica is.
+// replica busy for the cycles deps.Graph.Activity gives it, whenever
+// they run, and every PE of a replica is busy while the replica is.
 func peActive(w Workload) []int64 {
 	out := make([]int64, w.FabricPEs)
 	for mi, spec := range w.Models {
@@ -127,7 +127,7 @@ func peActive(w Workload) []int64 {
 		if jobs == 0 {
 			continue
 		}
-		_, active := schedule.Activity(spec.Graph)
+		_, active := spec.Graph.Activity()
 		for li, row := range active {
 			for r, a := range row {
 				for _, pe := range spec.Mapping.Groups[li].ReplicaPEs(r) {

@@ -40,19 +40,24 @@
 //     lifecycles.
 //   - Shared pools keep a discrete-event loop, also exported as
 //     RunEvents for any workload (internal/sim runs single inferences
-//     through it). Every job instantiates its model's immutable Stage
-//     III dispatch plan (schedule.Dispatch) and keeps only per-job
-//     cursors, dependency counters and window state: 4 bytes per set
-//     (12 when timelines are kept or edges cost, which add each set's
-//     ready time), taken from a per-model free list at admission and
-//     returned at retirement, so memory scales with the jobs in flight.
-//     The loop is greedy: after every event, every group whose head set
-//     can start has started. A head becomes startable only when its
-//     last dependency completes, its layer's gate opens, its group or a
-//     conflicting group frees, or its FIFO head changes; a freed group
-//     retries only the conflicting groups that the busy check alone
-//     held back. The loop is deadlock-free: a blocked group only ever
-//     waits on a busy resource, and busy resources always complete.
+//     through it). It reads Stage III from the round-robin rule itself
+//     (deps.Replica): replica r of a layer with d replicas runs the
+//     layer's sets r, r+d, r+2d and so on, so a group's next set is its
+//     first plus d times the sets it has completed, and no per-set
+//     table is built. A group's FIFO is its model's admitted jobs in
+//     issue order from a per-group cursor on. Every job keeps only
+//     per-group cursors, dependency counters and window state: 4 bytes
+//     per set (12 when timelines are kept or edges cost, which add each
+//     set's ready time), taken from a per-model free list at admission
+//     and returned at retirement, so memory scales with the jobs in
+//     flight. The loop is greedy: after every event, every group whose
+//     head set can start has started. A head becomes startable only
+//     when its last dependency completes, its layer's gate opens, its
+//     group or a conflicting group frees, or its FIFO head changes; a
+//     freed group retries only the conflicting groups that the busy
+//     check alone held back. The loop is deadlock-free: a blocked group
+//     only ever waits on a busy resource, and busy resources always
+//     complete.
 //
 // With idealized (nil) edge costs both schedulers walk the model's
 // dominant-predecessor view (deps.Graph.Dominant) instead of its full
@@ -73,7 +78,7 @@
 // once per job and the event loop every few thousand events. Neither
 // adds up busy cycles: every retired job ran each set of its model
 // once, on the set's Stage III replica, so a run's PE activity is each
-// model's schedule.Activity times its job count (peActive).
+// model's deps.Graph.Activity times its job count (peActive).
 //
 // The oracle for all of this is check.Stream, which revalidates every
 // per-job timeline plus the cross-inference invariants from scratch.
@@ -172,16 +177,18 @@ type Result struct {
 	Queue []QueueSample
 }
 
-// payload is the calendar-queue payload: a job arrival (id < 0) or the
-// completion of the job's flat set id. The queue itself (a bucketed
-// calendar queue, internal/eventq) orders events by (time, seq) exactly
-// as the previous inlined binary heap did — arrivals are enqueued with
-// the lowest sequence numbers before any completion, so at equal times
+// payload is the calendar-queue payload: a job arrival (group < 0) or
+// the completion of the set the job runs on global replica group
+// group; a group runs one set at a time, so the group and the job's
+// cursor on it name the set. The queue itself (a bucketed calendar
+// queue, internal/eventq) orders events by (time, seq) exactly as the
+// previous inlined binary heap did — arrivals are enqueued with the
+// lowest sequence numbers before any completion, so at equal times
 // arrivals still precede completions and keep admission timing
 // byte-identical.
 type payload struct {
-	job int32
-	id  int32
+	job   int32
+	group int32
 }
 
 // jobState is the mutable execution state of one admitted job. It
@@ -197,46 +204,40 @@ type jobState struct {
 	// until the set starts, and its start time from then on; nil when
 	// the model needs neither (modelRun.readyAt).
 	readyAt []int64
-	pos     []int32 // completed-set cursor per model-local replica group
+	pos     []int32 // completed sets per model-local replica group
 
-	gateOpen  []bool
-	setsLeft  []int32
-	layerDone []bool
-	frontier  int
+	// A layer is done once its gate is open and no set is left.
+	gateOpen []bool
+	setsLeft []int32
+	frontier int
 
 	remaining int // sets left until the job completes
 }
 
-// fifoQueue is a per-group FIFO of admitted job indices.
-type fifoQueue struct {
-	q    []int32
-	head int
-}
-
-// modelRun is one model class's run-time data: its immutable dispatch
-// plan and counter templates, its admission bookkeeping, and the free
+// modelRun is one model class's run-time data: the graph its jobs
+// walk, its replica groups, its admission bookkeeping, and the free
 // list of its retired job states.
 type modelRun struct {
-	disp *schedule.Dispatch
 	// csr is the graph the loop walks: the model's dominant view
 	// (deps.Graph.Dominant) with idealized edges, its full CSR with an
 	// edge cost.
 	csr  *deps.CSR
 	succ *deps.SuccView // csr.Successors()
 	edge schedule.EdgeCostFn
-	// base is the global id of the model's first replica group.
-	base int
-	// preds and layerSets are the templates a job's depsLeft and
-	// setsLeft reset from: predecessors per set, sets per layer.
-	preds     []int32
-	layerSets []int32
-	window    int
+	// base is the global id of the model's first replica group, and
+	// layer li owns the model-local groups [repOff[li], repOff[li+1]).
+	base   int
+	repOff []int32
+	window int
 	// readyAt reports whether the model's jobs keep per-set ready
 	// times: only an edge cost or a kept timeline reads them.
 	readyAt bool
 
-	jobs []int32 // job indices, issue order
-	// nextAdmit indexes jobs: the first job not yet admitted.
+	// jobs holds the model's job indices in issue order, and nextAdmit
+	// the first one not yet admitted. Every admitted job is queued on
+	// every group of its model, so a group's FIFO is
+	// jobs[group.head:nextAdmit].
+	jobs      []int32
 	nextAdmit int
 	// done counts completed jobs (completions are provably in issue
 	// order under the FIFO discipline).
@@ -244,19 +245,33 @@ type modelRun struct {
 	free []*jobState
 }
 
+// group is one replica PE group: its Stage III rule, its FIFO cursor
+// and its state in the loop.
+type group struct {
+	model int32
+	layer int32
+	// first is the flat id of the group's first set and dup its layer's
+	// replica count: the group runs first, first+dup, first+2*dup and
+	// so on, up to its layer's end.
+	first, dup int32
+	// head indexes the model's jobs: earlier jobs are done with the
+	// group.
+	head int32
+	busy bool
+	// blocked reports that the group's last tryStart found a startable
+	// head set but a busy conflicting group: only such groups can start
+	// when a conflicting group frees.
+	blocked bool
+}
+
 type engine struct {
 	w      Workload
 	gate   int
 	models []modelRun
+	groups []group
 	// conflicts[G] lists the groups of *other* models sharing a
 	// physical PE with group G (shared crossbar pools).
 	conflicts [][]int32
-	busy      []bool
-	// blocked[G] reports that G's last tryStart found a startable head
-	// set but a busy conflicting group: only such groups can start when
-	// a conflicting group frees.
-	blocked []bool
-	fifo    []fifoQueue
 
 	// jobs[j] is job j's state while it is in flight, nil before
 	// admission and after retirement.
@@ -368,11 +383,9 @@ func newEngine(w Workload, opt Options) *engine {
 	if e.timelines {
 		e.res.Timelines = make([]*schedule.Timeline, len(w.Sequence))
 	}
-	total := 0
 	span := int64(1)
 	for mi, s := range w.Models {
 		m := &e.models[mi]
-		m.disp = schedule.NewDispatch(s.Graph)
 		m.csr = s.Graph.CSR
 		if s.Edge == nil {
 			m.csr = s.Graph.Dominant()
@@ -380,15 +393,17 @@ func newEngine(w Workload, opt Options) *engine {
 		m.succ = m.csr.Successors()
 		m.edge = s.Edge
 		m.readyAt = s.Edge != nil || e.timelines
-		m.base = total
-		total += m.disp.NumReplicas()
-		m.layerSets = make([]int32, len(s.Graph.Plan.Layers))
-		for li := range m.layerSets {
-			m.layerSets[li] = int32(s.Graph.Plan.Layers[li].NumSets())
-		}
-		m.preds = make([]int32, m.csr.NumSets())
-		for i := range m.preds {
-			m.preds[i] = m.csr.PredOff[i+1] - m.csr.PredOff[i]
+		m.base = len(e.groups)
+		m.repOff = make([]int32, len(s.Graph.Plan.Layers)+1)
+		for li, ls := range s.Graph.Plan.Layers {
+			d := int32(ls.Group.Dup)
+			m.repOff[li+1] = m.repOff[li] + d
+			for r := int32(0); r < d; r++ {
+				e.groups = append(e.groups, group{
+					model: int32(mi), layer: int32(li),
+					first: m.csr.LayerOff[li] + r, dup: d,
+				})
+			}
 		}
 		m.window = s.Policy.Window()
 		for _, c := range m.csr.Cycles {
@@ -397,9 +412,7 @@ func newEngine(w Workload, opt Options) *engine {
 			}
 		}
 	}
-	e.busy = make([]bool, total)
-	e.blocked = make([]bool, total)
-	e.fifo = make([]fifoQueue, total)
+	total := len(e.groups)
 	e.conflicts = buildConflicts(w.Models, e.models, w.FabricPEs, total)
 	for j, mi := range w.Sequence {
 		e.models[mi].jobs = append(e.models[mi].jobs, int32(j))
@@ -460,7 +473,7 @@ func (e *engine) run() (*Result, error) {
 	if e.w.Arrivals != nil {
 		for j, t := range e.w.Arrivals {
 			e.seq++
-			e.queue.Push(t, e.seq, payload{job: int32(j), id: -1})
+			e.queue.Push(t, e.seq, payload{job: int32(j), group: -1})
 		}
 	} else {
 		n := e.w.Concurrency
@@ -485,7 +498,7 @@ func (e *engine) run() (*Result, error) {
 		}
 		now = ev.Time
 		// Admission can change only when a job arrives or retires.
-		if ev.P.id < 0 {
+		if ev.P.group < 0 {
 			e.arrive(ev.P.job, now)
 			e.admitAll(now)
 		} else if e.complete(ev.P, now) {
@@ -543,50 +556,50 @@ func (e *engine) admitAll(now int64) {
 	}
 }
 
-// admit instantiates job j's execution state, enqueues it on every
-// replica group of its model, and starts whatever the window allows.
+// admit instantiates job j's execution state and starts whatever the
+// window allows. admitAll has already advanced the model's nextAdmit
+// past j, which queues the job on every group of its model.
 func (e *engine) admit(j int32, mi int, now int64) {
-	m := &e.models[mi]
-	e.jobs[j] = m.newJob(mi)
+	e.jobs[j] = e.models[mi].newJob(mi)
 	e.phase[j] = jobAdmitted
-	for g := 0; g < m.disp.NumReplicas(); g++ {
-		e.fifo[m.base+g].q = append(e.fifo[m.base+g].q, j)
-	}
 	e.openGates(j, now)
 }
 
 // newJob takes a jobState from the free list, or allocates one when
-// every recycled state is in flight, and resets its counters. readyAt,
-// when the model keeps it, is not cleared: a stale entry is a start
-// time of an earlier job, no later than this admission, so it can never
-// delay a start.
+// every recycled state is in flight, and resets its counters from the
+// CSR's offsets. readyAt, when the model keeps it, is not cleared: a
+// stale entry is a start time of an earlier job, no later than this
+// admission, so it can never delay a start.
 func (m *modelRun) newJob(mi int) *jobState {
+	c := m.csr
 	var jb *jobState
 	if n := len(m.free); n > 0 {
 		jb = m.free[n-1]
 		m.free = m.free[:n-1]
 		clear(jb.pos)
 		clear(jb.gateOpen)
-		clear(jb.layerDone)
 	} else {
-		nl := len(m.layerSets)
+		nl := c.NumLayers()
 		jb = &jobState{
-			model:     mi,
-			depsLeft:  make([]int32, len(m.preds)),
-			pos:       make([]int32, m.disp.NumReplicas()),
-			gateOpen:  make([]bool, nl),
-			setsLeft:  make([]int32, nl),
-			layerDone: make([]bool, nl),
+			model:    mi,
+			depsLeft: make([]int32, c.NumSets()),
+			pos:      make([]int32, m.repOff[nl]),
+			gateOpen: make([]bool, nl),
+			setsLeft: make([]int32, nl),
 		}
 		if m.readyAt {
-			jb.readyAt = make([]int64, len(m.preds))
+			jb.readyAt = make([]int64, c.NumSets())
 		}
 	}
-	copy(jb.depsLeft, m.preds)
-	copy(jb.setsLeft, m.layerSets)
+	for i := range jb.depsLeft {
+		jb.depsLeft[i] = c.PredOff[i+1] - c.PredOff[i]
+	}
+	for li := range jb.setsLeft {
+		jb.setsLeft[li] = c.LayerOff[li+1] - c.LayerOff[li]
+	}
 	jb.start = -1
 	jb.frontier = 0
-	jb.remaining = len(m.preds)
+	jb.remaining = c.NumSets()
 	return jb
 }
 
@@ -609,15 +622,14 @@ func (e *engine) openGates(j int32, now int64) {
 			}
 			jb.gateOpen[li] = true
 			if jb.setsLeft[li] == 0 {
-				jb.layerDone[li] = true
 				progressed = true
 				continue
 			}
-			for g := m.disp.RepOff[li]; g < m.disp.RepOff[li+1]; g++ {
+			for g := m.repOff[li]; g < m.repOff[li+1]; g++ {
 				e.tryStart(m.base+int(g), now)
 			}
 		}
-		for jb.frontier < nl && jb.layerDone[jb.frontier] {
+		for jb.frontier < nl && jb.gateOpen[jb.frontier] && jb.setsLeft[jb.frontier] == 0 {
 			jb.frontier++
 			progressed = true
 		}
@@ -629,36 +641,34 @@ func (e *engine) openGates(j int32, now int64) {
 
 // tryStart launches the head set of global replica group G if the
 // group's FIFO head job has an admitted, dependency-ready set and no
-// conflicting group is busy, and records in blocked[G] whether only a
-// conflicting group stood in the way. Jobs that have exhausted their
-// share of the group are popped on the way.
+// conflicting group is busy, and records in blocked whether only a
+// conflicting group stood in the way. The cursor passes jobs that have
+// exhausted their share of the group.
 func (e *engine) tryStart(G int, now int64) {
-	if e.busy[G] {
+	g := &e.groups[G]
+	if g.busy {
 		return
 	}
-	e.blocked[G] = false
-	f := &e.fifo[G]
-	for f.head < len(f.q) {
-		j := f.q[f.head]
+	g.blocked = false
+	m := &e.models[g.model]
+	lg := G - m.base
+	end := m.csr.LayerOff[g.layer+1]
+	for ; int(g.head) < m.nextAdmit; g.head++ {
+		j := m.jobs[g.head]
 		jb := e.jobs[j]
 		if jb == nil {
-			f.pop() // retired: done with every group
-			continue
+			continue // retired: done with every group
 		}
-		m := &e.models[jb.model]
-		lg := int32(G - m.base)
-		next := m.disp.OrderOff[lg] + jb.pos[lg]
-		if next >= m.disp.OrderOff[lg+1] {
-			f.pop()
+		id := g.first + jb.pos[lg]*g.dup
+		if id >= end {
 			continue // job done with this group; serve the next one
 		}
-		id := m.disp.Order[next]
-		if jb.depsLeft[id] > 0 || !jb.gateOpen[m.csr.SetLayer[id]] {
+		if jb.depsLeft[id] > 0 || !jb.gateOpen[g.layer] {
 			return
 		}
 		for _, c := range e.conflicts[G] {
-			if e.busy[c] {
-				e.blocked[G] = true
+			if e.groups[c].busy {
+				g.blocked = true
 				return
 			}
 		}
@@ -667,23 +677,22 @@ func (e *engine) tryStart(G int, now int64) {
 			start = max(start, jb.readyAt[id])
 			jb.readyAt[id] = start
 		}
-		e.busy[G] = true
+		g.busy = true
 		if jb.start < 0 || start < jb.start {
 			jb.start = start
 		}
 		e.seq++
-		e.queue.Push(start+m.csr.Cycles[id], e.seq, payload{job: j, id: id})
+		e.queue.Push(start+m.csr.Cycles[id], e.seq, payload{job: j, group: int32(G)})
 		return
 	}
 }
 
-// pop drops the head job, compacting once half the queue is popped so
-// that the queue's length stays within twice the jobs it holds.
-func (f *fifoQueue) pop() {
-	if f.head++; 2*f.head >= len(f.q) {
-		n := copy(f.q, f.q[f.head:])
-		f.q, f.head = f.q[:n], 0
-	}
+// groupOf returns the model-local replica group of flat set id of layer
+// li: the Stage III rule deps.Replica, offset by the layer's first
+// group, in unsigned 32-bit arithmetic, whose division is the cheapest.
+func (m *modelRun) groupOf(li int, id int32) int {
+	lo := uint32(m.repOff[li])
+	return int(lo + uint32(id-m.csr.LayerOff[li])%(uint32(m.repOff[li+1])-lo))
 }
 
 // complete processes one set completion: it frees the group, releases
@@ -695,36 +704,36 @@ func (e *engine) complete(ev payload, now int64) (retired bool) {
 	jb := e.jobs[ev.job]
 	m := &e.models[jb.model]
 	csr := m.csr
-	li := int(csr.SetLayer[ev.id])
-	lg := m.disp.RepOf[ev.id] // O(1) inverse of the policy's Replica rule
-	G := m.base + int(lg)
+	G := int(ev.group)
+	g := &e.groups[G]
+	lg := G - m.base
+	// The group runs one set at a time: the job's next on it.
+	id := g.first + jb.pos[lg]*g.dup
+	li := int(g.layer)
 
-	e.busy[G] = false
+	g.busy = false
 	jb.pos[lg]++
 
 	// Without edge costs a successor is ready when its last dependency
 	// completes, so its readyAt is never above the clock and stays
 	// untouched (or absent, see modelRun.readyAt).
 	sv := m.succ
-	for x := sv.Off[ev.id]; x < sv.Off[ev.id+1]; x++ {
+	for x := sv.Off[id]; x < sv.Off[id+1]; x++ {
 		cid := sv.Succ[x]
 		if m.edge != nil {
-			ref := deps.SetRef{Layer: li, Set: int(ev.id - csr.LayerOff[li]), Vol: int(sv.Vol[x])}
+			ref := deps.SetRef{Layer: li, Set: int(id - csr.LayerOff[li]), Vol: int(sv.Vol[x])}
 			if t := now + m.edge(ref, int(csr.SetLayer[cid])); t > jb.readyAt[cid] {
 				jb.readyAt[cid] = t
 			}
 		}
 		if jb.depsLeft[cid]--; jb.depsLeft[cid] == 0 {
-			e.tryStart(m.base+int(m.disp.RepOf[cid]), now)
+			e.tryStart(m.base+m.groupOf(int(csr.SetLayer[cid]), cid), now)
 		}
 	}
 
 	jb.setsLeft[li]--
-	if jb.setsLeft[li] == 0 {
-		jb.layerDone[li] = true
-		if li == jb.frontier {
-			e.openGates(ev.job, now)
-		}
+	if jb.setsLeft[li] == 0 && li == jb.frontier {
+		e.openGates(ev.job, now)
 	}
 
 	jb.remaining--
@@ -738,7 +747,7 @@ func (e *engine) complete(ev payload, now int64) (retired bool) {
 	// check, so only the groups it blocked can start now; every other
 	// condition of a start is retried by the event that changes it.
 	for _, c := range e.conflicts[G] {
-		if e.blocked[c] {
+		if e.groups[c].blocked {
 			e.tryStart(int(c), now)
 		}
 	}
@@ -748,7 +757,7 @@ func (e *engine) complete(ev payload, now int64) (retired bool) {
 // retire finalizes a completed job: lifecycle stats, the job's
 // timeline (when kept), queue sample, admission-gate release, and the
 // closed-loop respawn. The job's state goes back to its model's free
-// list; the FIFOs still naming the job skip it from now on.
+// list; the group cursors still short of the job skip it from now on.
 func (e *engine) retire(j int32, t int64) {
 	jb := e.jobs[j]
 	m := &e.models[jb.model]

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -233,6 +234,52 @@ func TestSharedPoolTwoModelsValidated(t *testing.T) {
 	floor := 2*singleMakespan(t, a, p) + 2*singleMakespan(t, b, p)
 	if res.MakespanCycles > floor {
 		t.Fatalf("shared-pool makespan %d worse than fully serial %d", res.MakespanCycles, floor)
+	}
+}
+
+// TestSharedPoolAllocationBound pins the event loop's memory. It reads
+// Stage III from the round-robin rule and the CSR's offsets, so on warm
+// graphs a shared-pool run builds no per-set table: a closed loop at
+// Concurrency 1, where each model reuses one job state, allocates 4 B
+// per set of the two models (each job state's dependency counters) and
+// a fixed slack for its tables sized by jobs, layers and replica groups
+// and for the calendar queue's buckets, well below the 12 B per set
+// that per-set dispatch tables and counter templates would add.
+func TestSharedPoolAllocationBound(t *testing.T) {
+	a := compile(t, models.TinyYOLOv4, sets.FineGranularity, 16)
+	b := compile(t, models.TinyYOLOv3, sets.FineGranularity, 16)
+	p := schedule.CrossLayer
+	w := stream.Workload{
+		FabricPEs:   max(a.m.F, b.m.F),
+		Models:      []stream.ModelSpec{spec(a, p, 0), spec(b, p, 0)},
+		Sequence:    []int{0, 1, 0, 1, 0, 1},
+		Concurrency: 1,
+	}
+	opt := stream.Options{DropTimelines: true}
+	// The first run builds the graphs' dominant views, successor views
+	// and activity rows, which every later run shares.
+	if _, err := stream.Run(w, opt); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 256 << 10
+	ns := a.dg.CSR.NumSets() + b.dg.CSR.NumSets()
+	want := uint64(4*ns + slack)
+	// Measured again (up to five runs) while over want: a GC cycle
+	// during the run, and -race at random, can inflate one reading.
+	least := ^uint64(0)
+	for try := 0; try < 5 && least > want; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := stream.Run(w, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d sets: %d B (%.2f B/set)", ns, least, float64(least)/float64(ns))
+	if least > want {
+		t.Errorf("shared-pool run allocated %d B, want at most %d B (4 B per set of %d sets plus %d B)",
+			least, want, ns, slack)
 	}
 }
 
